@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .ledger import load_blocks, verify_blocks, verify_dump
+from .ledger import LedgerBlock, LedgerError, VerifyResult, load_blocks, verify_blocks
 from .report import (
     entry_records,
     filter_records,
@@ -66,15 +66,23 @@ def _read_dump(path: str) -> bytes | None:
         return None
 
 
+def _load_verified(data: bytes) -> tuple[VerifyResult, list[LedgerBlock]]:
+    """Parse and verify a dump once; no blocks come back if parsing failed."""
+    try:
+        blocks = load_blocks(data)
+    except LedgerError as exc:
+        return VerifyResult(False, exc.height, str(exc)), []
+    return verify_blocks(blocks), blocks
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     data = _read_dump(args.ledger)
     if data is None:
         return 2
-    result = verify_dump(data)
-    if args.format == "RECORDS":
-        if result.ok:
-            for record in entry_records(load_blocks(data)):
-                print(_json_line(record))
+    result, blocks = _load_verified(data)
+    if args.format == "RECORDS" and result.ok:
+        for record in entry_records(blocks):
+            print(_json_line(record))
     report = {
         "ok": result.ok,
         "blocks": result.blocks,
@@ -91,7 +99,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     data = _read_dump(args.ledger)
     if data is None:
         return 2
-    verdict = verify_dump(data)
+    verdict, blocks = _load_verified(data)
     if not verdict.ok:
         print(
             f"ledger fails verification at height {verdict.failing_height}: "
@@ -99,8 +107,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    blocks = load_blocks(data)
-    assert verify_blocks(blocks).ok
     records = filter_records(
         entry_records(blocks), epoch=args.epoch, deed=args.deed, job=args.job
     )

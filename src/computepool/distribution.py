@@ -1,6 +1,6 @@
 """Trustless job distribution: worker search, assignment, progress, gather.
 
-Workers are ranked by capability fit, assigned per-worker parameter sets, and
+Workers are ranked by capability fit, assigned to indexed worker slots, and
 must prove forward progress with a hash-commitment chain. Each proof reveals
 the nonce for exactly one new link; a verifier holding only the prior chain
 head can check it without trusting the worker. Results come back as signed
@@ -70,27 +70,22 @@ class Assignment:
     job: str
     worker: str
     worker_index: int
-    params: dict
 
 
 def assign_workers(
     job: str,
     requirement: Capability,
     candidates: dict[str, Capability],
-    worker_params: list[dict],
+    n: int,
     weights: CapabilityWeights = CapabilityWeights(),
 ) -> list[Assignment]:
-    """Pick the top-ranked worker per parameter set, one worker per slot."""
-    n = len(worker_params)
+    """Fill `n` worker slots with the top-ranked candidates, one per slot."""
     ranked = rank_candidates(requirement, candidates, weights)
     if len(ranked) < n:
         raise InsufficientWorkersError(
             f"job {job}: need {n} eligible workers, found {len(ranked)}"
         )
-    return [
-        Assignment(job=job, worker=ranked[i], worker_index=i, params=dict(worker_params[i]))
-        for i in range(n)
-    ]
+    return [Assignment(job=job, worker=ranked[i], worker_index=i) for i in range(n)]
 
 
 # -- progress proofs -------------------------------------------------------------

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .tokenomics import NodeRegistry, RewardAllocation
+from .tokenomics import NodeRegistry
 
 JobId = tuple[str, int]
 
@@ -175,7 +175,6 @@ class EscrowBank:
         self.review_lock_seconds = review_lock_seconds
         self.jury_size = jury_size
         self.jobs: dict[JobId, Job] = {}
-        self.job_count: dict[str, int] = {}
         self.challenges: dict[str, Challenge] = {}
         self._challenge_seq = 0
         self._challenge_verdicts_by_job: dict[JobId, ChallengeVerdict] = {}
@@ -183,14 +182,18 @@ class EscrowBank:
     # -- job lifecycle -----------------------------------------------------
 
     def submit_job(
-        self, sender: str, reward: Fraction, spec_name: str, n_workers: int, now: int = 0
+        self, job_id: JobId, reward: Fraction, spec_name: str, n_workers: int, now: int = 0
     ) -> Job:
-        """Fund a new job from the sender's balance into escrow.
+        """Fund a new job from its sender's balance into escrow.
 
-        Rejection (insufficient balance, non-positive reward) leaves every
+        The id is (sender, sequence) as the scenario assigned it. Rejection
+        (duplicate id, insufficient balance, non-positive reward) leaves every
         pool and balance untouched.
         """
+        sender = job_id[0]
         reward = Fraction(reward)
+        if job_id in self.jobs:
+            raise JobLifecycleError(f"job {job_key(job_id)} already submitted")
         if reward <= 0:
             raise EscrowError("job reward must be positive")
         if n_workers < 1:
@@ -202,17 +205,15 @@ class EscrowBank:
             )
         self.registry.debit(sender, reward)
         self.pools.escrow_pool += reward
-        seq = self.job_count.get(sender, 0) + 1
-        self.job_count[sender] = seq
         job = Job(
-            job_id=(sender, seq),
+            job_id=job_id,
             sender=sender,
             reward=reward,
             spec_name=spec_name,
             n_workers=n_workers,
             created_at=now,
         )
-        self.jobs[job.job_id] = job
+        self.jobs[job_id] = job
         return job
 
     def job(self, job_id: JobId) -> Job:
@@ -393,11 +394,6 @@ class EscrowBank:
         self.pools.reward_pool -= amount
         self.registry.credit(deed_id, amount)
         self.pools.distributed_total += amount
-
-    def pay_allocation(self, allocation: RewardAllocation) -> None:
-        for entry in allocation.entries:
-            if entry.amount:
-                self.pay_reward(entry.deed_id, entry.amount)
 
     def conservation_total(self) -> Fraction:
         """Tokens visible anywhere in the system; constant across every event."""

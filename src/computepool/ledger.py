@@ -25,7 +25,12 @@ DUMP_MAGIC = b"CPOOL-LEDGER\x01"
 
 
 class LedgerError(Exception):
-    pass
+    """A malformed dump or a rejected append. `height` is the dump block that
+    failed to parse, or 0 when no block is to blame (bad header, append)."""
+
+    def __init__(self, message: str, height: int = 0):
+        super().__init__(message)
+        self.height = height
 
 
 class EntryKind(Enum):
@@ -164,12 +169,10 @@ class VerifyResult:
 
 
 class Ledger:
-    """Append-only chain with a genesis block at height 0."""
+    """Append-only chain with an empty genesis block at height 0, time 0."""
 
-    def __init__(self, genesis_timestamp: int = 0):
-        self.blocks: list[LedgerBlock] = [
-            _make_block(0, ZERO_DIGEST, genesis_timestamp, [])
-        ]
+    def __init__(self):
+        self.blocks: list[LedgerBlock] = [_make_block(0, ZERO_DIGEST, 0, [])]
         self._keys = _KeyTable()
 
     @property
@@ -222,16 +225,16 @@ def load_blocks(data: bytes) -> list[LedgerBlock]:
     blocks: list[LedgerBlock] = []
     for i in range(count):
         if len(view) < 4:
-            raise LedgerError(f"truncated dump at block {i}")
+            raise LedgerError(f"truncated dump at block {i}", i)
         (size,) = struct.unpack(">I", view[:4])
         view = view[4:]
         if len(view) < size:
-            raise LedgerError(f"truncated dump at block {i}")
+            raise LedgerError(f"truncated dump at block {i}", i)
         try:
             wire = decode(bytes(view[:size]))
             blocks.append(LedgerBlock.from_wire(wire))
         except (EncodingError, ValueError, TypeError, KeyError) as exc:
-            raise LedgerError(f"malformed block {i}: {exc}") from None
+            raise LedgerError(f"malformed block {i}: {exc}", i) from None
         view = view[size:]
     if len(view):
         raise LedgerError("trailing bytes after final block")
@@ -283,17 +286,8 @@ def verify_dump(data: bytes) -> VerifyResult:
     try:
         blocks = load_blocks(data)
     except LedgerError as exc:
-        return VerifyResult(False, _failing_height_from_parse(exc), str(exc))
+        return VerifyResult(False, exc.height, str(exc))
     return verify_blocks(blocks)
-
-
-def _failing_height_from_parse(exc: LedgerError) -> int:
-    # Parse failures name the block index when one is known.
-    text = str(exc)
-    for token in text.replace(":", " ").split():
-        if token.isdigit():
-            return int(token)
-    return 0
 
 
 # -- oracle mirror ------------------------------------------------------------

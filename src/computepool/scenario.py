@@ -13,6 +13,7 @@ from pathlib import Path
 
 import yaml
 
+from .escrow import JobId, job_key
 from .pipeline import PipelineError, PipelineSpec, SafetyPolicy, parse_pipeline
 from .tokenomics import Capability, CapabilityWeights
 
@@ -130,6 +131,7 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class JobSpec:
+    job_id: JobId  # (sender, per-sender sequence in list order)
     sender: str
     at: int
     reward: Fraction
@@ -141,14 +143,13 @@ class JobSpec:
     cancel_at: int | None
     review_verdict: str  # "valid" or "invalid", applied when the lock expires
     faults: tuple[FaultSpec, ...]
-    expr_author_is_sender: bool = True
 
 
 @dataclass(frozen=True)
 class ChallengeSpec:
     at: int
     challenger: str
-    job_key: str
+    job_id: JobId
     bond: Fraction | None
     votes: tuple[bool, ...]
 
@@ -282,7 +283,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
 
     jobs: list[JobSpec] = []
     job_seq: dict[str, int] = {}
-    job_keys: set[str] = set()
     last_at = 0
     for i, jcfg in enumerate(_sequence(root["jobs"], "jobs")):
         path = f"jobs[{i}]"
@@ -338,11 +338,10 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             if kind not in ("replay", "forge"):
                 _fail(f"{fpath}.kind", f"must be 'replay' or 'forge', got {kind!r}")
             faults.append(FaultSpec(widx, fstep, kind))
-        seq = job_seq.get(sender, 0) + 1
-        job_seq[sender] = seq
-        job_keys.add(f"{sender}:{seq}")
+        job_seq[sender] = job_seq.get(sender, 0) + 1
         jobs.append(
             JobSpec(
+                job_id=(sender, job_seq[sender]),
                 sender=sender,
                 at=at,
                 reward=_fraction(cfg["reward"], f"{path}.reward", positive=True),
@@ -357,6 +356,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             )
         )
 
+    job_ids = {job_key(job.job_id): job.job_id for job in jobs}
     challenges: list[ChallengeSpec] = []
     for i, ccfg in enumerate(_sequence(root.get("challenges", []), "challenges")):
         path = f"challenges[{i}]"
@@ -365,9 +365,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         challenger = _string(cfg["challenger"], f"{path}.challenger")
         if challenger not in node_ids:
             _fail(f"{path}.challenger", f"unknown node {challenger!r}")
-        job_key = _string(cfg["job"], f"{path}.job")
-        if job_key not in job_keys:
-            _fail(f"{path}.job", f"no scenario job produces key {job_key!r}")
+        key = _string(cfg["job"], f"{path}.job")
+        if key not in job_ids:
+            _fail(f"{path}.job", f"no scenario job produces key {key!r}")
         votes = _sequence(cfg["votes"], f"{path}.votes")
         if not all(isinstance(v, bool) for v in votes):
             _fail(f"{path}.votes", "votes must be booleans (true = uphold)")
@@ -376,7 +376,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             ChallengeSpec(
                 at=_int(cfg["at"], f"{path}.at", minimum=0),
                 challenger=challenger,
-                job_key=job_key,
+                job_id=job_ids[key],
                 bond=bond,
                 votes=tuple(votes),
             )

@@ -35,6 +35,7 @@ from .distribution import (
 )
 from .encoding import encode
 from .escrow import (
+    Challenge,
     ChallengeError,
     EscrowBank,
     InsufficientFundsError,
@@ -43,6 +44,7 @@ from .escrow import (
     ReviewVerdict,
     UnknownJobError,
     job_key,
+    parse_job_key,
 )
 from .ledger import (
     CreditCommand,
@@ -187,9 +189,9 @@ class Simulation:
             self.registry,
             review_lock_seconds=scenario.review_lock_seconds,
         )
-        self.ledger = Ledger(genesis_timestamp=0)
+        self.ledger = Ledger()
 
-        self._heap: list[tuple[int, int, int, str, dict]] = []
+        self._heap: list[tuple] = []  # (at, priority, seq, handler, args)
         self._seq = 0
         self._now = 0
         self._pending_entries: list[LedgerEntry] = []
@@ -207,7 +209,7 @@ class Simulation:
         self._proof_buffer: dict[tuple[str, str], dict[int, ProgressProof]] = {}
         self._jobs: dict[JobId, _JobRuntime] = {}
         self._tasks: dict[tuple[JobId, str], _WorkerTask] = {}
-        self._job_specs_by_key: dict[str, JobSpec] = {}
+        self._job_specs: dict[JobId, JobSpec] = {job.job_id: job for job in scenario.jobs}
 
         self.allocations: list[RewardAllocation] = []
         self.pool_timeline: list[dict] = []
@@ -242,9 +244,21 @@ class Simulation:
             self._signers[node_id] = derive_signer(str(self.seed), node_id)
         return self._signers[node_id]
 
-    def _schedule(self, at: int, priority: int, kind: str, data: dict) -> None:
+    def _schedule(self, at: int, priority: int, handler, *args) -> None:
+        """Queue `handler(*args)` to run at logical time `at` (ms).
+
+        Events run in (at, priority, seq) order: time first, then the PRI_*
+        tier, then scheduling order, since `seq` grows by one per call. `seq`
+        is unique, so the heap never compares handlers or arguments.
+        """
         self._seq += 1
-        heapq.heappush(self._heap, (at, priority, self._seq, kind, data))
+        heapq.heappush(self._heap, (at, priority, self._seq, handler, args))
+
+    def _retry_later(self, handler, *args) -> None:
+        """Run `handler(*args)` one heartbeat from now if the horizon allows."""
+        retry = self._now + self.heartbeat_ms
+        if retry <= self.horizon_ms:
+            self._schedule(retry, PRI_ACTION, handler, *args)
 
     def _epoch_of(self, at_ms: int) -> int:
         if at_ms <= 0:
@@ -291,21 +305,30 @@ class Simulation:
             p = 1.0 - (1.0 - p_src) * (1.0 - p_dst)
             if self._net_rng.random() < p:
                 self.messages.dropped += 1
-                if reliable and self._now + self.heartbeat_ms <= self.horizon_ms:
-                    self._schedule(
-                        self._now + self.heartbeat_ms,
-                        PRI_ACTION,
-                        "RESEND",
-                        {"topic": topic, "payload": payload, "sender": sender},
-                    )
+                self._resend(env)
                 continue
             latency = self._latency_ms(src, dst)
-            self._schedule(
-                self._now + latency,
-                PRI_DELIVER,
-                "DELIVER",
-                {"env": env, "to": node},
-            )
+            self._schedule(self._now + latency, PRI_DELIVER, self._deliver, node, env)
+
+    def _resend(self, env: Envelope) -> None:
+        if env.reliable:
+            self._retry_later(self._publish, env.topic, env.payload, env.sender, True)
+
+    def _deliver(self, to: str, env: Envelope) -> None:
+        if not self._up[to]:
+            self.messages.rejected += 1
+            self._resend(env)
+            return
+        self.messages.delivered += 1
+        parts = env.topic.split("/")
+        if parts[0] == "work" and parts[-1] == "assign":
+            self._on_assign_delivered(to, env.payload)
+        elif parts[0] == "work" and parts[-1] == "cancel":
+            self._on_cancel_delivered(to, env.payload)
+        elif parts[0] == "proofs":
+            self._on_proof_delivered(env.payload)
+        elif parts[0] == "results":
+            self._on_result_delivered(env.payload)
 
     def _region_of(self, node_id: str) -> str:
         if node_id == COORDINATOR_ID:
@@ -340,7 +363,6 @@ class Simulation:
             },
         )
         self._up[COORDINATOR_ID] = True
-        self._subscribe("jobs/#", COORDINATOR_ID)
         self._subscribe("proofs/#", COORDINATOR_ID)
         self._subscribe("results/#", COORDINATOR_ID)
 
@@ -363,33 +385,25 @@ class Simulation:
                     "balance": str(node.balance),
                 },
             )
+            flip = self._up.__setitem__
             for window in node.downtime:
-                self._schedule(window.start * 1000, PRI_NODE_FLIP, "NODE_DOWN", {"node": node.node_id})
-                self._schedule(window.end * 1000, PRI_NODE_FLIP, "NODE_UP", {"node": node.node_id})
+                self._schedule(window.start * 1000, PRI_NODE_FLIP, flip, node.node_id, False)
+                self._schedule(window.end * 1000, PRI_NODE_FLIP, flip, node.node_id, True)
             t = self.heartbeat_ms
             while t <= self.horizon_ms:
-                self._schedule(t, PRI_HEARTBEAT, "HEARTBEAT", {"node": node.node_id})
+                self._schedule(t, PRI_HEARTBEAT, self._on_heartbeat, node.node_id)
                 t += self.heartbeat_ms
 
         for epoch in range(1, scenario.epochs + 1):
-            self._schedule(epoch * self.epoch_ms, PRI_EPOCH_CLOSE, "EPOCH_CLOSE", {"epoch": epoch})
+            self._schedule(epoch * self.epoch_ms, PRI_EPOCH_CLOSE, self._on_epoch_close, epoch)
 
-        seq_by_sender: dict[str, int] = {}
-        for index, job in enumerate(scenario.jobs):
-            seq = seq_by_sender.get(job.sender, 0) + 1
-            seq_by_sender[job.sender] = seq
-            key_str = f"{job.sender}:{seq}"
-            self._job_specs_by_key[key_str] = job
-            self._schedule(
-                job.at * 1000, PRI_ACTION, "JOB_ARRIVAL", {"index": index, "key": key_str}
-            )
+        for job in scenario.jobs:
+            self._schedule(job.at * 1000, PRI_ACTION, self._on_job_arrival, job)
             if job.cancel_at is not None:
-                self._schedule(
-                    job.cancel_at * 1000, PRI_ACTION, "JOB_CANCEL", {"job_key": key_str}
-                )
+                self._schedule(job.cancel_at * 1000, PRI_ACTION, self._on_job_cancel, job.job_id)
 
-        for index, ch in enumerate(scenario.challenges):
-            self._schedule(ch.at * 1000, PRI_ACTION, "CHALLENGE_OPEN", {"index": index})
+        for ch in scenario.challenges:
+            self._schedule(ch.at * 1000, PRI_ACTION, self._on_challenge_open, ch)
 
         self._now = 0
         self._seal_tick()
@@ -397,18 +411,14 @@ class Simulation:
 
     # -- event handlers --------------------------------------------------------
 
-    def _on_heartbeat(self, data: dict) -> None:
-        node = data["node"]
+    def _on_heartbeat(self, node: str) -> None:
         if self._up[node]:
             self.registry.accrue_alive(
                 node, self._epoch_of(self._now), self.scenario.heartbeat_seconds
             )
 
-    def _on_node_flip(self, data: dict, up: bool) -> None:
-        self._up[data["node"]] = up
-
-    def _on_job_arrival(self, data: dict) -> None:
-        spec = self.scenario.jobs[data["index"]]
+    def _on_job_arrival(self, spec: JobSpec) -> None:
+        key = job_key(spec.job_id)
         now_s = self._now // 1000
         self.audit["jobs_submitted"] += 1
 
@@ -421,13 +431,12 @@ class Simulation:
                 verdict = safety_check(code.source, self.scenario.safety_policy)
                 if not verdict.safe:
                     self.audit["jobs_rejected"] += 1
-                    self._burn_job_seq(spec.sender, data["key"])
                     self._record(
                         EntryKind.POOL_EVENT,
                         COORDINATOR_ID,
                         {
                             "event": "plugin_rejected",
-                            "job": data["key"],
+                            "job": key,
                             "sender": spec.sender,
                             "pipeline": spec.pipeline_name,
                             "reasons": list(verdict.reasons),
@@ -440,64 +449,43 @@ class Simulation:
                     raise SimulationError(f"plugin recheck failed at submit: {reason}")
 
         try:
-            job = self.bank.submit_job(
-                spec.sender, spec.reward, spec.pipeline_name, spec.n_workers, now_s
+            self.bank.submit_job(
+                spec.job_id, spec.reward, spec.pipeline_name, spec.n_workers, now_s
             )
         except InsufficientFundsError:
             self.audit["jobs_rejected"] += 1
-            self._burn_job_seq(spec.sender, data["key"])
             self._record(
                 EntryKind.POOL_EVENT,
                 COORDINATOR_ID,
                 {
                     "event": "job_rejected",
-                    "job": data["key"],
+                    "job": key,
                     "sender": spec.sender,
                     "reason": "insufficient funds",
                 },
             )
             return
-        if job_key(job.job_id) != data["key"]:
-            raise SimulationError(
-                f"job sequence drift: expected {data['key']}, bank issued "
-                f"{job_key(job.job_id)}"
-            )
         self._check_conservation()
-        self._try_assign(job.job_id)
-
-    def _burn_job_seq(self, sender: str, expected_key: str) -> None:
-        # A rejected submission still consumes its sender sequence number, so
-        # later jobs keep the keys the scenario assigned them at parse time.
-        seq = self.bank.job_count.get(sender, 0) + 1
-        self.bank.job_count[sender] = seq
-        if job_key((sender, seq)) != expected_key:
-            raise SimulationError(
-                f"job sequence drift: expected {expected_key}, "
-                f"next for {sender} is {job_key((sender, seq))}"
-            )
+        self._try_assign(spec.job_id)
 
     def _try_assign(self, job_id: JobId) -> None:
-        job = self.bank.job(job_id)
-        spec = self._job_specs_by_key[job_key(job_id)]
+        spec = self._job_specs[job_id]
         candidates = {
             node_id: ns.capability
             for node_id, ns in self._node_specs.items()
-            if self._up[node_id] and node_id != job.sender
+            if self._up[node_id] and node_id != spec.sender
         }
-        params = [{"worker_index": i, "steps": spec.steps} for i in range(spec.n_workers)]
         try:
             assignments = assign_workers(
                 job_key(job_id),
                 spec.requirement,
                 candidates,
-                params,
+                spec.n_workers,
                 self.scenario.capability_weights,
             )
         except InsufficientWorkersError:
             # Job stays PENDING; try again next tick if the horizon allows.
-            retry = self._now + self.heartbeat_ms
-            if retry <= self.horizon_ms:
-                self._schedule(retry, PRI_ACTION, "ASSIGN_RETRY", {"job_key": job_key(job_id)})
+            self._retry_later(self._on_assign_retry, job_id)
             return
 
         commitments = {}
@@ -540,20 +528,14 @@ class Simulation:
                 }
             self._publish(f"work/{a.worker}/assign", payload, COORDINATOR_ID, reliable=True)
 
-    def _on_assign_retry(self, data: dict) -> None:
-        job_id = self._parse_key(data["job_key"])
+    def _on_assign_retry(self, job_id: JobId) -> None:
         if self.bank.job(job_id).status == JobStatus.PENDING:
             self._try_assign(job_id)
-
-    @staticmethod
-    def _parse_key(text: str) -> JobId:
-        sender, _, seq = text.rpartition(":")
-        return sender, int(seq)
 
     # -- worker side -----------------------------------------------------------
 
     def _on_assign_delivered(self, to: str, payload: dict) -> None:
-        job_id = self._parse_key(payload["job"])
+        job_id = parse_job_key(payload["job"])
         task_key = (job_id, to)
         if task_key in self._tasks:
             return  # duplicate delivery after a retransmit
@@ -574,9 +556,9 @@ class Simulation:
                     {"event": "code_recheck_failed", "job": payload["job"], "reason": reason},
                 )
                 return
-        spec = self._job_specs_by_key[payload["job"]]
+        spec = self._job_specs[job_id]
         run = PipelineRun(spec.pipeline, payload["worker_index"])
-        self._tasks[task_key] = _WorkerTask(
+        task = self._tasks[task_key] = _WorkerTask(
             job=job_id,
             worker=to,
             worker_index=payload["worker_index"],
@@ -584,27 +566,20 @@ class Simulation:
             run=run,
             head=chain_genesis(payload["job"], to),
         )
-        self._schedule(
-            self._now + self.heartbeat_ms,
-            PRI_ACTION,
-            "WORKER_STEP",
-            {"job_key": payload["job"], "worker": to},
-        )
+        self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, self._on_worker_step, task)
 
-    def _on_worker_step(self, data: dict) -> None:
-        task = self._tasks.get((self._parse_key(data["job_key"]), data["worker"]))
-        if task is None or task.cancelled or task.result_sent:
+    def _on_worker_step(self, task: _WorkerTask) -> None:
+        if task.cancelled or task.result_sent:
             return
         if not self._up[task.worker]:
-            retry = self._now + self.heartbeat_ms
-            if retry <= self.horizon_ms:
-                self._schedule(retry, PRI_ACTION, "WORKER_STEP", data)
+            self._retry_later(self._on_worker_step, task)
             return
+        key = job_key(task.job)
         step = task.run.step()
         task.link += 1
         commitment = next_commitment(task.head, step.nonce)
         proof = ProgressProof(
-            job=data["job_key"],
+            job=key,
             worker=task.worker,
             link_index=task.link,
             commitment=commitment,
@@ -613,7 +588,7 @@ class Simulation:
         task.head = commitment
         task.pending_proofs.append(proof)
 
-        spec = self._job_specs_by_key[data["job_key"]]
+        spec = self._job_specs[task.job]
         fault = next(
             (
                 f
@@ -625,39 +600,26 @@ class Simulation:
         if fault is not None:
             bad = self._make_faulty_proof(task, fault.kind)
             if bad is not None:
-                self._publish(
-                    f"proofs/{data['job_key']}", bad.to_payload(), task.worker, reliable=True
-                )
+                self._publish(f"proofs/{key}", bad.to_payload(), task.worker, reliable=True)
         else:
-            for pending in task.pending_proofs:
-                self._publish(
-                    f"proofs/{data['job_key']}", pending.to_payload(), task.worker, reliable=True
-                )
-                task.last_sent = pending
-            task.pending_proofs = []
+            self._flush_proofs(task)
 
         if step.step < task.steps_total:
-            nxt = self._now + self.heartbeat_ms
-            self._schedule(nxt, PRI_ACTION, "WORKER_STEP", data)
+            self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, self._on_worker_step, task)
         else:
             # Flush any withheld links before the result ships.
-            for pending in task.pending_proofs:
-                self._publish(
-                    f"proofs/{data['job_key']}", pending.to_payload(), task.worker, reliable=True
-                )
-                task.last_sent = pending
-            task.pending_proofs = []
+            self._flush_proofs(task)
             shard = make_result_shard(
-                data["job_key"],
+                key,
                 task.worker,
                 task.worker_index,
                 task.run.result_payload(),
                 self._signer(task.worker),
             )
             self._publish(
-                f"results/{data['job_key']}",
+                f"results/{key}",
                 {
-                    "job": data["job_key"],
+                    "job": key,
                     "worker": task.worker,
                     "worker_index": task.worker_index,
                     "payload": shard.payload.hex(),
@@ -668,6 +630,14 @@ class Simulation:
                 reliable=True,
             )
             task.result_sent = True
+
+    def _flush_proofs(self, task: _WorkerTask) -> None:
+        for pending in task.pending_proofs:
+            self._publish(
+                f"proofs/{job_key(task.job)}", pending.to_payload(), task.worker, reliable=True
+            )
+            task.last_sent = pending
+        task.pending_proofs = []
 
     def _make_faulty_proof(self, task: _WorkerTask, kind: str) -> ProgressProof | None:
         job = job_key(task.job)
@@ -694,7 +664,7 @@ class Simulation:
 
     def _on_proof_delivered(self, payload: dict) -> None:
         proof = ProgressProof.from_payload(payload)
-        job_id = self._parse_key(proof.job)
+        job_id = parse_job_key(proof.job)
         runtime = self._jobs.get(job_id)
         if runtime is None or runtime.settled:
             return
@@ -746,7 +716,7 @@ class Simulation:
             )
 
     def _on_result_delivered(self, payload: dict) -> None:
-        job_id = self._parse_key(payload["job"])
+        job_id = parse_job_key(payload["job"])
         runtime = self._jobs.get(job_id)
         if runtime is None or runtime.settled:
             return
@@ -792,9 +762,16 @@ class Simulation:
         self._apply_entry(entry)
         self.audit["jobs_done"] += 1
 
-    def _on_job_cancel(self, data: dict) -> None:
-        job_id = self._parse_key(data["job_key"])
-        job = self.bank.job(job_id)
+    def _on_job_cancel(self, job_id: JobId) -> None:
+        key = job_key(job_id)
+        job = self.bank.jobs.get(job_id)
+        if job is None:
+            self._record(
+                EntryKind.POOL_EVENT,
+                COORDINATOR_ID,
+                {"event": "cancel_skipped", "job": key, "reason": "job rejected at submission"},
+            )
+            return
         if job.status != JobStatus.IN_PROGRESS:
             return  # finished before the scripted cancellation fired
         runtime = self._jobs.get(job_id)
@@ -805,7 +782,7 @@ class Simulation:
             EntryKind.JOB_STATUS,
             COORDINATOR_ID,
             {
-                "job": data["job_key"],
+                "job": key,
                 "status": "CANCELLED",
                 "at": now_s,
                 "epoch": self._epoch_of(self._now),
@@ -815,20 +792,17 @@ class Simulation:
         self._apply_entry(entry)
         self.audit["jobs_cancelled"] += 1
         for a in runtime.assignments if runtime else []:
-            self._publish(
-                f"work/{a.worker}/cancel", {"job": data["job_key"]}, COORDINATOR_ID, reliable=True
-            )
+            self._publish(f"work/{a.worker}/cancel", {"job": key}, COORDINATOR_ID, reliable=True)
 
     def _on_cancel_delivered(self, to: str, payload: dict) -> None:
-        task = self._tasks.get((self._parse_key(payload["job"]), to))
+        task = self._tasks.get((parse_job_key(payload["job"]), to))
         if task is not None:
             task.cancelled = True
 
-    def _on_review_unlock(self, data: dict) -> None:
-        job_id = self._parse_key(data["job_key"])
+    def _on_review_unlock(self, job_id: JobId) -> None:
         if job_id not in self.bank.pools.locked:
             return  # a challenge verdict resolved it early
-        spec = self._job_specs_by_key[data["job_key"]]
+        spec = self._job_specs[job_id]
         verdict = (
             ReviewVerdict.WORK_VALID if spec.review_verdict == "valid" else ReviewVerdict.WORK_INVALID
         )
@@ -840,29 +814,28 @@ class Simulation:
             COORDINATOR_ID,
             {
                 "event": "review_resolved",
-                "job": data["job_key"],
+                "job": job_key(job_id),
                 "verdict": verdict.value,
                 "at": now_s,
             },
         )
         self._check_conservation()
 
-    def _on_challenge_open(self, data: dict) -> None:
-        spec: ChallengeSpec = self.scenario.challenges[data["index"]]
-        job_id = self._parse_key(spec.job_key)
+    def _on_challenge_open(self, spec: ChallengeSpec) -> None:
+        key = job_key(spec.job_id)
         try:
-            job = self.bank.job(job_id)
+            job = self.bank.job(spec.job_id)
         except UnknownJobError:
             self.audit["challenges_failed"] += 1
             return
         bond = spec.bond if spec.bond is not None else job.reward * self.scenario.bond_fraction
-        seed = digest(self._seed_bytes() + b"|jury|" + spec.job_key.encode() + spec.challenger.encode())
+        seed = digest(self._seed_bytes() + b"|jury|" + key.encode() + spec.challenger.encode())
         entry = self._record(
             EntryKind.CHALLENGE,
             spec.challenger,
             {
                 "phase": "opened",
-                "job": spec.job_key,
+                "job": key,
                 "challenger": spec.challenger,
                 "bond": str(bond),
                 "seed": seed.hex(),
@@ -882,19 +855,15 @@ class Simulation:
             {
                 "event": "jury_drawn",
                 "challenge": challenge.challenge_id,
-                "job": spec.job_key,
+                "job": key,
                 "jury": list(challenge.jury),
             },
         )
         self._schedule(
-            self._now + self.heartbeat_ms,
-            PRI_ACTION,
-            "CHALLENGE_RESOLVE",
-            {"challenge_id": challenge.challenge_id},
+            self._now + self.heartbeat_ms, PRI_ACTION, self._on_challenge_resolve, challenge
         )
 
-    def _on_challenge_resolve(self, data: dict) -> None:
-        challenge = self.bank.challenges[data["challenge_id"]]
+    def _on_challenge_resolve(self, challenge: Challenge) -> None:
         votes_aligned = self._challenge_votes[challenge.challenge_id]
         if len(votes_aligned) != len(challenge.jury):
             raise SimulationError(
@@ -915,8 +884,7 @@ class Simulation:
         )
         self._apply_entry(entry)
 
-    def _on_epoch_close(self, data: dict) -> None:
-        epoch = data["epoch"]
+    def _on_epoch_close(self, epoch: int) -> None:
         cfg = EpochConfig(self.scenario.epoch_seconds, current_epoch=epoch)
         active = [self.registry.activity(n.node_id) for n in self.scenario.nodes]
         pool = self.bank.pools.reward_pool
@@ -962,12 +930,7 @@ class Simulation:
                 )
                 if cmd.final_status == "CANCELLED":
                     unlock_s = cmd.at + self.scenario.review_lock_seconds
-                    self._schedule(
-                        unlock_s * 1000,
-                        PRI_REVIEW,
-                        "REVIEW_UNLOCK",
-                        {"job_key": job_key(cmd.job_id)},
-                    )
+                    self._schedule(unlock_s * 1000, PRI_REVIEW, self._on_review_unlock, cmd.job_id)
             elif isinstance(cmd, CreditCommand):
                 self.bank.pay_reward(cmd.deed_id, cmd.amount)
             elif isinstance(cmd, OpenChallengeCommand):
@@ -1019,43 +982,10 @@ class Simulation:
 
     def run(self) -> RunResult:
         self._setup()
-        handlers = {
-            "HEARTBEAT": self._on_heartbeat,
-            "JOB_ARRIVAL": self._on_job_arrival,
-            "ASSIGN_RETRY": self._on_assign_retry,
-            "WORKER_STEP": self._on_worker_step,
-            "JOB_CANCEL": self._on_job_cancel,
-            "REVIEW_UNLOCK": self._on_review_unlock,
-            "CHALLENGE_OPEN": self._on_challenge_open,
-            "CHALLENGE_RESOLVE": self._on_challenge_resolve,
-            "EPOCH_CLOSE": self._on_epoch_close,
-        }
         while self._heap:
-            at, _pri, _seq, kind, data = heapq.heappop(self._heap)
+            at, _pri, _seq, handler, args = heapq.heappop(self._heap)
             self._now = at
-            if kind == "DELIVER":
-                env: Envelope = data["env"]
-                to = data["to"]
-                if not self._up[to]:
-                    self.messages.rejected += 1
-                    if env.reliable and self._now + self.heartbeat_ms <= self.horizon_ms:
-                        self._schedule(
-                            self._now + self.heartbeat_ms,
-                            PRI_ACTION,
-                            "RESEND",
-                            {"topic": env.topic, "payload": env.payload, "sender": env.sender},
-                        )
-                else:
-                    self.messages.delivered += 1
-                    self._dispatch(to, env)
-            elif kind == "RESEND":
-                self._publish(data["topic"], data["payload"], data["sender"], reliable=True)
-            elif kind == "NODE_DOWN":
-                self._on_node_flip(data, up=False)
-            elif kind == "NODE_UP":
-                self._on_node_flip(data, up=True)
-            else:
-                handlers[kind](data)
+            handler(*args)
             if not self._heap or self._heap[0][0] != at:
                 self._seal_tick()
         self._seal_tick()
@@ -1079,17 +1009,6 @@ class Simulation:
             initial_total=self._initial_total,
             final_total=final_total,
         )
-
-    def _dispatch(self, to: str, env: Envelope) -> None:
-        parts = env.topic.split("/")
-        if parts[0] == "work" and parts[-1] == "assign":
-            self._on_assign_delivered(to, env.payload)
-        elif parts[0] == "work" and parts[-1] == "cancel":
-            self._on_cancel_delivered(to, env.payload)
-        elif parts[0] == "proofs":
-            self._on_proof_delivered(env.payload)
-        elif parts[0] == "results":
-            self._on_result_delivered(env.payload)
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

@@ -21,8 +21,6 @@ from fractions import Fraction
 POWER_MIN = -50.0
 POWER_MAX = 50.0
 
-DEFAULT_JURY_SIZE = 3
-
 
 class NoEligibleNodesError(Exception):
     """Raised when every node in the active set has a zero power index."""
@@ -41,7 +39,6 @@ class EpochConfig:
     """Protocol clock: epoch length and the number of closed epochs."""
 
     epoch_seconds: int
-    genesis_time: int = 0
     current_epoch: int = 0
 
     def __post_init__(self):
@@ -191,17 +188,6 @@ def _power_indexes(
         for a in active
     }
     return indexes, fractions
-
-
-def alloc_share(target: str, active: list[NodeActivity], cfg: EpochConfig) -> float:
-    """The target node's fraction of the epoch pool among ``active`` nodes."""
-    indexes, _ = _power_indexes(active, cfg)
-    if target not in indexes:
-        raise UnknownDeedError(target)
-    total = sum(indexes.values())
-    if total == 0.0:
-        raise NoEligibleNodesError("no eligible nodes: all power indexes are zero")
-    return indexes[target] / total
 
 
 def distribute_epoch_rewards(

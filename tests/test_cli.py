@@ -135,6 +135,29 @@ def test_inspect_refuses_unverified_ledger(run_dir, capsys):
     assert "fails verification at height" in capsys.readouterr().err
 
 
+def test_cancel_of_rejected_job_is_recorded_not_fatal(tmp_path, capsys):
+    # The job cannot be funded, so its scripted cancel finds no job to stop.
+    data = dict(
+        MINI,
+        nodes=[{"id": "a", "region": "r", "balance": 10}, {"id": "b", "region": "r"}],
+        jobs=[{"sender": "a", "at": 10, "reward": 50, "pipeline": "p",
+               "n_workers": 1, "steps": 1, "cancel_at": 20}],
+    )
+    scenario = tmp_path / "rejected-cancel.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["conservation_ok"] is True
+
+    assert main(["verify", str(out / "ledger.bin"), "--format", "RECORDS"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert json.loads(lines[-1])["ok"] is True
+    events = [json.loads(line)["payload"] for line in lines[:-1]
+              if json.loads(line)["kind"] == "POOL_EVENT"]
+    assert [e["event"] for e in events] == ["job_rejected", "cancel_skipped"]
+    assert events[1]["job"] == "a:1" and events[1]["reason"]
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -60,14 +60,13 @@ def test_assign_workers_fills_slots_in_rank_order():
         "w2": Capability(cpu=8),
         "w3": Capability(cpu=4),
     }
-    params = [{"start": 0}, {"start": 10}]
-    out = assign_workers("job:1", Capability(cpu=1), candidates, params)
+    out = assign_workers("job:1", Capability(cpu=1), candidates, 2)
     assert out == [
-        Assignment("job:1", "w2", 0, {"start": 0}),
-        Assignment("job:1", "w3", 1, {"start": 10}),
+        Assignment("job:1", "w2", 0),
+        Assignment("job:1", "w3", 1),
     ]
     with pytest.raises(InsufficientWorkersError, match="need 4"):
-        assign_workers("job:1", Capability(cpu=1), candidates, [{}] * 4)
+        assign_workers("job:1", Capability(cpu=1), candidates, 4)
 
 
 def test_capability_commitment_roundtrip():
@@ -177,7 +176,7 @@ def test_chain_never_accepts_wrong_position(n, claim):
 
 def gather_fixture(n=3):
     signers = {f"w{i}": derive_signer("g", f"w{i}") for i in range(n)}
-    assignments = [Assignment("j:1", f"w{i}", i, {}) for i in range(n)]
+    assignments = [Assignment("j:1", f"w{i}", i) for i in range(n)]
     shards = [
         make_result_shard("j:1", f"w{i}", i, f"payload-{i}".encode(), signers[f"w{i}"])
         for i in range(n)

@@ -36,7 +36,7 @@ def node_spec(signer, deed):
 
 
 def sample_ledger():
-    led = Ledger(genesis_timestamp=0)
+    led = Ledger()
     led.append_entries([node_spec(ALICE, "alice"), node_spec(BOB, "bob")], 10)
     led.append_entries(
         [sign_entry(EntryKind.POOL_EVENT, "alice", {"event": "x", "n": 1}, ALICE)], 20

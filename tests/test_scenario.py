@@ -154,7 +154,7 @@ def test_challenge_validation():
         {"at": 40, "challenger": "b", "job": "a:1", "votes": [True, False, True]}
     ]
     sc = parse_scenario(data)
-    assert sc.challenges[0].job_key == "a:1"
+    assert sc.challenges[0].job_id == ("a", 1)
     assert sc.challenges[0].bond is None
     assert sc.challenges[0].votes == (True, False, True)
 
@@ -180,7 +180,7 @@ def test_job_keys_count_per_sender():
         {"at": 40, "challenger": "c", "job": "a:2", "votes": [True]}
     ]
     sc = parse_scenario(data)
-    assert sc.challenges[0].job_key == "a:2"
+    assert sc.challenges[0].job_id == ("a", 2)
 
 
 def test_load_scenario_file_errors(tmp_path):

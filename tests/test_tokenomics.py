@@ -16,7 +16,6 @@ from computepool.tokenomics import (
     NoEligibleNodesError,
     UnknownDeedError,
     alive_fraction,
-    alloc_share,
     clamp_power,
     distribute_epoch_rewards,
     node_power_index,
@@ -80,11 +79,11 @@ def test_clamp_power_bounds():
 def test_three_node_shares_pinned():
     cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([1.0, 0.0, -1.0], [400, 200, 100])
-    assert alloc_share("n00", active, cfg) == 0.8211707398853239
-    assert alloc_share("n01", active, cfg) == 0.15104591644767637
-    assert alloc_share("n02", active, cfg) == 0.027783343666999777
-    with pytest.raises(UnknownDeedError):
-        alloc_share("ghost", active, cfg)
+    entries = distribute_epoch_rewards(Fraction(100), active, cfg).entries
+    assert [e.deed_id for e in entries] == ["n00", "n01", "n02"]
+    assert entries[0].share == 0.8211707398853239
+    assert entries[1].share == 0.15104591644767637
+    assert entries[2].share == 0.027783343666999777
 
 
 def test_three_node_distribution_exact_total():
@@ -174,9 +173,7 @@ def test_share_shift_invariance(rows, shift):
 def test_shares_match_decimal_oracle(rows):
     cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([p for p, _ in rows], [s for _, s in rows])
-    impl = [
-        alloc_share(a.deed_id, active, cfg) for a in sorted(active, key=lambda a: a.deed_id)
-    ]
+    impl = [e.share for e in distribute_epoch_rewards(Fraction(1), active, cfg).entries]
     t_p = total_protocol_time(cfg)
     oracle = decimal_shares(
         [p for p, _ in rows], [min(1.0, s / t_p) for _, s in rows]
@@ -196,8 +193,7 @@ def test_more_power_never_means_smaller_share(p_low, p_high, secs):
         p_low, p_high = p_high, p_low
     cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([p_low, p_high, 0.5], [secs, secs, 200])
-    low = alloc_share("n00", active, cfg)
-    high = alloc_share("n01", active, cfg)
+    low, high, _ = (e.share for e in distribute_epoch_rewards(Fraction(1), active, cfg).entries)
     assert high >= low
 
 
