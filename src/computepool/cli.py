@@ -38,7 +38,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else Path(f"runs/{scenario.name}-{result.seed}")
-    paths = write_reports(result, out_dir)
+    try:
+        write_reports(result, out_dir)
+    except OSError as exc:
+        print(f"cannot write reports: {exc}", file=sys.stderr)
+        return 2
     summary = {
         "scenario": scenario.name,
         "seed": result.seed,
@@ -54,7 +58,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not result.conservation_ok:
         print("token conservation failed", file=sys.stderr)
         return 1
-    assert paths  # reports always written on success
     return 0
 
 

@@ -396,6 +396,10 @@ def _validate_params(stage: str, kind: str, per_worker: tuple[dict, ...]) -> Non
             expr = params.get("expr")
             if not isinstance(expr, str) or not expr.strip():
                 raise PipelineError(f"expr business (worker {i}) needs an 'expr' string")
+            try:
+                Expression(expr)
+            except ExpressionError as exc:
+                raise PipelineError(f"expr business (worker {i}): {exc}") from None
 
 
 def parse_pipeline(name: str, cfg: dict, n_workers: int) -> PipelineSpec:
@@ -479,11 +483,13 @@ class _BusinessFold:
         elif self.kind == "max":
             self.acc = max(self.acc, value)
         else:
-            self.acc = float(
-                self.expression.evaluate(
-                    {"x": value, "acc": self.acc, "step": step, "worker": worker_index}
-                )
+            result = self.expression.evaluate(
+                {"x": value, "acc": self.acc, "step": step, "worker": worker_index}
             )
+            try:
+                self.acc = float(result)
+            except OverflowError as exc:  # an int result past the float range
+                raise ExpressionError(f"expression failed: {exc}") from None
         return self.acc
 
 

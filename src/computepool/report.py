@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .crypto import digest
+from .escrow import job_key
 from .ledger import EntryKind
 from .simnet import RunResult
 
@@ -76,7 +77,7 @@ def job_lines(result: RunResult) -> list[dict]:
     for job in result.bank.jobs.values():
         lines.append(
             {
-                "job": f"{job.job_id[0]}:{job.job_id[1]}",
+                "job": job_key(job.job_id),
                 "sender": job.sender,
                 "reward": str(job.reward),
                 "pipeline": job.spec_name,

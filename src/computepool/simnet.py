@@ -44,7 +44,6 @@ from .escrow import (
     ReviewVerdict,
     UnknownJobError,
     job_key,
-    parse_job_key,
 )
 from .ledger import (
     CreditCommand,
@@ -57,7 +56,14 @@ from .ledger import (
     oracle_mirror,
     sign_entry,
 )
-from .pipeline import PipelineRun, PluginCode, hash_sign_recheck, make_plugin_code, safety_check
+from .pipeline import (
+    ExpressionError,
+    PipelineRun,
+    PluginCode,
+    hash_sign_recheck,
+    make_plugin_code,
+    safety_check,
+)
 from .scenario import ChallengeSpec, JobSpec, NodeSpec, Scenario
 from .tokenomics import (
     Capability,
@@ -87,7 +93,11 @@ PRI_EPOCH_CLOSE = 9
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
-    """MQTT-style match: '+' spans one level, trailing '#' spans the rest."""
+    """MQTT-style match: '+' spans one level, trailing '#' spans the rest.
+
+    Unused by the simulator, whose messages go point to point; kept because
+    perfbench/tracing.py patches this name.
+    """
     p_parts = pattern.split("/")
     t_parts = topic.split("/")
     for i, p in enumerate(p_parts):
@@ -98,14 +108,6 @@ def topic_matches(pattern: str, topic: str) -> bool:
         if p != "+" and p != t_parts[i]:
             return False
     return len(p_parts) == len(t_parts)
-
-
-@dataclass(frozen=True)
-class Envelope:
-    topic: str
-    payload: dict
-    sender: str
-    reliable: bool
 
 
 @dataclass
@@ -199,7 +201,6 @@ class Simulation:
         self._signers: dict[str, Signer] = {}
         self._node_specs: dict[str, NodeSpec] = {n.node_id: n for n in scenario.nodes}
         self._up: dict[str, bool] = {}
-        self._subs: list[tuple[str, str]] = []  # (pattern, subscriber node)
 
         self._net_rng = random.Random(
             int.from_bytes(digest(self._seed_bytes() + b"|net"), "big")
@@ -231,6 +232,7 @@ class Simulation:
             "closes_skipped": 0,
         }
         self.messages = MessageAudit()
+        self._in_flight = 0  # scheduled deliveries that have not run yet
         self._initial_total = Fraction(0)
         self._conservation_ok = True
 
@@ -283,52 +285,34 @@ class Simulation:
                 f"{self.bank.conservation_total()} != {self._initial_total}"
             )
 
-    # -- message fabric -----------------------------------------------------
+    # -- messages ---------------------------------------------------------------
 
-    def _subscribe(self, pattern: str, node_id: str) -> None:
-        self._subs.append((pattern, node_id))
+    def _publish(self, to: str, handler, msg, sender: str) -> None:
+        """One transmission attempt of `msg` to `to`, with one drop draw.
 
-    def _publish(self, topic: str, payload: dict, sender: str, reliable: bool) -> None:
-        """One transmission attempt per matching subscriber, one drop draw each."""
-        matched = [node for pattern, node in self._subs if topic_matches(pattern, topic)]
-        if not matched:
-            self.messages.published += 1
-            self.messages.rejected += 1
-            return
-        env = Envelope(topic=topic, payload=payload, sender=sender, reliable=reliable)
+        A lost attempt is sent again one heartbeat later, inside the horizon.
+        """
+        self.messages.published += 1
         src = self._region_of(sender)
-        for node in matched:
-            self.messages.published += 1
-            dst = self._region_of(node)
-            p_src = self.scenario.regions[src].drop_rate
-            p_dst = self.scenario.regions[dst].drop_rate
-            p = 1.0 - (1.0 - p_src) * (1.0 - p_dst)
-            if self._net_rng.random() < p:
-                self.messages.dropped += 1
-                self._resend(env)
-                continue
-            latency = self._latency_ms(src, dst)
-            self._schedule(self._now + latency, PRI_DELIVER, self._deliver, node, env)
+        dst = self._region_of(to)
+        p_src = self.scenario.regions[src].drop_rate
+        p_dst = self.scenario.regions[dst].drop_rate
+        if self._net_rng.random() < 1.0 - (1.0 - p_src) * (1.0 - p_dst):
+            self.messages.dropped += 1
+            self._retry_later(self._publish, to, handler, msg, sender)
+            return
+        self._in_flight += 1
+        latency = self._latency_ms(src, dst)
+        self._schedule(self._now + latency, PRI_DELIVER, self._deliver, to, handler, msg, sender)
 
-    def _resend(self, env: Envelope) -> None:
-        if env.reliable:
-            self._retry_later(self._publish, env.topic, env.payload, env.sender, True)
-
-    def _deliver(self, to: str, env: Envelope) -> None:
+    def _deliver(self, to: str, handler, msg, sender: str) -> None:
+        self._in_flight -= 1
         if not self._up[to]:
             self.messages.rejected += 1
-            self._resend(env)
+            self._retry_later(self._publish, to, handler, msg, sender)
             return
         self.messages.delivered += 1
-        parts = env.topic.split("/")
-        if parts[0] == "work" and parts[-1] == "assign":
-            self._on_assign_delivered(to, env.payload)
-        elif parts[0] == "work" and parts[-1] == "cancel":
-            self._on_cancel_delivered(to, env.payload)
-        elif parts[0] == "proofs":
-            self._on_proof_delivered(env.payload)
-        elif parts[0] == "results":
-            self._on_result_delivered(env.payload)
+        handler(to, msg)
 
     def _region_of(self, node_id: str) -> str:
         if node_id == COORDINATOR_ID:
@@ -363,8 +347,6 @@ class Simulation:
             },
         )
         self._up[COORDINATOR_ID] = True
-        self._subscribe("proofs/#", COORDINATOR_ID)
-        self._subscribe("results/#", COORDINATOR_ID)
 
         for node in scenario.nodes:
             key = self._signer(node.node_id).verify_key
@@ -373,7 +355,6 @@ class Simulation:
             )
             self.registry.set_power(node.node_id, 1, node.power_for_epoch(1))
             self._up[node.node_id] = True
-            self._subscribe(f"work/{node.node_id}/#", node.node_id)
             self._record(
                 EntryKind.NODE_SPEC,
                 node.node_id,
@@ -510,23 +491,13 @@ class Simulation:
         self._jobs[job_id] = _JobRuntime(spec=spec, job=job_id, assignments=assignments)
         for a in assignments:
             self._tracker.start(a.job, a.worker)
-            payload = {
-                "job": a.job,
-                "worker": a.worker,
-                "worker_index": a.worker_index,
-                "steps": spec.steps,
-                "pipeline": spec.pipeline_name,
-            }
+            code = None
             if spec.pipeline.business.kind == "expr":
                 expr = spec.pipeline.business.params_for(a.worker_index)["expr"]
                 code = make_plugin_code(expr, spec.sender, self._signer(spec.sender))
-                payload["code"] = {
-                    "source": code.source,
-                    "hash": code.code_hash.hex(),
-                    "author": code.author,
-                    "signature": code.signature.hex(),
-                }
-            self._publish(f"work/{a.worker}/assign", payload, COORDINATOR_ID, reliable=True)
+            self._publish(
+                a.worker, self._on_assign_delivered, (job_id, a.worker_index, code), COORDINATOR_ID
+            )
 
     def _on_assign_retry(self, job_id: JobId) -> None:
         if self.bank.job(job_id).status == JobStatus.PENDING:
@@ -534,37 +505,29 @@ class Simulation:
 
     # -- worker side -----------------------------------------------------------
 
-    def _on_assign_delivered(self, to: str, payload: dict) -> None:
-        job_id = parse_job_key(payload["job"])
+    def _on_assign_delivered(self, to: str, msg: tuple[JobId, int, PluginCode | None]) -> None:
+        job_id, worker_index, code = msg
         task_key = (job_id, to)
         if task_key in self._tasks:
             return  # duplicate delivery after a retransmit
-        if "code" in payload:
-            c = payload["code"]
-            code = PluginCode(
-                source=c["source"],
-                code_hash=bytes.fromhex(c["hash"]),
-                author=c["author"],
-                signature=bytes.fromhex(c["signature"]),
-            )
-            ok, reason = hash_sign_recheck(code, self._signer(c["author"]).verify_key)
+        if code is not None:
+            ok, reason = hash_sign_recheck(code, self._signer(code.author).verify_key)
             self.audit["code_rechecks"] += 1
             if not ok:
                 self._record(
                     EntryKind.POOL_EVENT,
                     COORDINATOR_ID,
-                    {"event": "code_recheck_failed", "job": payload["job"], "reason": reason},
+                    {"event": "code_recheck_failed", "job": job_key(job_id), "reason": reason},
                 )
                 return
         spec = self._job_specs[job_id]
-        run = PipelineRun(spec.pipeline, payload["worker_index"])
         task = self._tasks[task_key] = _WorkerTask(
             job=job_id,
             worker=to,
-            worker_index=payload["worker_index"],
-            steps_total=payload["steps"],
-            run=run,
-            head=chain_genesis(payload["job"], to),
+            worker_index=worker_index,
+            steps_total=spec.steps,
+            run=PipelineRun(spec.pipeline, worker_index),
+            head=chain_genesis(job_key(job_id), to),
         )
         self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, self._on_worker_step, task)
 
@@ -575,7 +538,12 @@ class Simulation:
             self._retry_later(self._on_worker_step, task)
             return
         key = job_key(task.job)
-        step = task.run.step()
+        try:
+            step = task.run.step()
+        except ExpressionError as exc:
+            raise SimulationError(
+                f"job {key}: worker {task.worker} failed at step {task.run.steps_done}: {exc}"
+            ) from None
         task.link += 1
         commitment = next_commitment(task.head, step.nonce)
         proof = ProgressProof(
@@ -600,7 +568,9 @@ class Simulation:
         if fault is not None:
             bad = self._make_faulty_proof(task, fault.kind)
             if bad is not None:
-                self._publish(f"proofs/{key}", bad.to_payload(), task.worker, reliable=True)
+                self._publish(
+                    COORDINATOR_ID, self._on_proof_delivered, (task.job, bad), task.worker
+                )
         else:
             self._flush_proofs(task)
 
@@ -617,24 +587,14 @@ class Simulation:
                 self._signer(task.worker),
             )
             self._publish(
-                f"results/{key}",
-                {
-                    "job": key,
-                    "worker": task.worker,
-                    "worker_index": task.worker_index,
-                    "payload": shard.payload.hex(),
-                    "digest": shard.payload_digest.hex(),
-                    "signature": shard.signature.hex(),
-                },
-                task.worker,
-                reliable=True,
+                COORDINATOR_ID, self._on_result_delivered, (task.job, shard), task.worker
             )
             task.result_sent = True
 
     def _flush_proofs(self, task: _WorkerTask) -> None:
         for pending in task.pending_proofs:
             self._publish(
-                f"proofs/{job_key(task.job)}", pending.to_payload(), task.worker, reliable=True
+                COORDINATOR_ID, self._on_proof_delivered, (task.job, pending), task.worker
             )
             task.last_sent = pending
         task.pending_proofs = []
@@ -662,16 +622,15 @@ class Simulation:
 
     # -- coordinator side ----------------------------------------------------------
 
-    def _on_proof_delivered(self, payload: dict) -> None:
-        proof = ProgressProof.from_payload(payload)
-        job_id = parse_job_key(proof.job)
+    def _on_proof_delivered(self, _to: str, msg: tuple[JobId, ProgressProof]) -> None:
+        job_id, proof = msg
         runtime = self._jobs.get(job_id)
         if runtime is None or runtime.settled:
             return
         key = (proof.job, proof.worker)
         _, prior = self._tracker.head(proof.job, proof.worker)
         if proof.link_index > prior + 1:
-            # Links can arrive out of order on a lossy fabric; reordering is
+            # Links can arrive out of order on a lossy network; reordering is
             # not cheating, so hold the proof until its predecessor lands.
             self._proof_buffer.setdefault(key, {})[proof.link_index] = proof
             return
@@ -715,25 +674,17 @@ class Simulation:
                 },
             )
 
-    def _on_result_delivered(self, payload: dict) -> None:
-        job_id = parse_job_key(payload["job"])
+    def _on_result_delivered(self, _to: str, msg: tuple[JobId, ResultShard]) -> None:
+        job_id, shard = msg
         runtime = self._jobs.get(job_id)
         if runtime is None or runtime.settled:
             return
-        shard = ResultShard(
-            job=payload["job"],
-            worker=payload["worker"],
-            worker_index=payload["worker_index"],
-            payload=bytes.fromhex(payload["payload"]),
-            payload_digest=bytes.fromhex(payload["digest"]),
-            signature=bytes.fromhex(payload["signature"]),
-        )
         runtime.shards[shard.worker_index] = shard
         if len(runtime.shards) < len(runtime.assignments):
             return
         try:
             aggregate, agg_digest = reduce_gather(
-                payload["job"],
+                shard.job,
                 runtime.assignments,
                 list(runtime.shards.values()),
                 {a.worker: self._signer(a.worker).verify_key for a in runtime.assignments},
@@ -742,7 +693,7 @@ class Simulation:
             self._record(
                 EntryKind.POOL_EVENT,
                 COORDINATOR_ID,
-                {"event": "gather_failed", "job": payload["job"], "reason": str(exc)},
+                {"event": "gather_failed", "job": shard.job, "reason": str(exc)},
             )
             return
         runtime.settled = True
@@ -751,7 +702,7 @@ class Simulation:
             EntryKind.JOB_STATUS,
             COORDINATOR_ID,
             {
-                "job": payload["job"],
+                "job": shard.job,
                 "status": "DONE",
                 "at": now_s,
                 "epoch": self._epoch_of(self._now),
@@ -792,10 +743,10 @@ class Simulation:
         self._apply_entry(entry)
         self.audit["jobs_cancelled"] += 1
         for a in runtime.assignments if runtime else []:
-            self._publish(f"work/{a.worker}/cancel", {"job": key}, COORDINATOR_ID, reliable=True)
+            self._publish(a.worker, self._on_cancel_delivered, job_id, COORDINATOR_ID)
 
-    def _on_cancel_delivered(self, to: str, payload: dict) -> None:
-        task = self._tasks.get((parse_job_key(payload["job"]), to))
+    def _on_cancel_delivered(self, to: str, job_id: JobId) -> None:
+        task = self._tasks.get((job_id, to))
         if task is not None:
             task.cancelled = True
 
@@ -991,9 +942,7 @@ class Simulation:
         self._seal_tick()
         final_total = self.bank.conservation_total()
         conservation_ok = self._conservation_ok and final_total == self._initial_total
-        self.messages.pending_at_end = self.messages.published - (
-            self.messages.delivered + self.messages.dropped + self.messages.rejected
-        )
+        self.messages.pending_at_end = self._in_flight
         return RunResult(
             scenario=self.scenario,
             seed=self.seed,

@@ -158,6 +158,44 @@ def test_cancel_of_rejected_job_is_recorded_not_fatal(tmp_path, capsys):
     assert events[1]["job"] == "a:1" and events[1]["reason"]
 
 
+def test_run_into_unwritable_out_is_usage_error(tmp_path, capsys):
+    scenario = tmp_path / "mini.yaml"
+    scenario.write_text(yaml.safe_dump(MINI))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    for out in (taken, taken / "reports"):
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write reports" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr,exit_code,message", [
+    # refused when the scenario is parsed
+    ("x +", 2, "jobs[0].pipeline"),
+    ("x if", 2, "jobs[0].pipeline"),
+    ("[x]", 2, "jobs[0].pipeline"),
+    # fail while a worker folds a step
+    ("foo + 1", 1, "job s:1: worker w1 failed at step 1"),
+    ("acc / (x - x)", 1, "job s:1: worker w1 failed at step 1"),
+    ("x ** 5000.0", 1, "job s:1: worker w1 failed at step 2"),
+    ("step ** 2000", 1, "job s:1: worker w1 failed at step 2"),
+])
+def test_bad_expr_plugin_fails_cleanly(tmp_path, capsys, expr, exit_code, message):
+    data = dict(
+        MINI,
+        pipelines={"p": {"source": {"kind": "counter", "params": {"start": 1}},
+                         "business": {"kind": "expr", "params": {"expr": expr}}}},
+    )
+    scenario = tmp_path / "expr.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == exit_code
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -8,7 +8,7 @@ import pytest
 from computepool.escrow import JobStatus
 from computepool.ledger import EntryKind, verify_blocks
 from computepool.scenario import load_scenario, parse_scenario
-from computepool.simnet import run_scenario, topic_matches
+from computepool.simnet import Simulation, run_scenario, topic_matches
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -121,6 +121,39 @@ def test_lossy_fabric_retries_until_done_and_audits_every_message():
     assert verify_blocks(result.ledger.blocks).ok
 
 
+def test_message_audit_flags_a_stray_publish_count():
+    sim = Simulation(two_region_scenario())
+    arrive = sim._on_job_arrival
+
+    def arrive_and_miscount(spec):
+        sim.messages.published += 1  # a publish that never sends anything
+        arrive(spec)
+
+    sim._on_job_arrival = arrive_and_miscount
+    result = sim.run()
+    assert result.messages.pending_at_end == 0
+    assert not result.messages.consistent()
+
+
+def test_node_id_prefix_does_not_receive_another_nodes_messages():
+    # "a" is a path prefix of "a/b"; only the assigned "a/b" may get the job.
+    sc = two_region_scenario(
+        nodes=[
+            {"id": "sender", "region": "eu", "balance": 400},
+            {"id": "a", "region": "eu"},
+            {"id": "a/b", "region": "eu", "capability": {"cpu": 8}},
+        ],
+        jobs=[
+            {"sender": "sender", "at": 60, "reward": 100, "pipeline": "count",
+             "n_workers": 1, "steps": 3},
+        ],
+    )
+    result = run_scenario(sc)
+    assert result.audit["jobs_done"] == 1
+    assert result.bank.job(("sender", 1)).workers == ["a/b"]
+    assert result.messages.consistent()
+
+
 def test_downtime_shrinks_alive_fraction_and_share():
     sc = two_region_scenario(
         nodes=[
@@ -151,7 +184,7 @@ def test_unsafe_plugin_is_rejected_before_funding_and_keys_stay_aligned():
         pipelines={
             "bad": {
                 "source": {"kind": "counter"},
-                "business": {"kind": "expr", "params": {"expr": "eval('2 + 2')"}},
+                "business": {"kind": "expr", "params": {"expr": "acc + eval"}},
             },
             "count": {
                 "source": {"kind": "counter", "params": {"start": 1}},
