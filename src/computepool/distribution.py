@@ -116,16 +116,6 @@ class ProgressProof:
             "nonce": self.nonce.hex(),
         }
 
-    @classmethod
-    def from_payload(cls, p: dict) -> "ProgressProof":
-        return cls(
-            job=p["job"],
-            worker=p["worker"],
-            link_index=int(p["link"]),
-            commitment=bytes.fromhex(p["commitment"]),
-            nonce=bytes.fromhex(p["nonce"]),
-        )
-
 
 def verify_progress(
     proof: ProgressProof, prior_head: bytes, prior_index: int

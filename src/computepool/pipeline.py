@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import ast
 import io
+import operator
+import sys
 import tokenize
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable
 
 from .crypto import Signer, digest, verify
 from .encoding import encode
@@ -25,11 +29,6 @@ class PipelineError(Exception):
 
 class ExpressionError(PipelineError):
     pass
-
-
-SOURCE_KINDS = ("counter", "hashnoise", "constant")
-SERVING_KINDS = ("identity", "running_sum", "moving_average", "threshold")
-BUSINESS_KINDS = ("sum", "max", "expr")
 
 
 # -- static safety vetting -------------------------------------------------------
@@ -198,24 +197,114 @@ def hash_sign_recheck(code: PluginCode, verify_key: bytes) -> tuple[bool, str | 
 
 # -- expression language -----------------------------------------------------------
 
-_ALLOWED_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.FloorDiv: lambda a, b: a // b,
-    ast.Mod: lambda a, b: a % b,
-    ast.Pow: lambda a, b: a ** b,
+# An int ** int result of 2 ** max_exp or more cannot become the float
+# accumulator, so it fails before it is built: `10 ** 10 ** 10` would
+# otherwise take billions of digits to compute.
+_POW_LIMIT_BITS = sys.float_info.max_exp
+
+
+def _pow(base, exp):
+    if not (isinstance(base, int) and isinstance(exp, int) and exp > 0):
+        return base ** exp
+    # |base| ** exp >= 2 ** ((bit_length - 1) * exp), so that bound refuses the
+    # huge powers unbuilt; what passes has under 2 * max_exp bits.
+    if (abs(base).bit_length() - 1) * exp < _POW_LIMIT_BITS:
+        result = base ** exp
+        if abs(result).bit_length() <= _POW_LIMIT_BITS:
+            return result
+    raise ExpressionError(f"expression failed: integer power reaches 2 ** {_POW_LIMIT_BITS}")
+
+
+_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: _pow,
 }
-_ALLOWED_COMPARES = {
-    ast.Eq: lambda a, b: a == b,
-    ast.NotEq: lambda a, b: a != b,
-    ast.Lt: lambda a, b: a < b,
-    ast.LtE: lambda a, b: a <= b,
-    ast.Gt: lambda a, b: a > b,
-    ast.GtE: lambda a, b: a >= b,
+_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Not: operator.not_}
+_COMPARES = {
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
 }
-_ALLOWED_CALLS = {"min": min, "max": max, "abs": abs, "round": round}
+_CALLS = {"min": min, "max": max, "abs": abs, "round": round}
+
+
+def _lookup(table: dict, op: ast.AST, what: str):
+    try:
+        return table[type(op)]
+    except KeyError:
+        raise ExpressionError(f"{what} {type(op).__name__} is not allowed") from None
+
+
+def _compile(node: ast.AST) -> Callable[[dict], object]:
+    """Check one node against the whitelist and return its `env -> value`."""
+    if isinstance(node, ast.Constant):
+        value = node.value
+        if not isinstance(value, (int, float, bool)):
+            raise ExpressionError(f"literal of type {type(value).__name__} is not allowed")
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        name = node.id
+
+        def load(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise ExpressionError(f"unknown variable {name!r}") from None
+
+        return load
+    if isinstance(node, ast.BinOp):
+        binop = _lookup(_BINOPS, node.op, "operator")
+        left, right = _compile(node.left), _compile(node.right)
+        return lambda env: binop(left(env), right(env))
+    if isinstance(node, ast.UnaryOp):
+        unop = _lookup(_UNARYOPS, node.op, "operator")
+        operand = _compile(node.operand)
+        return lambda env: unop(operand(env))
+    if isinstance(node, ast.BoolOp):
+        stop = isinstance(node.op, ast.Or)  # `or` stops at a truthy value, `and` at a falsy one
+        *heads, last = [_compile(value) for value in node.values]
+
+        def short_circuit(env):
+            for part in heads:
+                value = part(env)
+                if bool(value) is stop:
+                    return value
+            return last(env)
+
+        return short_circuit
+    if isinstance(node, ast.Compare):
+        ops = [_lookup(_COMPARES, op, "comparison") for op in node.ops]
+        first = _compile(node.left)
+        links = list(zip(ops, [_compile(comp) for comp in node.comparators]))
+
+        def chain(env):
+            left = first(env)
+            for compare, comparator in links:
+                right = comparator(env)
+                if not compare(left, right):
+                    return False
+                left = right
+            return True
+
+        return chain
+    if isinstance(node, ast.IfExp):
+        test, body, orelse = _compile(node.test), _compile(node.body), _compile(node.orelse)
+        return lambda env: body(env) if test(env) else orelse(env)
+    if isinstance(node, ast.Call):
+        fn = _CALLS.get(node.func.id) if isinstance(node.func, ast.Name) else None
+        if fn is None or node.keywords:
+            raise ExpressionError("only min/max/abs/round calls are allowed")
+        args = [_compile(arg) for arg in node.args]
+        return lambda env: fn(*[arg(env) for arg in args])
+    raise ExpressionError(f"syntax {type(node).__name__} is not allowed")
 
 
 class Expression:
@@ -224,116 +313,118 @@ class Expression:
     def __init__(self, source: str):
         self.source = source
         try:
-            tree = ast.parse(source, mode="eval")
-        except SyntaxError as exc:
+            self._evaluate = _compile(ast.parse(source, mode="eval").body)
+        except (SyntaxError, ValueError) as exc:  # ValueError: a NUL byte in the source
             raise ExpressionError(f"expression does not parse: {exc}") from None
-        self._validate(tree.body)
-        self._tree = tree.body
+        except RecursionError:
+            raise ExpressionError("expression nests too deeply") from None
 
-    def _validate(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float, bool)):
-                raise ExpressionError(
-                    f"literal of type {type(node.value).__name__} is not allowed"
-                )
-            return
-        if isinstance(node, ast.Name):
-            if not isinstance(node.ctx, ast.Load):
-                raise ExpressionError("names may only be read")
-            return
-        if isinstance(node, ast.BinOp):
-            if type(node.op) not in _ALLOWED_BINOPS:
-                raise ExpressionError(f"operator {type(node.op).__name__} is not allowed")
-            self._validate(node.left)
-            self._validate(node.right)
-            return
-        if isinstance(node, ast.UnaryOp):
-            if not isinstance(node.op, (ast.UAdd, ast.USub, ast.Not)):
-                raise ExpressionError(f"operator {type(node.op).__name__} is not allowed")
-            self._validate(node.operand)
-            return
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                self._validate(value)
-            return
-        if isinstance(node, ast.Compare):
-            for op in node.ops:
-                if type(op) not in _ALLOWED_COMPARES:
-                    raise ExpressionError(f"comparison {type(op).__name__} is not allowed")
-            self._validate(node.left)
-            for comp in node.comparators:
-                self._validate(comp)
-            return
-        if isinstance(node, ast.IfExp):
-            self._validate(node.test)
-            self._validate(node.body)
-            self._validate(node.orelse)
-            return
-        if isinstance(node, ast.Call):
-            if (
-                not isinstance(node.func, ast.Name)
-                or node.func.id not in _ALLOWED_CALLS
-                or node.keywords
-            ):
-                raise ExpressionError("only min/max/abs/round calls are allowed")
-            for arg in node.args:
-                self._validate(arg)
-            return
-        raise ExpressionError(f"syntax {type(node).__name__} is not allowed")
-
-    def evaluate(self, env: dict[str, float]) -> float:
+    def evaluate(self, env: dict[str, float]):
         try:
-            return self._eval(self._tree, env)
-        except (ZeroDivisionError, OverflowError) as exc:
+            return self._evaluate(env)
+        except (ArithmeticError, TypeError, ValueError, RecursionError) as exc:
+            # e.g. 1 / 0, 10.0 ** 400, round(x, 0.5), round(nan)
             raise ExpressionError(f"expression failed: {exc}") from None
 
-    def _eval(self, node: ast.AST, env: dict[str, float]):
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            try:
-                return env[node.id]
-            except KeyError:
-                raise ExpressionError(f"unknown variable {node.id!r}") from None
-        if isinstance(node, ast.BinOp):
-            op = _ALLOWED_BINOPS[type(node.op)]
-            return op(self._eval(node.left, env), self._eval(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            value = self._eval(node.operand, env)
-            if isinstance(node.op, ast.USub):
-                return -value
-            if isinstance(node.op, ast.UAdd):
-                return +value
-            return not value
-        if isinstance(node, ast.BoolOp):
-            if isinstance(node.op, ast.And):
-                result = True
-                for child in node.values:
-                    result = self._eval(child, env)
-                    if not result:
-                        return result
-                return result
-            result = False
-            for child in node.values:
-                result = self._eval(child, env)
-                if result:
-                    return result
-            return result
-        if isinstance(node, ast.Compare):
-            left = self._eval(node.left, env)
-            for op, comp in zip(node.ops, node.comparators):
-                right = self._eval(comp, env)
-                if not _ALLOWED_COMPARES[type(op)](left, right):
-                    return False
-                left = right
-            return True
-        if isinstance(node, ast.IfExp):
-            branch = node.body if self._eval(node.test, env) else node.orelse
-            return self._eval(branch, env)
-        if isinstance(node, ast.Call):
-            fn = _ALLOWED_CALLS[node.func.id]  # type: ignore[union-attr]
-            return fn(*(self._eval(a, env) for a in node.args))
-        raise ExpressionError(f"syntax {type(node).__name__} is not allowed")
+
+# -- plugins ------------------------------------------------------------------------
+#
+# One table per stage maps a plugin kind to its factory. A factory takes one
+# worker's params and index, checks the params and converts them once, and
+# returns that worker's fresh plugin: a source `step -> value`, a serving stub
+# `value -> value`, or a business fold `(init, (acc, value, step) -> acc)`.
+# A bad param raises PipelineError naming the param.
+
+
+def _number(params: dict, name: str, default: float | None = None) -> float:
+    value = params.get(name, default)
+    if value is None:
+        raise PipelineError(f"needs a {name!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PipelineError(f"param {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _counter(params: dict, worker: int):
+    start, stride = _number(params, "start", 0), _number(params, "stride", 1)
+    return lambda step: start + (step - 1) * stride
+
+
+def _hashnoise(params: dict, worker: int):
+    label = str(params.get("label", "noise"))
+    return lambda step: int.from_bytes(digest(encode([label, worker, step]))[:8], "big") / 2**64
+
+
+def _constant(params: dict, worker: int):
+    value = _number(params, "value")
+    return lambda step: value
+
+
+def _identity(params: dict, worker: int):
+    return lambda value: value
+
+
+def _running_sum(params: dict, worker: int):
+    total = 0.0
+
+    def apply(value):
+        nonlocal total
+        total += value
+        return total
+
+    return apply
+
+
+def _moving_average(params: dict, worker: int):
+    size = params.get("window")
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise PipelineError(f"needs an integer window >= 1, got {size!r}")
+    window: deque[float] = deque(maxlen=size)
+
+    def apply(value):
+        window.append(value)
+        return sum(window) / len(window)
+
+    return apply
+
+
+def _threshold(params: dict, worker: int):
+    limit = _number(params, "limit")
+    return lambda value: 1.0 if value >= limit else 0.0
+
+
+def _sum(params: dict, worker: int):
+    return _number(params, "init", 0.0), lambda acc, value, step: acc + value
+
+
+def _max(params: dict, worker: int):
+    return _number(params, "init", float("-inf")), lambda acc, value, step: max(acc, value)
+
+
+def _expr(params: dict, worker: int):
+    source = params.get("expr")
+    if not isinstance(source, str) or not source.strip():
+        raise PipelineError("needs an 'expr' string")
+    expression = Expression(source)
+
+    def fold(acc, value, step):
+        result = expression.evaluate({"x": value, "acc": acc, "step": step, "worker": worker})
+        try:
+            return float(result)
+        except (OverflowError, TypeError) as exc:  # an int past the float range, a complex
+            raise ExpressionError(f"expression failed: {exc}") from None
+
+    return _number(params, "init", 0.0), fold
+
+
+SOURCES = {"counter": _counter, "hashnoise": _hashnoise, "constant": _constant}
+SERVING = {
+    "identity": _identity,
+    "running_sum": _running_sum,
+    "moving_average": _moving_average,
+    "threshold": _threshold,
+}
+BUSINESS = {"sum": _sum, "max": _max, "expr": _expr}
 
 
 # -- pipeline plan ------------------------------------------------------------------
@@ -341,12 +432,13 @@ class Expression:
 
 @dataclass(frozen=True)
 class StagePlan:
-    stage: str
     kind: str
+    factory: Callable
     per_worker_params: tuple[dict, ...]
 
-    def params_for(self, worker_index: int) -> dict:
-        return self.per_worker_params[worker_index]
+    def make(self, worker_index: int):
+        """A fresh plugin for one worker."""
+        return self.factory(self.per_worker_params[worker_index], worker_index)
 
 
 @dataclass(frozen=True)
@@ -357,49 +449,37 @@ class PipelineSpec:
     serving: tuple[StagePlan, ...]
     business: StagePlan
 
+    @property
+    def user_code(self) -> tuple[str, ...] | None:
+        """Each worker's user-supplied formula, or None if the pipeline runs no user code."""
+        if self.business.kind != "expr":
+            return None
+        return tuple(params["expr"] for params in self.business.per_worker_params)
 
-def _resolve_stage(stage: str, cfg: dict, n_workers: int, kinds: tuple[str, ...]) -> StagePlan:
+
+def _resolve_stage(stage: str, cfg: dict, n_workers: int, table: dict) -> StagePlan:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise PipelineError(f"{stage} stage needs a mapping with a 'kind'")
     kind = cfg["kind"]
-    if kind not in kinds:
+    factory = table.get(kind) if isinstance(kind, str) else None
+    if factory is None:
         raise PipelineError(f"unknown {stage} plugin {kind!r}")
     params = cfg.get("params", {})
-    if isinstance(params, list):
-        if len(params) != n_workers:
-            raise PipelineError(
-                f"{stage} plugin {kind!r} has {len(params)} parameter sets "
-                f"for {n_workers} workers"
-            )
-        per_worker = tuple(dict(p) for p in params)
-    elif isinstance(params, dict):
-        per_worker = tuple(dict(params) for _ in range(n_workers))
-    else:
-        raise PipelineError(f"{stage} params must be a mapping or a per-worker list")
-    _validate_params(stage, kind, per_worker)
-    return StagePlan(stage=stage, kind=kind, per_worker_params=per_worker)
-
-
-def _validate_params(stage: str, kind: str, per_worker: tuple[dict, ...]) -> None:
-    for i, params in enumerate(per_worker):
-        if kind == "constant" and "value" not in params:
-            raise PipelineError(f"constant source (worker {i}) needs a 'value'")
-        if kind == "moving_average":
-            window = params.get("window", 0)
-            if not isinstance(window, int) or window < 1:
-                raise PipelineError(
-                    f"moving_average (worker {i}) needs an integer window >= 1"
-                )
-        if kind == "threshold" and "limit" not in params:
-            raise PipelineError(f"threshold stub (worker {i}) needs a 'limit'")
-        if kind == "expr":
-            expr = params.get("expr")
-            if not isinstance(expr, str) or not expr.strip():
-                raise PipelineError(f"expr business (worker {i}) needs an 'expr' string")
-            try:
-                Expression(expr)
-            except ExpressionError as exc:
-                raise PipelineError(f"expr business (worker {i}): {exc}") from None
+    if isinstance(params, dict):
+        params = [params] * n_workers
+    elif not isinstance(params, list) or not all(isinstance(p, dict) for p in params):
+        raise PipelineError(f"{stage} params must be a mapping or a per-worker list of mappings")
+    elif len(params) != n_workers:
+        raise PipelineError(
+            f"{stage} plugin {kind!r} has {len(params)} parameter sets for {n_workers} workers"
+        )
+    plan = StagePlan(kind=kind, factory=factory, per_worker_params=tuple(dict(p) for p in params))
+    for worker_index in range(n_workers):
+        try:
+            plan.make(worker_index)
+        except PipelineError as exc:
+            raise PipelineError(f"{stage} plugin {kind!r} (worker {worker_index}): {exc}") from None
+    return plan
 
 
 def parse_pipeline(name: str, cfg: dict, n_workers: int) -> PipelineSpec:
@@ -416,81 +496,13 @@ def parse_pipeline(name: str, cfg: dict, n_workers: int) -> PipelineSpec:
     return PipelineSpec(
         name=name,
         n_workers=n_workers,
-        source=_resolve_stage("source", cfg["source"], n_workers, SOURCE_KINDS),
-        serving=tuple(
-            _resolve_stage("serving", s, n_workers, SERVING_KINDS) for s in serving_cfg
-        ),
-        business=_resolve_stage("business", cfg["business"], n_workers, BUSINESS_KINDS),
+        source=_resolve_stage("source", cfg["source"], n_workers, SOURCES),
+        serving=tuple(_resolve_stage("serving", s, n_workers, SERVING) for s in serving_cfg),
+        business=_resolve_stage("business", cfg["business"], n_workers, BUSINESS),
     )
 
 
 # -- execution ----------------------------------------------------------------------
-
-
-def _source_value(kind: str, params: dict, worker_index: int, step: int) -> float:
-    if kind == "counter":
-        return float(params.get("start", 0)) + (step - 1) * float(params.get("stride", 1))
-    if kind == "hashnoise":
-        label = str(params.get("label", "noise"))
-        h = digest(encode([label, worker_index, step]))
-        return int.from_bytes(h[:8], "big") / 2**64
-    if kind == "constant":
-        return float(params["value"])
-    raise PipelineError(f"unknown source plugin {kind!r}")
-
-
-class _ServingStub:
-    def __init__(self, kind: str, params: dict):
-        self.kind = kind
-        self.params = params
-        self.total = 0.0
-        self.window: list[float] = []
-
-    def apply(self, value: float) -> float:
-        if self.kind == "identity":
-            return value
-        if self.kind == "running_sum":
-            self.total += value
-            return self.total
-        if self.kind == "moving_average":
-            self.window.append(value)
-            size = int(self.params["window"])
-            if len(self.window) > size:
-                del self.window[0]
-            return sum(self.window) / len(self.window)
-        if self.kind == "threshold":
-            return 1.0 if value >= float(self.params["limit"]) else 0.0
-        raise PipelineError(f"unknown serving plugin {self.kind!r}")
-
-
-class _BusinessFold:
-    def __init__(self, kind: str, params: dict):
-        self.kind = kind
-        self.params = params
-        if kind == "sum":
-            self.acc: float = float(params.get("init", 0.0))
-        elif kind == "max":
-            self.acc = float(params.get("init", float("-inf")))
-        elif kind == "expr":
-            self.acc = float(params.get("init", 0.0))
-            self.expression = Expression(params["expr"])
-        else:
-            raise PipelineError(f"unknown business plugin {kind!r}")
-
-    def fold(self, value: float, step: int, worker_index: int) -> float:
-        if self.kind == "sum":
-            self.acc += value
-        elif self.kind == "max":
-            self.acc = max(self.acc, value)
-        else:
-            result = self.expression.evaluate(
-                {"x": value, "acc": self.acc, "step": step, "worker": worker_index}
-            )
-            try:
-                self.acc = float(result)
-            except OverflowError as exc:  # an int result past the float range
-                raise ExpressionError(f"expression failed: {exc}") from None
-        return self.acc
 
 
 @dataclass(frozen=True)
@@ -498,58 +510,34 @@ class StepResult:
     step: int
     value: float
     acc: float
-    payload: bytes
     nonce: bytes
 
 
-@dataclass
 class PipelineRun:
     """One worker's live pipeline: deterministic state machine over steps."""
 
-    spec: PipelineSpec
-    worker_index: int
-    steps_done: int = 0
-    _serving: list[_ServingStub] = field(default_factory=list, init=False)
-    _business: _BusinessFold | None = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.worker_index < self.spec.n_workers:
-            raise PipelineError(
-                f"worker index {self.worker_index} outside 0..{self.spec.n_workers - 1}"
-            )
-        self._serving = [
-            _ServingStub(plan.kind, plan.params_for(self.worker_index))
-            for plan in self.spec.serving
-        ]
-        self._business = _BusinessFold(
-            self.spec.business.kind, self.spec.business.params_for(self.worker_index)
-        )
+    def __init__(self, spec: PipelineSpec, worker_index: int):
+        if not 0 <= worker_index < spec.n_workers:
+            raise PipelineError(f"worker index {worker_index} outside 0..{spec.n_workers - 1}")
+        self.worker_index = worker_index
+        self.steps_done = 0
+        self._source = spec.source.make(worker_index)
+        self._serving = [plan.make(worker_index) for plan in spec.serving]
+        self.acc, self._fold = spec.business.make(worker_index)
 
     def step(self) -> StepResult:
         self.steps_done += 1
         step = self.steps_done
-        value = _source_value(
-            self.spec.source.kind,
-            self.spec.source.params_for(self.worker_index),
-            self.worker_index,
-            step,
-        )
-        for stub in self._serving:
-            value = stub.apply(value)
-        assert self._business is not None
-        acc = self._business.fold(value, step, self.worker_index)
+        value = self._source(step)
+        for apply in self._serving:
+            value = apply(value)
+        self.acc = acc = self._fold(self.acc, value, step)
         return StepResult(
             step=step,
             value=value,
             acc=acc,
-            payload=encode(acc),
             nonce=digest(encode([self.worker_index, step, acc])),
         )
-
-    @property
-    def acc(self) -> float:
-        assert self._business is not None
-        return self._business.acc
 
     def result_payload(self) -> bytes:
         return encode(["job-result", self.worker_index, self.acc])

@@ -18,6 +18,10 @@ from .pipeline import PipelineError, PipelineSpec, SafetyPolicy, parse_pipeline
 from .tokenomics import Capability, CapabilityWeights
 
 
+# The pool coordinator's deed id; no scenario node may take it.
+COORDINATOR_ID = "coord"
+
+
 class ScenarioError(Exception):
     pass
 
@@ -239,6 +243,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         cfg = _mapping(ncfg, path)
         _check_keys(cfg, path, {"id", "region"}, {"balance", "capability", "power", "downtime"})
         node_id = _string(cfg["id"], f"{path}.id")
+        if node_id == COORDINATOR_ID:
+            _fail(f"{path}.id", f"{COORDINATOR_ID!r} is reserved for the pool coordinator")
         if node_id in seen_ids:
             _fail(f"{path}.id", f"duplicate node id {node_id!r}")
         seen_ids.add(node_id)

@@ -64,7 +64,7 @@ from .pipeline import (
     make_plugin_code,
     safety_check,
 )
-from .scenario import ChallengeSpec, JobSpec, NodeSpec, Scenario
+from .scenario import COORDINATOR_ID, ChallengeSpec, JobSpec, NodeSpec, Scenario
 from .tokenomics import (
     Capability,
     EpochConfig,
@@ -74,7 +74,6 @@ from .tokenomics import (
     distribute_epoch_rewards,
 )
 
-COORDINATOR_ID = "coord"
 PENALTY_POWER = 1.0  # declared power lost per rejected progress proof
 
 
@@ -405,10 +404,11 @@ class Simulation:
 
         # User code is vetted before any funds move, so a rejected plugin
         # never strands tokens in escrow.
-        if spec.pipeline.business.kind == "expr":
+        user_code = spec.pipeline.user_code
+        if user_code is not None:
             self.audit["plugins_vetted"] += 1
-            for params in spec.pipeline.business.per_worker_params:
-                code = make_plugin_code(params["expr"], spec.sender, self._signer(spec.sender))
+            for source in user_code:
+                code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
                 verdict = safety_check(code.source, self.scenario.safety_policy)
                 if not verdict.safe:
                     self.audit["jobs_rejected"] += 1
@@ -489,12 +489,13 @@ class Simulation:
         )
         self.bank.activate(job_id, [a.worker for a in assignments])
         self._jobs[job_id] = _JobRuntime(spec=spec, job=job_id, assignments=assignments)
+        user_code = spec.pipeline.user_code
         for a in assignments:
             self._tracker.start(a.job, a.worker)
             code = None
-            if spec.pipeline.business.kind == "expr":
-                expr = spec.pipeline.business.params_for(a.worker_index)["expr"]
-                code = make_plugin_code(expr, spec.sender, self._signer(spec.sender))
+            if user_code is not None:
+                source = user_code[a.worker_index]
+                code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
             self._publish(
                 a.worker, self._on_assign_delivered, (job_id, a.worker_index, code), COORDINATOR_ID
             )

@@ -84,15 +84,6 @@ class Capability:
             "memory": float(self.memory),
         }
 
-    @classmethod
-    def from_payload(cls, data: dict) -> "Capability":
-        return cls(
-            cpu=float(data.get("cpu", 1.0)),
-            gpu=bool(data.get("gpu", False)),
-            gpu_units=float(data.get("gpu_units", 0.0)),
-            memory=float(data.get("memory", 0.0)),
-        )
-
 
 @dataclass
 class NodeDeed:

@@ -180,12 +180,18 @@ def test_run_into_unwritable_out_is_usage_error(tmp_path, capsys):
     ("acc / (x - x)", 1, "job s:1: worker w1 failed at step 1"),
     ("x ** 5000.0", 1, "job s:1: worker w1 failed at step 2"),
     ("step ** 2000", 1, "job s:1: worker w1 failed at step 2"),
+    # integer powers past the float range fail before they are built
+    ("10 ** 10 ** 10", 1, "job s:1: worker w1 failed at step 1"),
+    ("step ** step ** step", 1, "job s:1: worker w1 failed at step 5"),
+    ("round(x, 0.5)", 1, "job s:1: worker w1 failed at step 1"),
+    ("(x - 10) ** 0.5", 1, "job s:1: worker w1 failed at step 1"),  # a complex result
 ])
 def test_bad_expr_plugin_fails_cleanly(tmp_path, capsys, expr, exit_code, message):
     data = dict(
         MINI,
         pipelines={"p": {"source": {"kind": "counter", "params": {"start": 1}},
                          "business": {"kind": "expr", "params": {"expr": expr}}}},
+        jobs=[dict(MINI["jobs"][0], steps=9)],
     )
     scenario = tmp_path / "expr.yaml"
     scenario.write_text(yaml.safe_dump(data))
@@ -193,6 +199,30 @@ def test_bad_expr_plugin_fails_cleanly(tmp_path, capsys, expr, exit_code, messag
     err = capsys.readouterr().err
     assert code == exit_code
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_non_number_plugin_param_is_usage_error(tmp_path, capsys):
+    data = dict(
+        MINI,
+        pipelines={"p": {"source": {"kind": "counter", "params": {"start": "abc"}},
+                         "business": {"kind": "sum"}}},
+    )
+    scenario = tmp_path / "param.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "jobs[0].pipeline: source plugin 'counter' (worker 0): param 'start'" in err
+    assert "Traceback" not in err
+
+
+def test_coordinator_id_is_reserved(tmp_path, capsys):
+    data = dict(MINI, nodes=MINI["nodes"][:2] + [{"id": "coord", "region": "r"}])
+    scenario = tmp_path / "coord.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "nodes[2].id: 'coord' is reserved" in err
     assert "Traceback" not in err
 
 

@@ -155,11 +155,6 @@ def test_tracker_requires_started_chain():
         tracker.head("j:1", "w")
 
 
-def test_proof_payload_roundtrip():
-    proof = make_chain()[2]
-    assert ProgressProof.from_payload(proof.to_payload()) == proof
-
-
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=40))
 @settings(max_examples=60, deadline=None)
 def test_chain_never_accepts_wrong_position(n, claim):

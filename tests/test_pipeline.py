@@ -1,8 +1,12 @@
 """Plugin vetting, the expression language, and pipeline execution."""
 
 import dataclasses
+import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from computepool.crypto import derive_signer, digest
 from computepool.encoding import encode
@@ -132,9 +136,12 @@ def test_expression_rejects_foreign_syntax():
         "x @ y",
         "x << 2",
         "f(",
+        "x\0",
     ]:
         with pytest.raises(ExpressionError):
             Expression(bad)
+    with pytest.raises(ExpressionError, match="nests too deeply"):
+        Expression("-" * 5000 + "x")
 
 
 def test_expression_runtime_errors_are_wrapped():
@@ -144,6 +151,88 @@ def test_expression_runtime_errors_are_wrapped():
         Expression("1 / x").evaluate({"x": 0})
     with pytest.raises(ExpressionError, match="expression failed"):
         Expression("x ** x").evaluate({"x": 1e308})
+    # refused before the 16-million-bit integer is built
+    with pytest.raises(ExpressionError, match="integer power reaches 2 \\*\\* 1024"):
+        Expression("2 ** 2 ** 24").evaluate({})
+    with pytest.raises(ExpressionError, match="integer power"):
+        Expression("(-2) ** 1025").evaluate({})
+    assert Expression("2 ** 1023 + (-2) ** 1023").evaluate({}) == 0
+    for src in ["round(x, 0.5)", "round(x * 0.0 * 1e400)", "min(x)"]:
+        with pytest.raises(ExpressionError, match="expression failed"):
+            Expression(src).evaluate({"x": 1.5})
+
+
+# Fully parenthesised sources over the whitelist. `**` only raises a leaf to
+# 0..3 and int leaves are small, so no value nears the integer power bound and
+# Python's own evaluation is a faithful reference.
+_LEAVES = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["x", "acc", "step", "True"]),
+)
+_ATOMS = st.one_of(
+    _LEAVES,
+    st.builds("({} ** {})".format, _LEAVES, st.integers(0, 3)),
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds(
+            "({} {} {})".format,
+            children, st.sampled_from(["+", "-", "*", "/", "//", "%", "and", "or"]), children,
+        ),
+        st.builds("({}{})".format, st.sampled_from(["-", "+", "not "]), children),
+        st.builds(
+            lambda first, rest: "(" + first + "".join(f" {op} {c}" for op, c in rest) + ")",
+            children,
+            st.lists(
+                st.tuples(st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), children),
+                min_size=1, max_size=3,
+            ),
+        ),
+        st.builds("({1} if {0} else {2})".format, children, children, children),
+        st.builds(
+            lambda fn, args: f"{fn}({', '.join(args)})",
+            st.sampled_from(["min", "max"]), st.lists(children, min_size=2, max_size=3),
+        ),
+        st.builds("abs({})".format, children),
+        st.builds("round({})".format, children),
+        st.builds("round({}, {})".format, children, st.integers(-2, 3)),
+    )
+
+
+_SOURCES = st.recursive(_ATOMS, _grow, max_leaves=8)
+# Small whole values make ties, so `<` versus `<=` shows; any float may follow.
+_VALUES = st.one_of(st.integers(-3, 3).map(float), st.floats())
+_ENVS = st.fixed_dictionaries({"x": _VALUES, "acc": _VALUES, "step": st.integers(1, 5)})
+_PYTHON_CALLS = {"__builtins__": {"min": min, "max": max, "abs": abs, "round": round}}
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except (ArithmeticError, TypeError, ValueError, ExpressionError):
+        return ("failed", None)
+
+
+def _same(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+@given(_SOURCES, _ENVS)
+@example("(x < x <= 1)", {"x": 1.0, "acc": 0.0, "step": 1})  # a tie
+@example("((-5 % 3) + (5 // -3) + (x % -2))", {"x": 3.0, "acc": 0.0, "step": 1})
+@example("((acc and x) or step)", {"x": 0.0, "acc": 2.0, "step": 3})
+@settings(max_examples=150, deadline=None)
+def test_expression_matches_python_evaluation(source, env):
+    expression = Expression(source)
+    ours = _outcome(lambda: expression.evaluate(env))
+    python = _outcome(lambda: eval(source, dict(_PYTHON_CALLS), dict(env)))
+    assert ours[0] == python[0], (source, env, ours, python)
+    assert _same(ours[1], python[1]), (source, env, ours, python)
 
 
 def plan(cfg, n_workers=1, name="p"):
@@ -264,6 +353,33 @@ def test_parse_pipeline_diagnostics():
     with pytest.raises(PipelineError, match="must be a list"):
         plan({"source": {"kind": "counter"}, "serving": {"kind": "identity"},
               "business": {"kind": "sum"}})
+    with pytest.raises(PipelineError, match=r"unknown source plugin \['counter'\]"):
+        plan({"source": {"kind": ["counter"]}, "business": {"kind": "sum"}})
+    with pytest.raises(PipelineError, match="per-worker list of mappings"):
+        plan({"source": {"kind": "counter", "params": [1, 2]},
+              "business": {"kind": "sum"}}, n_workers=2)
+    # every numeric param must be a number, not a string, list or bool
+    for stage_cfg, message in [
+        ({"source": {"kind": "counter", "params": {"start": "abc"}}},
+         "source plugin 'counter' (worker 0): param 'start' must be a number, got 'abc'"),
+        ({"source": {"kind": "counter", "params": [{}, {"stride": True}]}},
+         "source plugin 'counter' (worker 1): param 'stride' must be a number, got True"),
+        ({"source": {"kind": "constant", "params": {"value": [1]}}},
+         "source plugin 'constant' (worker 0): param 'value' must be a number, got [1]"),
+        ({"serving": [{"kind": "threshold", "params": {"limit": "high"}}]},
+         "serving plugin 'threshold' (worker 0): param 'limit' must be a number, got 'high'"),
+        ({"serving": [{"kind": "moving_average", "params": {"window": True}}]},
+         "serving plugin 'moving_average' (worker 0): needs an integer window >= 1, got True"),
+        ({"business": {"kind": "sum", "params": {"init": "oops"}}},
+         "business plugin 'sum' (worker 0): param 'init' must be a number, got 'oops'"),
+        ({"business": {"kind": "max", "params": {"init": False}}},
+         "business plugin 'max' (worker 0): param 'init' must be a number, got False"),
+        ({"business": {"kind": "expr", "params": {"expr": "acc + x", "init": "0"}}},
+         "business plugin 'expr' (worker 0): param 'init' must be a number, got '0'"),
+    ]:
+        cfg = {"source": {"kind": "counter"}, "business": {"kind": "sum"}, **stage_cfg}
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            plan(cfg, n_workers=2)
 
 
 def test_worker_index_bounds():
