@@ -8,6 +8,10 @@ in sorted order; insertion order never leaks into the bytes.
 Supported domain: None, bool, int, float, str, bytes, Fraction, and
 lists/dicts thereof. Floats are encoded as their 8-byte IEEE-754 big-endian
 image, so the encoding is byte-exact across platforms.
+
+An `Encoded` value is a piece that is already encoded: `encode` emits it as
+it stands, so a caller can frame stored bytes into a larger value without
+encoding them again.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from typing import Any
 
 class EncodingError(ValueError):
     pass
+
+
+class Encoded(bytes):
+    """The canonical encoding of some value; `encode` emits it unchanged."""
 
 
 def _u32(n: int) -> bytes:
@@ -42,6 +50,8 @@ def encode(value: Any) -> bytes:
     if isinstance(value, str):
         raw = value.encode("utf-8")
         return b"S" + _u32(len(raw)) + raw
+    if isinstance(value, Encoded):
+        return value
     if isinstance(value, (bytes, bytearray)):
         return b"B" + _u32(len(value)) + bytes(value)
     if isinstance(value, Fraction):
@@ -53,8 +63,6 @@ def encode(value: Any) -> bytes:
         keys = list(value.keys())
         if any(not isinstance(k, str) for k in keys):
             raise EncodingError("dict keys must be strings")
-        if len(set(keys)) != len(keys):
-            raise EncodingError("duplicate dict keys")
         out = [b"M", _u32(len(keys))]
         for k in sorted(keys):
             out.append(encode(k))

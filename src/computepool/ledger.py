@@ -15,10 +15,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 from .crypto import DIGEST_SIZE, ZERO_DIGEST, Signer, digest, verify
-from .encoding import EncodingError, decode, encode
+from .encoding import Encoded, EncodingError, decode, encode
 from .escrow import JobId, parse_job_key
 
 DUMP_MAGIC = b"CPOOL-LEDGER\x01"
@@ -43,22 +44,34 @@ class EntryKind(Enum):
     POOL_EVENT = "POOL_EVENT"
 
 
-def entry_signing_bytes(kind: EntryKind, author: str, payload: dict) -> bytes:
-    return encode([kind.value, author, payload])
-
-
 @dataclass(frozen=True)
 class LedgerEntry:
+    """One signed ledger fact.
+
+    An entry's payload is never mutated after construction. Its canonical
+    encoding is built once, at first use, and kept as `payload_bytes`; the
+    signing bytes, the digest input and the entry's part of a dump are framed
+    around those bytes instead of encoding the payload again.
+    """
+
     kind: EntryKind
     author: str
     payload: dict
     signature: bytes
 
+    @cached_property
+    def payload_bytes(self) -> Encoded:
+        return Encoded(encode(self.payload))
+
+    def signing_bytes(self) -> bytes:
+        return encode([self.kind.value, self.author, self.payload_bytes])
+
     def digest(self) -> bytes:
-        return digest(encode([self.kind.value, self.author, self.payload, self.signature]))
+        return digest(encode(self.to_wire()))
 
     def to_wire(self) -> list:
-        return [self.kind.value, self.author, self.payload, self.signature]
+        """The digest input, which is also the entry's part of a dump block."""
+        return [self.kind.value, self.author, self.payload_bytes, self.signature]
 
     @classmethod
     def from_wire(cls, wire: list) -> "LedgerEntry":
@@ -67,8 +80,11 @@ class LedgerEntry:
 
 
 def sign_entry(kind: EntryKind, author: str, payload: dict, signer: Signer) -> LedgerEntry:
-    signature = signer.sign(entry_signing_bytes(kind, author, payload))
-    return LedgerEntry(kind, author, payload, signature)
+    entry = LedgerEntry(kind, author, payload, b"")
+    # No one else holds the entry yet, so this completes its construction; it
+    # keeps the payload bytes the signature was made over.
+    object.__setattr__(entry, "signature", signer.sign(entry.signing_bytes()))
+    return entry
 
 
 def entries_root(entries: list[LedgerEntry]) -> bytes:
@@ -144,7 +160,7 @@ class _KeyTable:
                 key = bytes.fromhex(key_hex)
             except ValueError:
                 return f"NODE_SPEC for {entry.author} has a malformed verify_key"
-            if not verify(key, entry_signing_bytes(entry.kind, entry.author, entry.payload), entry.signature):
+            if not verify(key, entry.signing_bytes(), entry.signature):
                 return f"NODE_SPEC self-signature for {entry.author} is invalid"
             known = self.keys.get(entry.author)
             if known is not None and known != key:
@@ -154,7 +170,7 @@ class _KeyTable:
         key = self.keys.get(entry.author)
         if key is None:
             return f"entry author {entry.author!r} has no registered key"
-        if not verify(key, entry_signing_bytes(entry.kind, entry.author, entry.payload), entry.signature):
+        if not verify(key, entry.signing_bytes(), entry.signature):
             return f"bad signature on {entry.kind.value} entry by {entry.author}"
         return None
 

@@ -81,7 +81,7 @@ class SafetyPolicy:
     def from_config(cls, cfg: dict) -> "SafetyPolicy":
         unknown = set(cfg) - {"max_source_bytes", "max_tokens", "import_allowlist"}
         if unknown:
-            raise PipelineError(f"unknown safety policy keys: {sorted(unknown)}")
+            raise PipelineError(f"unknown safety policy keys: {sorted(unknown, key=str)}")
         return cls(
             max_source_bytes=int(cfg.get("max_source_bytes", 4096)),
             max_tokens=int(cfg.get("max_tokens", 512)),
@@ -417,14 +417,23 @@ def _expr(params: dict, worker: int):
     return _number(params, "init", 0.0), fold
 
 
-SOURCES = {"counter": _counter, "hashnoise": _hashnoise, "constant": _constant}
-SERVING = {
-    "identity": _identity,
-    "running_sum": _running_sum,
-    "moving_average": _moving_average,
-    "threshold": _threshold,
+# kind -> (factory, the params it reads); any other param is refused
+SOURCES = {
+    "counter": (_counter, {"start", "stride"}),
+    "hashnoise": (_hashnoise, {"label"}),
+    "constant": (_constant, {"value"}),
 }
-BUSINESS = {"sum": _sum, "max": _max, "expr": _expr}
+SERVING = {
+    "identity": (_identity, set()),
+    "running_sum": (_running_sum, set()),
+    "moving_average": (_moving_average, {"window"}),
+    "threshold": (_threshold, {"limit"}),
+}
+BUSINESS = {
+    "sum": (_sum, {"init"}),
+    "max": (_max, {"init"}),
+    "expr": (_expr, {"expr", "init"}),
+}
 
 
 # -- pipeline plan ------------------------------------------------------------------
@@ -461,9 +470,13 @@ def _resolve_stage(stage: str, cfg: dict, n_workers: int, table: dict) -> StageP
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise PipelineError(f"{stage} stage needs a mapping with a 'kind'")
     kind = cfg["kind"]
-    factory = table.get(kind) if isinstance(kind, str) else None
-    if factory is None:
+    plugin = table.get(kind) if isinstance(kind, str) else None
+    if plugin is None:
         raise PipelineError(f"unknown {stage} plugin {kind!r}")
+    factory, accepted = plugin
+    stray = set(cfg) - {"kind", "params"}
+    if stray:
+        raise PipelineError(f"{stage} plugin {kind!r} has unknown keys: {sorted(stray, key=str)}")
     params = cfg.get("params", {})
     if isinstance(params, dict):
         params = [params] * n_workers
@@ -476,6 +489,9 @@ def _resolve_stage(stage: str, cfg: dict, n_workers: int, table: dict) -> StageP
     plan = StagePlan(kind=kind, factory=factory, per_worker_params=tuple(dict(p) for p in params))
     for worker_index in range(n_workers):
         try:
+            unknown = set(plan.per_worker_params[worker_index]) - accepted
+            if unknown:
+                raise PipelineError(f"unknown params: {sorted(unknown, key=str)}")
             plan.make(worker_index)
         except PipelineError as exc:
             raise PipelineError(f"{stage} plugin {kind!r} (worker {worker_index}): {exc}") from None
@@ -487,7 +503,7 @@ def parse_pipeline(name: str, cfg: dict, n_workers: int) -> PipelineSpec:
         raise PipelineError("pipeline needs at least one worker")
     unknown = set(cfg) - {"source", "serving", "business"}
     if unknown:
-        raise PipelineError(f"pipeline {name!r} has unknown stages: {sorted(unknown)}")
+        raise PipelineError(f"pipeline {name!r} has unknown stages: {sorted(unknown, key=str)}")
     if "source" not in cfg or "business" not in cfg:
         raise PipelineError(f"pipeline {name!r} needs 'source' and 'business' stages")
     serving_cfg = cfg.get("serving", [])

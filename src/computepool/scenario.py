@@ -82,7 +82,7 @@ def _check_keys(value: dict, path: str, required: set[str], optional: set[str]) 
         _fail(path, f"missing required keys: {sorted(missing)}")
     unknown = set(value) - required - optional
     if unknown:
-        _fail(path, f"unknown keys: {sorted(unknown)}")
+        _fail(path, f"unknown keys: {sorted(unknown, key=str)}")
 
 
 def _capability(value, path: str) -> Capability:
@@ -412,8 +412,10 @@ def load_scenario(path: str | Path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
+    # libyaml's parser when PyYAML was built with it: same results, ~7x faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from None
     return parse_scenario(data, str(path))

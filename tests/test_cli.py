@@ -216,6 +216,22 @@ def test_non_number_plugin_param_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unread_plugin_key_is_usage_error(tmp_path, capsys):
+    for source, message in [
+        ({"kind": "counter", "params": {"strid": 5}},
+         "jobs[0].pipeline: source plugin 'counter' (worker 0): unknown params: ['strid']"),
+        ({"kind": "counter", "parms": {"stride": 5}},
+         "jobs[0].pipeline: source plugin 'counter' has unknown keys: ['parms']"),
+    ]:
+        data = dict(MINI, pipelines={"p": {"source": source, "business": {"kind": "sum"}}})
+        scenario = tmp_path / "stray.yaml"
+        scenario.write_text(yaml.safe_dump(data))
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 def test_coordinator_id_is_reserved(tmp_path, capsys):
     data = dict(MINI, nodes=MINI["nodes"][:2] + [{"id": "coord", "region": "r"}])
     scenario = tmp_path / "coord.yaml"

@@ -2,12 +2,16 @@
 
 import dataclasses
 import random
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from computepool.crypto import ZERO_DIGEST, derive_signer
+from computepool.crypto import ZERO_DIGEST, derive_signer, digest
+from computepool.encoding import encode
 from computepool.ledger import (
+    DUMP_MAGIC,
     CreditCommand,
     EntryKind,
     Ledger,
@@ -21,7 +25,10 @@ from computepool.ledger import (
     verify_blocks,
     verify_dump,
 )
+from computepool.scenario import load_scenario
+from computepool.simnet import run_scenario
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 ALICE = derive_signer("test", "alice")
 BOB = derive_signer("test", "bob")
 
@@ -244,3 +251,49 @@ def test_mirror_translates_rewards_and_challenges():
     assert oracle_mirror(resolved) == [
         ResolveChallengeCommand("ch1", {"x": True, "y": False}, 77)
     ]
+
+
+# -- each entry's payload is encoded once; every byte stays as specified ------
+
+
+@pytest.fixture(scope="module")
+def reference_ledger():
+    return run_scenario(load_scenario(SCENARIOS / "reference.yaml")).ledger
+
+
+def reference_dump(blocks) -> bytes:
+    """A dump built straight from the format: one `encode` of each block's
+    whole nested wire value, with every payload encoded in place."""
+    out = [DUMP_MAGIC, struct.pack(">I", len(blocks))]
+    for b in blocks:
+        entries = [[e.kind.value, e.author, e.payload, e.signature] for e in b.entries]
+        blob = encode([b.height, b.prev_hash, b.root, b.timestamp, b.digest, entries])
+        out += [struct.pack(">I", len(blob)), blob]
+    return b"".join(out)
+
+
+def test_stored_payload_bytes_keep_every_byte(reference_ledger):
+    entries = [entry for _, entry in reference_ledger.entries()]
+    assert len(entries) > 100
+    for entry in entries:
+        kind, author, payload, signature = (
+            entry.kind.value, entry.author, entry.payload, entry.signature)
+        assert entry.signing_bytes() == encode([kind, author, payload])
+        assert entry.digest() == digest(encode([kind, author, payload, signature]))
+    assert reference_ledger.dump() == reference_dump(reference_ledger.blocks)
+
+
+def test_replaced_payload_is_dumped_and_caught_at_its_block(reference_ledger):
+    blocks = list(reference_ledger.blocks)
+    height = len(blocks) // 2
+    victim = blocks[height]
+    entry = victim.entries[-1]
+    forged_entry = dataclasses.replace(entry, payload={**entry.payload, "forged": True})
+    blocks[height] = dataclasses.replace(victim, entries=victim.entries[:-1] + (forged_entry,))
+    forged = Ledger()
+    forged.blocks = blocks
+    loaded = load_blocks(forged.dump())
+    assert loaded[height].entries[-1].payload == forged_entry.payload
+    result = verify_blocks(loaded)
+    assert not result.ok
+    assert result.failing_height == height

@@ -358,6 +358,8 @@ def test_parse_pipeline_diagnostics():
     with pytest.raises(PipelineError, match="per-worker list of mappings"):
         plan({"source": {"kind": "counter", "params": [1, 2]},
               "business": {"kind": "sum"}}, n_workers=2)
+    with pytest.raises(PipelineError, match=re.escape("unknown stages: [1, 'extra']")):
+        plan({"source": {"kind": "counter"}, "business": {"kind": "sum"}, "extra": {}, 1: {}})
     # every numeric param must be a number, not a string, list or bool
     for stage_cfg, message in [
         ({"source": {"kind": "counter", "params": {"start": "abc"}}},
@@ -376,6 +378,21 @@ def test_parse_pipeline_diagnostics():
          "business plugin 'max' (worker 0): param 'init' must be a number, got False"),
         ({"business": {"kind": "expr", "params": {"expr": "acc + x", "init": "0"}}},
          "business plugin 'expr' (worker 0): param 'init' must be a number, got '0'"),
+        # a key or param no plugin reads is refused by name, not silently defaulted
+        ({"source": {"kind": "counter", "params": {"strid": 5}}},
+         "source plugin 'counter' (worker 0): unknown params: ['strid']"),
+        ({"source": {"kind": "counter", "params": [{}, {"start": 1, 2: 3}]}},
+         "source plugin 'counter' (worker 1): unknown params: [2]"),
+        ({"source": {"kind": "counter", "parms": {"stride": 5}}},
+         "source plugin 'counter' has unknown keys: ['parms']"),
+        ({"serving": [{"kind": "identity", "params": {"window": 3}}]},
+         "serving plugin 'identity' (worker 0): unknown params: ['window']"),
+        ({"serving": [{"kind": "threshold", "params": {"limit": 1}, "window": 3}]},
+         "serving plugin 'threshold' has unknown keys: ['window']"),
+        ({"business": {"kind": "sum", "params": {"expr": "acc + x"}}},
+         "business plugin 'sum' (worker 0): unknown params: ['expr']"),
+        ({"business": {"kind": "expr", "params": {"expr": "acc + x", "int": 1}}},
+         "business plugin 'expr' (worker 0): unknown params: ['int']"),
     ]:
         cfg = {"source": {"kind": "counter"}, "business": {"kind": "sum"}, **stage_cfg}
         with pytest.raises(PipelineError, match=re.escape(message)):

@@ -2,10 +2,14 @@
 
 import copy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 
 from computepool.scenario import ScenarioError, load_scenario, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def base_scenario():
@@ -68,6 +72,12 @@ def test_unknown_and_missing_top_keys():
     data = base_scenario()
     data["extra_knob"] = 1
     expect_error(data, "unknown keys: ['extra_knob']")
+    data = base_scenario()
+    data["nodes"][0].update({1: "x", "zz": "y"})  # mixed key types still list
+    expect_error(data, "nodes[0]: unknown keys: [1, 'zz']")
+    data = base_scenario()
+    data["safety_policy"] = {1: "x", "zz": "y"}
+    expect_error(data, "safety_policy: unknown safety policy keys: [1, 'zz']")
     data = base_scenario()
     del data["regions"]
     expect_error(data, "missing required keys: ['regions']")
@@ -183,18 +193,27 @@ def test_job_keys_count_per_sender():
     assert sc.challenges[0].job_id == ("a", 2)
 
 
-def test_load_scenario_file_errors(tmp_path):
+def test_load_scenario_file_errors(tmp_path, monkeypatch):
     with pytest.raises(ScenarioError, match="cannot read scenario"):
         load_scenario(tmp_path / "missing.yaml")
     bad = tmp_path / "bad.yaml"
     bad.write_text("nodes: [unclosed\n")
     with pytest.raises(ScenarioError, match="not valid YAML"):
         load_scenario(bad)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)  # the pure-Python loader
+    with pytest.raises(ScenarioError, match="not valid YAML"):
+        load_scenario(bad)
+
+
+def test_shipped_scenarios_parse_alike_without_libyaml(monkeypatch):
+    paths = sorted(SCENARIOS.glob("*.yaml"))
+    assert len(paths) == 2
+    with_libyaml = [load_scenario(path).raw for path in paths]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert [load_scenario(path).raw for path in paths] == with_libyaml
 
 
 def test_load_scenario_roundtrip(tmp_path):
-    import yaml
-
     path = tmp_path / "mini.yaml"
     path.write_text(yaml.safe_dump(base_scenario()))
     sc = load_scenario(path)
