@@ -7,7 +7,13 @@ in sorted order; insertion order never leaks into the bytes.
 
 Supported domain: None, bool, int, float, str, bytes, Fraction, and
 lists/dicts thereof. Floats are encoded as their 8-byte IEEE-754 big-endian
-image, so the encoding is byte-exact across platforms.
+image, so the encoding is byte-exact across platforms; NaN payload bits
+survive a decode and re-encode on CPython's struct module.
+
+`decode` accepts only canonical bytes: integer text as `str(int)` writes it,
+map keys in strictly ascending order and fractions in lowest terms with a
+positive denominator. So `encode(decode(b)) == b` for every `b` it accepts,
+and a digest over a decoded value is a digest over the bytes that were read.
 
 An `Encoded` value is a piece that is already encoded: `encode` emits it as
 it stands, so a caller can frame stored bytes into a larger value without
@@ -16,6 +22,7 @@ encoding them again.
 
 from __future__ import annotations
 
+import math
 import struct
 from fractions import Fraction
 from typing import Any
@@ -77,8 +84,8 @@ def decode(data: bytes) -> Any:
         value, offset = _decode_at(data, 0)
     except EncodingError:
         raise
-    except (ValueError, ZeroDivisionError, struct.error) as exc:
-        # garbled digit runs, invalid utf-8, zero denominators
+    except (ValueError, struct.error, RecursionError) as exc:
+        # garbled digit runs, invalid utf-8, lists nested past the stack
         raise EncodingError(f"malformed encoding: {exc}") from exc
     if offset != len(data):
         raise EncodingError(f"trailing bytes after value at offset {offset}")
@@ -102,8 +109,11 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         return False, offset
     if tag == b"I":
         (n,) = struct.unpack(">I", _take(data, offset, 4))
-        raw = _take(data, offset + 4, n)
-        return int(raw.decode("ascii")), offset + 4 + n
+        text = _take(data, offset + 4, n).decode("ascii")
+        value = int(text)
+        if str(value) != text:
+            raise EncodingError(f"non-canonical integer text {text!r}")
+        return value, offset + 4 + n
     if tag == b"D":
         (v,) = struct.unpack(">d", _take(data, offset, 8))
         return v, offset + 8
@@ -117,6 +127,8 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
     if tag == b"Q":
         num, offset = _decode_at(data, offset)
         den, offset = _decode_at(data, offset)
+        if type(num) is not int or type(den) is not int or den <= 0 or math.gcd(num, den) != 1:
+            raise EncodingError(f"fraction {num!r}/{den!r} is not in lowest terms")
         return Fraction(num, den), offset
     if tag == b"L":
         (n,) = struct.unpack(">I", _take(data, offset, 4))
@@ -134,6 +146,8 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
             key, offset = _decode_at(data, offset)
             if not isinstance(key, str):
                 raise EncodingError("dict key is not a string")
+            if out and key <= next(reversed(out)):
+                raise EncodingError(f"dict key {key!r} is out of ascending order")
             val, offset = _decode_at(data, offset)
             out[key] = val
         return out, offset

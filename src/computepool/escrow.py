@@ -21,20 +21,7 @@ from typing import Iterable
 
 from .tokenomics import NodeRegistry
 
-JobId = tuple[str, int]
-
 REVIEW_LOCK_SECONDS = 86400  # 24 hours of simulation time
-
-
-def job_key(job_id: JobId) -> str:
-    return f"{job_id[0]}:{job_id[1]}"
-
-
-def parse_job_key(text: str) -> JobId:
-    sender, _, seq = text.rpartition(":")
-    if not sender or not seq.isdigit():
-        raise ValueError(f"bad job key: {text!r} (expected SENDER:SEQ)")
-    return sender, int(seq)
 
 
 class EscrowError(Exception):
@@ -91,20 +78,19 @@ class ChallengeVerdict(Enum):
 
 @dataclass
 class Job:
-    job_id: JobId
+    job_id: str  # "sender:seq", the key every ledger payload and report uses
     sender: str
     reward: Fraction
     spec_name: str
     n_workers: int
     status: JobStatus = JobStatus.PENDING
     workers: list[str] = field(default_factory=list)
-    created_at: int = 0
     settled_epoch: int | None = None
 
     def advance(self, new_status: JobStatus) -> None:
         if new_status not in _TRANSITIONS[self.status]:
             raise JobLifecycleError(
-                f"job {job_key(self.job_id)}: illegal transition "
+                f"job {self.job_id}: illegal transition "
                 f"{self.status.value} -> {new_status.value}"
             )
         self.status = new_status
@@ -112,7 +98,7 @@ class Job:
 
 @dataclass
 class LockedFund:
-    job_id: JobId
+    job_id: str
     amount: Fraction
     unlock_time: int
 
@@ -120,7 +106,7 @@ class LockedFund:
 @dataclass
 class Challenge:
     challenge_id: str
-    job_id: JobId
+    job_id: str
     challenger: str
     bond: Fraction
     jury: list[str]
@@ -128,11 +114,17 @@ class Challenge:
     votes: dict[str, bool] = field(default_factory=dict)
 
 
+def _sender_then_seq(job_id: str) -> tuple[str, int]:
+    """Order job ids by sender, then by sequence as a number (a:2 before a:10)."""
+    sender, _, seq = job_id.rpartition(":")
+    return sender, int(seq)
+
+
 @dataclass
 class PoolState:
     escrow_pool: Fraction = Fraction(0)
     reward_pool: Fraction = Fraction(0)
-    locked: dict[JobId, LockedFund] = field(default_factory=dict)
+    locked: dict[str, LockedFund] = field(default_factory=dict)
     bonds: dict[str, Fraction] = field(default_factory=dict)
     # Bookkeeping only; not part of the conservation identity.
     distributed_total: Fraction = Fraction(0)
@@ -151,8 +143,8 @@ class PoolState:
             "escrow_pool": str(self.escrow_pool),
             "reward_pool": str(self.reward_pool),
             "locked": [
-                [job_key(f.job_id), str(f.amount), f.unlock_time]
-                for f in sorted(self.locked.values(), key=lambda f: f.job_id)
+                [f.job_id, str(f.amount), f.unlock_time]
+                for f in sorted(self.locked.values(), key=lambda f: _sender_then_seq(f.job_id))
             ],
             "bonds": [
                 [cid, str(amount)] for cid, amount in sorted(self.bonds.items())
@@ -174,26 +166,24 @@ class EscrowBank:
         self.pools = PoolState()
         self.review_lock_seconds = review_lock_seconds
         self.jury_size = jury_size
-        self.jobs: dict[JobId, Job] = {}
+        self.jobs: dict[str, Job] = {}
         self.challenges: dict[str, Challenge] = {}
         self._challenge_seq = 0
-        self._challenge_verdicts_by_job: dict[JobId, ChallengeVerdict] = {}
 
     # -- job lifecycle -----------------------------------------------------
 
     def submit_job(
-        self, job_id: JobId, reward: Fraction, spec_name: str, n_workers: int, now: int = 0
+        self, job_id: str, sender: str, reward: Fraction, spec_name: str, n_workers: int
     ) -> Job:
         """Fund a new job from its sender's balance into escrow.
 
-        The id is (sender, sequence) as the scenario assigned it. Rejection
-        (duplicate id, insufficient balance, non-positive reward) leaves every
-        pool and balance untouched.
+        The id is the scenario's key "sender:seq". Rejection (duplicate id,
+        insufficient balance, non-positive reward) leaves every pool and
+        balance untouched.
         """
-        sender = job_id[0]
         reward = Fraction(reward)
         if job_id in self.jobs:
-            raise JobLifecycleError(f"job {job_key(job_id)} already submitted")
+            raise JobLifecycleError(f"job {job_id} already submitted")
         if reward <= 0:
             raise EscrowError("job reward must be positive")
         if n_workers < 1:
@@ -211,18 +201,17 @@ class EscrowBank:
             reward=reward,
             spec_name=spec_name,
             n_workers=n_workers,
-            created_at=now,
         )
         self.jobs[job_id] = job
         return job
 
-    def job(self, job_id: JobId) -> Job:
+    def job(self, job_id: str) -> Job:
         try:
             return self.jobs[job_id]
         except KeyError:
-            raise UnknownJobError(f"unknown job {job_key(job_id)}") from None
+            raise UnknownJobError(f"unknown job {job_id}") from None
 
-    def activate(self, job_id: JobId, workers: list[str]) -> Job:
+    def activate(self, job_id: str, workers: list[str]) -> Job:
         """Mark a funded job as running once its workers are assigned."""
         job = self.job(job_id)
         job.advance(JobStatus.IN_PROGRESS)
@@ -230,7 +219,7 @@ class EscrowBank:
         return job
 
     def settle_job(
-        self, job_id: JobId, final_status: JobStatus, now: int, epoch: int = 0
+        self, job_id: str, final_status: JobStatus, now: int, epoch: int = 0
     ) -> PoolState:
         """Release a running job's escrowed reward.
 
@@ -242,7 +231,7 @@ class EscrowBank:
             raise JobLifecycleError(f"cannot settle to {final_status.value}")
         if job.status != JobStatus.IN_PROGRESS:
             raise JobLifecycleError(
-                f"job {job_key(job_id)} already settled (status {job.status.value})"
+                f"job {job_id} already settled (status {job.status.value})"
             )
         job.advance(final_status)
         self.pools.escrow_pool -= job.reward
@@ -259,16 +248,20 @@ class EscrowBank:
         return self.pools
 
     def resolve_review(
-        self, job_id: JobId, verdict: ReviewVerdict, now: int, epoch: int = 0
+        self, job_id: str, verdict: ReviewVerdict, now: int, epoch: int = 0
     ) -> PoolState:
         """Release a review lock: valid work feeds the reward pool, invalid
         work refunds the sender. Early release requires a challenge verdict."""
         if job_id not in self.pools.locked:
-            raise UnknownJobError(f"no locked funds for job {job_key(job_id)}")
+            raise UnknownJobError(f"no locked funds for job {job_id}")
         fund = self.pools.locked[job_id]
-        if now < fund.unlock_time and job_id not in self._challenge_verdicts_by_job:
+        decided = any(
+            c.job_id == job_id and c.verdict != ChallengeVerdict.PENDING
+            for c in self.challenges.values()
+        )
+        if now < fund.unlock_time and not decided:
             raise EscrowError(
-                f"review for {job_key(job_id)} cannot resolve before "
+                f"review for {job_id} cannot resolve before "
                 f"t={fund.unlock_time} without a challenge verdict"
             )
         job = self.job(job_id)
@@ -288,7 +281,7 @@ class EscrowBank:
     def open_challenge(
         self,
         challenger: str,
-        job_id: JobId,
+        job_id: str,
         bond: Fraction,
         rng_seed: bytes,
         active_ids: Iterable[str],
@@ -304,11 +297,11 @@ class EscrowBank:
         job = self.job(job_id)
         if job.status not in (JobStatus.LOCKED_FOR_REVIEW, JobStatus.SETTLED):
             raise ChallengeError(
-                f"job {job_key(job_id)} is not challengeable (status {job.status.value})"
+                f"job {job_id} is not challengeable (status {job.status.value})"
             )
         if job.status == JobStatus.SETTLED and job.settled_epoch != epoch:
             raise ChallengeError(
-                f"job {job_key(job_id)} settled in epoch {job.settled_epoch}; "
+                f"job {job_id} settled in epoch {job.settled_epoch}; "
                 f"challenge window closed"
             )
         if bond <= 0:
@@ -366,7 +359,6 @@ class EscrowBank:
         job = self.job(challenge.job_id)
         if upheld:
             self.registry.credit(challenge.challenger, bond)
-            self._challenge_verdicts_by_job[job.job_id] = ChallengeVerdict.UPHELD
             if job.status == JobStatus.LOCKED_FOR_REVIEW:
                 self.resolve_review(job.job_id, ReviewVerdict.WORK_INVALID, now)
             elif job.status == JobStatus.SETTLED:
@@ -380,7 +372,6 @@ class EscrowBank:
         else:
             self.pools.reward_pool += bond
             self.pools.rejected_bonds_total += bond
-            self._challenge_verdicts_by_job[job.job_id] = ChallengeVerdict.REJECTED
         return challenge, self.pools
 
     # -- epoch distribution and audit ----------------------------------------

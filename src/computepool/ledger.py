@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .crypto import DIGEST_SIZE, ZERO_DIGEST, Signer, digest, verify
 from .encoding import Encoded, EncodingError, decode, encode
-from .escrow import JobId, parse_job_key
 
 DUMP_MAGIC = b"CPOOL-LEDGER\x01"
 
@@ -311,7 +310,7 @@ def verify_dump(data: bytes) -> VerifyResult:
 
 @dataclass(frozen=True)
 class SettleCommand:
-    job_id: JobId
+    job_id: str
     final_status: str  # "DONE" or "CANCELLED"
     at: int
     epoch: int
@@ -326,7 +325,7 @@ class CreditCommand:
 @dataclass(frozen=True)
 class OpenChallengeCommand:
     challenger: str
-    job_id: JobId
+    job_id: str
     bond: Fraction
     seed: bytes
     epoch: int
@@ -354,7 +353,7 @@ def oracle_mirror(entry: LedgerEntry) -> list[Command]:
         if status in ("DONE", "CANCELLED"):
             return [
                 SettleCommand(
-                    job_id=parse_job_key(p["job"]),
+                    job_id=p["job"],
                     final_status=status,
                     at=int(p["at"]),
                     epoch=int(p["epoch"]),
@@ -371,7 +370,7 @@ def oracle_mirror(entry: LedgerEntry) -> list[Command]:
             return [
                 OpenChallengeCommand(
                     challenger=p["challenger"],
-                    job_id=parse_job_key(p["job"]),
+                    job_id=p["job"],
                     bond=Fraction(p["bond"]),
                     seed=bytes.fromhex(p["seed"]),
                     epoch=int(p["epoch"]),

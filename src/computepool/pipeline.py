@@ -82,11 +82,19 @@ class SafetyPolicy:
         unknown = set(cfg) - {"max_source_bytes", "max_tokens", "import_allowlist"}
         if unknown:
             raise PipelineError(f"unknown safety policy keys: {sorted(unknown, key=str)}")
-        return cls(
-            max_source_bytes=int(cfg.get("max_source_bytes", 4096)),
-            max_tokens=int(cfg.get("max_tokens", 512)),
-            import_allowlist=tuple(cfg.get("import_allowlist", ("math",))),
-        )
+        fields = dict(cfg)
+        for key in ("max_source_bytes", "max_tokens"):
+            value = fields.get(key, getattr(cls, key))
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise PipelineError(f"{key}: expected an integer >= 1, got {value!r}")
+        if "import_allowlist" in fields:
+            allow = fields["import_allowlist"]
+            if not isinstance(allow, list) or not all(isinstance(m, str) for m in allow):
+                raise PipelineError(
+                    f"import_allowlist: expected a list of module names, got {allow!r}"
+                )
+            fields["import_allowlist"] = tuple(allow)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

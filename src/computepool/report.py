@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import __version__
 from .crypto import digest
-from .escrow import job_key
 from .ledger import EntryKind
 from .simnet import RunResult
 
@@ -77,7 +76,7 @@ def job_lines(result: RunResult) -> list[dict]:
     for job in result.bank.jobs.values():
         lines.append(
             {
-                "job": job_key(job.job_id),
+                "job": job.job_id,
                 "sender": job.sender,
                 "reward": str(job.reward),
                 "pipeline": job.spec_name,
@@ -106,16 +105,16 @@ def audit_payload(result: RunResult) -> dict:
         "challenges": [
             {
                 "id": c.challenge_id,
-                "job": c.job,
+                "job": c.job_id,
                 "challenger": c.challenger,
                 "jury": list(c.jury),
-                "verdict": c.verdict,
+                "verdict": c.verdict.value,
             }
-            for c in result.challenge_outcomes
+            for c in result.bank.challenges.values()
         ],
         "balances": {
             deed_id: str(deed.balance)
-            for deed_id, deed in sorted(result.registry.deeds.items())
+            for deed_id, deed in sorted(result.bank.registry.deeds.items())
         },
         "conservation": {
             "ok": result.conservation_ok,

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import yaml
 
-from .escrow import JobId, job_key
 from .pipeline import PipelineError, PipelineSpec, SafetyPolicy, parse_pipeline
 from .tokenomics import Capability, CapabilityWeights
 
@@ -70,6 +69,12 @@ def _fraction(value, path: str, positive: bool = False) -> Fraction:
     return amount
 
 
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        _fail(path, f"expected true or false, got {value!r}")
+    return value
+
+
 def _string(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(path, f"expected a non-empty string, got {value!r}")
@@ -90,7 +95,7 @@ def _capability(value, path: str) -> Capability:
     _check_keys(cfg, path, set(), {"cpu", "gpu", "gpu_units", "memory"})
     cap = Capability(
         cpu=_number(cfg.get("cpu", 1.0), f"{path}.cpu"),
-        gpu=bool(cfg.get("gpu", False)),
+        gpu=_bool(cfg.get("gpu", False), f"{path}.gpu"),
         gpu_units=_number(cfg.get("gpu_units", 0.0), f"{path}.gpu_units"),
         memory=_number(cfg.get("memory", 0.0), f"{path}.memory"),
     )
@@ -135,7 +140,7 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class JobSpec:
-    job_id: JobId  # (sender, per-sender sequence in list order)
+    job_id: str  # "sender:seq", seq counting the sender's jobs in list order
     sender: str
     at: int
     reward: Fraction
@@ -153,7 +158,7 @@ class JobSpec:
 class ChallengeSpec:
     at: int
     challenger: str
-    job_id: JobId
+    job_id: str
     bond: Fraction | None
     votes: tuple[bool, ...]
 
@@ -221,6 +226,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
 
     regions: dict[str, RegionSpec] = {}
     for rname, rcfg in _mapping(root["regions"], "regions").items():
+        _string(rname, "regions (key)")
         path = f"regions.{rname}"
         cfg = _mapping(rcfg, path)
         _check_keys(cfg, path, set(), {"intra_latency_ms", "inter_latency_ms", "drop_rate"})
@@ -303,7 +309,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         if sender not in node_ids:
             _fail(f"{path}.sender", f"unknown node {sender!r}")
         at = _int(cfg["at"], f"{path}.at", minimum=0)
-        # Job keys are sender:sequence and sequence follows submission time,
+        # Job ids are sender:sequence and sequence follows submission time,
         # so the list must already be in time order.
         if at < last_at:
             _fail(f"{path}.at", f"jobs must be listed in non-decreasing time order")
@@ -347,7 +353,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         job_seq[sender] = job_seq.get(sender, 0) + 1
         jobs.append(
             JobSpec(
-                job_id=(sender, job_seq[sender]),
+                job_id=f"{sender}:{job_seq[sender]}",
                 sender=sender,
                 at=at,
                 reward=_fraction(cfg["reward"], f"{path}.reward", positive=True),
@@ -362,7 +368,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             )
         )
 
-    job_ids = {job_key(job.job_id): job.job_id for job in jobs}
+    job_ids = {job.job_id for job in jobs}
     challenges: list[ChallengeSpec] = []
     for i, ccfg in enumerate(_sequence(root.get("challenges", []), "challenges")):
         path = f"challenges[{i}]"
@@ -371,9 +377,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         challenger = _string(cfg["challenger"], f"{path}.challenger")
         if challenger not in node_ids:
             _fail(f"{path}.challenger", f"unknown node {challenger!r}")
-        key = _string(cfg["job"], f"{path}.job")
-        if key not in job_ids:
-            _fail(f"{path}.job", f"no scenario job produces key {key!r}")
+        job_id = _string(cfg["job"], f"{path}.job")
+        if job_id not in job_ids:
+            _fail(f"{path}.job", f"no scenario job produces key {job_id!r}")
         votes = _sequence(cfg["votes"], f"{path}.votes")
         if not all(isinstance(v, bool) for v in votes):
             _fail(f"{path}.votes", "votes must be booleans (true = uphold)")
@@ -382,7 +388,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             ChallengeSpec(
                 at=_int(cfg["at"], f"{path}.at", minimum=0),
                 challenger=challenger,
-                job_id=job_ids[key],
+                job_id=job_id,
                 bond=bond,
                 votes=tuple(votes),
             )

@@ -39,11 +39,9 @@ from .escrow import (
     ChallengeError,
     EscrowBank,
     InsufficientFundsError,
-    JobId,
     JobStatus,
     ReviewVerdict,
     UnknownJobError,
-    job_key,
 )
 from .ledger import (
     CreditCommand,
@@ -66,7 +64,6 @@ from .pipeline import (
 )
 from .scenario import COORDINATOR_ID, ChallengeSpec, JobSpec, NodeSpec, Scenario
 from .tokenomics import (
-    Capability,
     EpochConfig,
     NodeRegistry,
     NoEligibleNodesError,
@@ -127,10 +124,9 @@ class MessageAudit:
 class _WorkerTask:
     """One worker's side of a running job."""
 
-    job: JobId
+    job: str
     worker: str
     worker_index: int
-    steps_total: int
     run: PipelineRun
     head: bytes  # worker's own chain head
     link: int = 0
@@ -142,22 +138,10 @@ class _WorkerTask:
 
 @dataclass
 class _JobRuntime:
-    """Coordinator's view of a running job."""
+    """Coordinator's view of a job's workers and the shards they returned."""
 
-    spec: JobSpec
-    job: JobId
     assignments: list[Assignment]
     shards: dict[int, ResultShard] = field(default_factory=dict)
-    settled: bool = False
-
-
-@dataclass
-class ChallengeOutcome:
-    challenge_id: str
-    job: str
-    challenger: str
-    jury: tuple[str, ...]
-    verdict: str
 
 
 @dataclass
@@ -166,10 +150,8 @@ class RunResult:
     seed: int
     ledger: Ledger
     bank: EscrowBank
-    registry: NodeRegistry
     allocations: list[RewardAllocation]
     pool_timeline: list[dict]
-    challenge_outcomes: list[ChallengeOutcome]
     audit: dict
     messages: MessageAudit
     conservation_ok: bool
@@ -207,14 +189,12 @@ class Simulation:
 
         self._tracker = ProgressTracker()
         self._proof_buffer: dict[tuple[str, str], dict[int, ProgressProof]] = {}
-        self._jobs: dict[JobId, _JobRuntime] = {}
-        self._tasks: dict[tuple[JobId, str], _WorkerTask] = {}
-        self._job_specs: dict[JobId, JobSpec] = {job.job_id: job for job in scenario.jobs}
+        self._jobs: dict[str, _JobRuntime] = {}
+        self._tasks: dict[tuple[str, str], _WorkerTask] = {}
+        self._job_specs: dict[str, JobSpec] = {job.job_id: job for job in scenario.jobs}
 
         self.allocations: list[RewardAllocation] = []
         self.pool_timeline: list[dict] = []
-        self.challenge_outcomes: list[ChallengeOutcome] = []
-        self._challenge_votes: dict[str, tuple[bool, ...]] = {}
         self.audit: dict = {
             "proofs_accepted": 0,
             "proofs_rejected": 0,
@@ -332,9 +312,7 @@ class Simulation:
         self._coord_region = sorted(scenario.regions)[0]
 
         coord_key = self._signer(COORDINATOR_ID).verify_key
-        self.registry.register(
-            COORDINATOR_ID, coord_key, Fraction(0), Capability(), registered_epoch=1
-        )
+        self.registry.register(COORDINATOR_ID)
         self._record(
             EntryKind.NODE_SPEC,
             COORDINATOR_ID,
@@ -349,9 +327,7 @@ class Simulation:
 
         for node in scenario.nodes:
             key = self._signer(node.node_id).verify_key
-            self.registry.register(
-                node.node_id, key, node.balance, node.capability, registered_epoch=1
-            )
+            self.registry.register(node.node_id, node.balance)
             self.registry.set_power(node.node_id, 1, node.power_for_epoch(1))
             self._up[node.node_id] = True
             self._record(
@@ -393,13 +369,9 @@ class Simulation:
 
     def _on_heartbeat(self, node: str) -> None:
         if self._up[node]:
-            self.registry.accrue_alive(
-                node, self._epoch_of(self._now), self.scenario.heartbeat_seconds
-            )
+            self.registry.accrue_alive(node, self.scenario.heartbeat_seconds)
 
     def _on_job_arrival(self, spec: JobSpec) -> None:
-        key = job_key(spec.job_id)
-        now_s = self._now // 1000
         self.audit["jobs_submitted"] += 1
 
         # User code is vetted before any funds move, so a rejected plugin
@@ -417,7 +389,7 @@ class Simulation:
                         COORDINATOR_ID,
                         {
                             "event": "plugin_rejected",
-                            "job": key,
+                            "job": spec.job_id,
                             "sender": spec.sender,
                             "pipeline": spec.pipeline_name,
                             "reasons": list(verdict.reasons),
@@ -431,7 +403,7 @@ class Simulation:
 
         try:
             self.bank.submit_job(
-                spec.job_id, spec.reward, spec.pipeline_name, spec.n_workers, now_s
+                spec.job_id, spec.sender, spec.reward, spec.pipeline_name, spec.n_workers
             )
         except InsufficientFundsError:
             self.audit["jobs_rejected"] += 1
@@ -440,7 +412,7 @@ class Simulation:
                 COORDINATOR_ID,
                 {
                     "event": "job_rejected",
-                    "job": key,
+                    "job": spec.job_id,
                     "sender": spec.sender,
                     "reason": "insufficient funds",
                 },
@@ -449,7 +421,7 @@ class Simulation:
         self._check_conservation()
         self._try_assign(spec.job_id)
 
-    def _try_assign(self, job_id: JobId) -> None:
+    def _try_assign(self, job_id: str) -> None:
         spec = self._job_specs[job_id]
         candidates = {
             node_id: ns.capability
@@ -458,7 +430,7 @@ class Simulation:
         }
         try:
             assignments = assign_workers(
-                job_key(job_id),
+                job_id,
                 spec.requirement,
                 candidates,
                 spec.n_workers,
@@ -479,7 +451,7 @@ class Simulation:
             EntryKind.JOB_ASSIGN,
             COORDINATOR_ID,
             {
-                "job": job_key(job_id),
+                "job": job_id,
                 "pipeline": spec.pipeline_name,
                 "steps": spec.steps,
                 "epoch": self._epoch_of(self._now),
@@ -488,7 +460,7 @@ class Simulation:
             },
         )
         self.bank.activate(job_id, [a.worker for a in assignments])
-        self._jobs[job_id] = _JobRuntime(spec=spec, job=job_id, assignments=assignments)
+        self._jobs[job_id] = _JobRuntime(assignments)
         user_code = spec.pipeline.user_code
         for a in assignments:
             self._tracker.start(a.job, a.worker)
@@ -496,19 +468,17 @@ class Simulation:
             if user_code is not None:
                 source = user_code[a.worker_index]
                 code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
-            self._publish(
-                a.worker, self._on_assign_delivered, (job_id, a.worker_index, code), COORDINATOR_ID
-            )
+            self._publish(a.worker, self._on_assign_delivered, (a, code), COORDINATOR_ID)
 
-    def _on_assign_retry(self, job_id: JobId) -> None:
+    def _on_assign_retry(self, job_id: str) -> None:
         if self.bank.job(job_id).status == JobStatus.PENDING:
             self._try_assign(job_id)
 
     # -- worker side -----------------------------------------------------------
 
-    def _on_assign_delivered(self, to: str, msg: tuple[JobId, int, PluginCode | None]) -> None:
-        job_id, worker_index, code = msg
-        task_key = (job_id, to)
+    def _on_assign_delivered(self, to: str, msg: tuple[Assignment, PluginCode | None]) -> None:
+        a, code = msg
+        task_key = (a.job, to)
         if task_key in self._tasks:
             return  # duplicate delivery after a retransmit
         if code is not None:
@@ -518,17 +488,16 @@ class Simulation:
                 self._record(
                     EntryKind.POOL_EVENT,
                     COORDINATOR_ID,
-                    {"event": "code_recheck_failed", "job": job_key(job_id), "reason": reason},
+                    {"event": "code_recheck_failed", "job": a.job, "reason": reason},
                 )
                 return
-        spec = self._job_specs[job_id]
+        spec = self._job_specs[a.job]
         task = self._tasks[task_key] = _WorkerTask(
-            job=job_id,
+            job=a.job,
             worker=to,
-            worker_index=worker_index,
-            steps_total=spec.steps,
-            run=PipelineRun(spec.pipeline, worker_index),
-            head=chain_genesis(job_key(job_id), to),
+            worker_index=a.worker_index,
+            run=PipelineRun(spec.pipeline, a.worker_index),
+            head=chain_genesis(a.job, to),
         )
         self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, self._on_worker_step, task)
 
@@ -538,17 +507,16 @@ class Simulation:
         if not self._up[task.worker]:
             self._retry_later(self._on_worker_step, task)
             return
-        key = job_key(task.job)
         try:
             step = task.run.step()
         except ExpressionError as exc:
             raise SimulationError(
-                f"job {key}: worker {task.worker} failed at step {task.run.steps_done}: {exc}"
+                f"job {task.job}: worker {task.worker} failed at step {task.run.steps_done}: {exc}"
             ) from None
         task.link += 1
         commitment = next_commitment(task.head, step.nonce)
         proof = ProgressProof(
-            job=key,
+            job=task.job,
             worker=task.worker,
             link_index=task.link,
             commitment=commitment,
@@ -569,39 +537,33 @@ class Simulation:
         if fault is not None:
             bad = self._make_faulty_proof(task, fault.kind)
             if bad is not None:
-                self._publish(
-                    COORDINATOR_ID, self._on_proof_delivered, (task.job, bad), task.worker
-                )
+                self._publish(COORDINATOR_ID, self._on_proof_delivered, bad, task.worker)
         else:
             self._flush_proofs(task)
 
-        if step.step < task.steps_total:
+        if step.step < spec.steps:
             self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, self._on_worker_step, task)
         else:
             # Flush any withheld links before the result ships.
             self._flush_proofs(task)
             shard = make_result_shard(
-                key,
+                task.job,
                 task.worker,
                 task.worker_index,
                 task.run.result_payload(),
                 self._signer(task.worker),
             )
-            self._publish(
-                COORDINATOR_ID, self._on_result_delivered, (task.job, shard), task.worker
-            )
+            self._publish(COORDINATOR_ID, self._on_result_delivered, shard, task.worker)
             task.result_sent = True
 
     def _flush_proofs(self, task: _WorkerTask) -> None:
         for pending in task.pending_proofs:
-            self._publish(
-                COORDINATOR_ID, self._on_proof_delivered, (task.job, pending), task.worker
-            )
+            self._publish(COORDINATOR_ID, self._on_proof_delivered, pending, task.worker)
             task.last_sent = pending
         task.pending_proofs = []
 
     def _make_faulty_proof(self, task: _WorkerTask, kind: str) -> ProgressProof | None:
-        job = job_key(task.job)
+        job = task.job
         if kind == "replay":
             if task.last_sent is not None:
                 return task.last_sent
@@ -623,10 +585,15 @@ class Simulation:
 
     # -- coordinator side ----------------------------------------------------------
 
-    def _on_proof_delivered(self, _to: str, msg: tuple[JobId, ProgressProof]) -> None:
-        job_id, proof = msg
+    def _running(self, job_id: str) -> _JobRuntime | None:
+        """The runtime of an assigned job that has not settled yet, else None."""
         runtime = self._jobs.get(job_id)
-        if runtime is None or runtime.settled:
+        if runtime is None or self.bank.jobs[job_id].status != JobStatus.IN_PROGRESS:
+            return None
+        return runtime
+
+    def _on_proof_delivered(self, _to: str, proof: ProgressProof) -> None:
+        if self._running(proof.job) is None:
             return
         key = (proof.job, proof.worker)
         _, prior = self._tracker.head(proof.job, proof.worker)
@@ -675,10 +642,9 @@ class Simulation:
                 },
             )
 
-    def _on_result_delivered(self, _to: str, msg: tuple[JobId, ResultShard]) -> None:
-        job_id, shard = msg
-        runtime = self._jobs.get(job_id)
-        if runtime is None or runtime.settled:
+    def _on_result_delivered(self, _to: str, shard: ResultShard) -> None:
+        runtime = self._running(shard.job)
+        if runtime is None:
             return
         runtime.shards[shard.worker_index] = shard
         if len(runtime.shards) < len(runtime.assignments):
@@ -697,7 +663,6 @@ class Simulation:
                 {"event": "gather_failed", "job": shard.job, "reason": str(exc)},
             )
             return
-        runtime.settled = True
         now_s = self._now // 1000
         entry = self._record(
             EntryKind.JOB_STATUS,
@@ -714,27 +679,23 @@ class Simulation:
         self._apply_entry(entry)
         self.audit["jobs_done"] += 1
 
-    def _on_job_cancel(self, job_id: JobId) -> None:
-        key = job_key(job_id)
+    def _on_job_cancel(self, job_id: str) -> None:
         job = self.bank.jobs.get(job_id)
         if job is None:
             self._record(
                 EntryKind.POOL_EVENT,
                 COORDINATOR_ID,
-                {"event": "cancel_skipped", "job": key, "reason": "job rejected at submission"},
+                {"event": "cancel_skipped", "job": job_id, "reason": "job rejected at submission"},
             )
             return
         if job.status != JobStatus.IN_PROGRESS:
             return  # finished before the scripted cancellation fired
-        runtime = self._jobs.get(job_id)
-        if runtime is not None:
-            runtime.settled = True
         now_s = self._now // 1000
         entry = self._record(
             EntryKind.JOB_STATUS,
             COORDINATOR_ID,
             {
-                "job": key,
+                "job": job_id,
                 "status": "CANCELLED",
                 "at": now_s,
                 "epoch": self._epoch_of(self._now),
@@ -743,15 +704,15 @@ class Simulation:
         )
         self._apply_entry(entry)
         self.audit["jobs_cancelled"] += 1
-        for a in runtime.assignments if runtime else []:
+        for a in self._jobs[job_id].assignments:
             self._publish(a.worker, self._on_cancel_delivered, job_id, COORDINATOR_ID)
 
-    def _on_cancel_delivered(self, to: str, job_id: JobId) -> None:
+    def _on_cancel_delivered(self, to: str, job_id: str) -> None:
         task = self._tasks.get((job_id, to))
         if task is not None:
             task.cancelled = True
 
-    def _on_review_unlock(self, job_id: JobId) -> None:
+    def _on_review_unlock(self, job_id: str) -> None:
         if job_id not in self.bank.pools.locked:
             return  # a challenge verdict resolved it early
         spec = self._job_specs[job_id]
@@ -766,7 +727,7 @@ class Simulation:
             COORDINATOR_ID,
             {
                 "event": "review_resolved",
-                "job": job_key(job_id),
+                "job": job_id,
                 "verdict": verdict.value,
                 "at": now_s,
             },
@@ -774,20 +735,21 @@ class Simulation:
         self._check_conservation()
 
     def _on_challenge_open(self, spec: ChallengeSpec) -> None:
-        key = job_key(spec.job_id)
         try:
             job = self.bank.job(spec.job_id)
         except UnknownJobError:
             self.audit["challenges_failed"] += 1
             return
         bond = spec.bond if spec.bond is not None else job.reward * self.scenario.bond_fraction
-        seed = digest(self._seed_bytes() + b"|jury|" + key.encode() + spec.challenger.encode())
+        seed = digest(
+            self._seed_bytes() + b"|jury|" + spec.job_id.encode() + spec.challenger.encode()
+        )
         entry = self._record(
             EntryKind.CHALLENGE,
             spec.challenger,
             {
                 "phase": "opened",
-                "job": key,
+                "job": spec.job_id,
                 "challenger": spec.challenger,
                 "bond": str(bond),
                 "seed": seed.hex(),
@@ -800,23 +762,20 @@ class Simulation:
             self.audit["challenges_failed"] += 1
             return
         self.audit["challenges_opened"] += 1
-        self._challenge_votes[challenge.challenge_id] = spec.votes
         self._record(
             EntryKind.POOL_EVENT,
             COORDINATOR_ID,
             {
                 "event": "jury_drawn",
                 "challenge": challenge.challenge_id,
-                "job": key,
+                "job": spec.job_id,
                 "jury": list(challenge.jury),
             },
         )
-        self._schedule(
-            self._now + self.heartbeat_ms, PRI_ACTION, self._on_challenge_resolve, challenge
-        )
+        resolve_at = self._now + self.heartbeat_ms
+        self._schedule(resolve_at, PRI_ACTION, self._on_challenge_resolve, challenge, spec.votes)
 
-    def _on_challenge_resolve(self, challenge: Challenge) -> None:
-        votes_aligned = self._challenge_votes[challenge.challenge_id]
+    def _on_challenge_resolve(self, challenge: Challenge, votes_aligned: tuple[bool, ...]) -> None:
         if len(votes_aligned) != len(challenge.jury):
             raise SimulationError(
                 f"challenge {challenge.challenge_id}: scenario provides "
@@ -829,7 +788,7 @@ class Simulation:
             {
                 "phase": "resolved",
                 "challenge": challenge.challenge_id,
-                "job": job_key(challenge.job_id),
+                "job": challenge.job_id,
                 "votes": votes,
                 "at": self._now // 1000,
             },
@@ -902,22 +861,13 @@ class Simulation:
                         COORDINATOR_ID,
                         {
                             "event": "challenge_rejected",
-                            "job": job_key(cmd.job_id),
+                            "job": cmd.job_id,
                             "reason": str(exc),
                         },
                     )
                     last_result = None
             elif isinstance(cmd, ResolveChallengeCommand):
                 challenge, _ = self.bank.resolve_challenge(cmd.challenge_id, cmd.votes, cmd.at)
-                self.challenge_outcomes.append(
-                    ChallengeOutcome(
-                        challenge_id=challenge.challenge_id,
-                        job=job_key(challenge.job_id),
-                        challenger=challenge.challenger,
-                        jury=tuple(challenge.jury),
-                        verdict=challenge.verdict.value,
-                    )
-                )
                 self._record(
                     EntryKind.POOL_EVENT,
                     COORDINATOR_ID,
@@ -949,10 +899,8 @@ class Simulation:
             seed=self.seed,
             ledger=self.ledger,
             bank=self.bank,
-            registry=self.registry,
             allocations=self.allocations,
             pool_timeline=self.pool_timeline,
-            challenge_outcomes=self.challenge_outcomes,
             audit=dict(self.audit),
             messages=self.messages,
             conservation_ok=conservation_ok,

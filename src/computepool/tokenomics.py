@@ -90,9 +90,7 @@ class NodeDeed:
     """A node's non-fungible identity record and its token balance."""
 
     deed_id: str
-    owner_key: bytes
     balance: Fraction = Fraction(0)
-    registered_epoch: int = 0
 
     def __post_init__(self):
         self.balance = Fraction(self.balance)
@@ -105,10 +103,8 @@ class NodeActivity:
     """Per-node accounting: cumulative alive time and per-epoch power scores."""
 
     deed_id: str
-    declared: Capability = field(default_factory=Capability)
     total_alive_seconds: int = 0
     power_by_epoch: dict[int, float] = field(default_factory=dict)
-    alive_by_epoch: dict[int, int] = field(default_factory=dict)
 
     def power_at(self, epoch: int) -> float:
         return self.power_by_epoch.get(epoch, 0.0)
@@ -232,19 +228,12 @@ class NodeRegistry:
         self.deeds: dict[str, NodeDeed] = {}
         self.activities: dict[str, NodeActivity] = {}
 
-    def register(
-        self,
-        deed_id: str,
-        owner_key: bytes,
-        balance: Fraction = Fraction(0),
-        capability: Capability = Capability(),
-        registered_epoch: int = 0,
-    ) -> NodeDeed:
+    def register(self, deed_id: str, balance: Fraction = Fraction(0)) -> NodeDeed:
         if deed_id in self.deeds:
             raise ValueError(f"deed id already registered: {deed_id}")
-        deed = NodeDeed(deed_id, owner_key, Fraction(balance), registered_epoch)
+        deed = NodeDeed(deed_id, Fraction(balance))
         self.deeds[deed_id] = deed
-        self.activities[deed_id] = NodeActivity(deed_id, declared=capability)
+        self.activities[deed_id] = NodeActivity(deed_id)
         return deed
 
     def deed(self, deed_id: str) -> NodeDeed:
@@ -275,10 +264,8 @@ class NodeRegistry:
     def total_balance(self) -> Fraction:
         return sum((d.balance for d in self.deeds.values()), Fraction(0))
 
-    def accrue_alive(self, deed_id: str, epoch: int, seconds: int) -> None:
-        activity = self.activity(deed_id)
-        activity.total_alive_seconds += seconds
-        activity.alive_by_epoch[epoch] = activity.alive_by_epoch.get(epoch, 0) + seconds
+    def accrue_alive(self, deed_id: str, seconds: int) -> None:
+        self.activity(deed_id).total_alive_seconds += seconds
 
     def set_power(self, deed_id: str, epoch: int, power: float) -> None:
         self.activity(deed_id).power_by_epoch[epoch] = clamp_power(power)

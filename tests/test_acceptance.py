@@ -32,7 +32,7 @@ from computepool.ledger import (
     verify_blocks,
     verify_dump,
 )
-from computepool.escrow import JobStatus, parse_job_key
+from computepool.escrow import JobStatus
 from computepool.pipeline import hash_sign_recheck, make_plugin_code, safety_check
 from computepool.scenario import load_scenario, parse_scenario
 from computepool.simnet import run_scenario
@@ -144,7 +144,7 @@ def test_ac04_conservation_identity(reference_run):
     assert pools.bonds_total() == 0
     assert pools.clawback_total == 0
     assert pools.distributed_total == pools.settled_rewards_total + pools.rejected_bonds_total
-    assert result.registry.total_balance() == minted
+    assert result.bank.registry.total_balance() == minted
     paid = sum((a.total_amount() for a in result.allocations), Fraction(0))
     assert paid == pools.distributed_total
 
@@ -156,12 +156,12 @@ def test_ac05_settlement_paths(reference_run):
     assert statuses[JobStatus.REFUNDED] == 2
 
     # review found the work invalid
-    assert result.bank.job(parse_job_key("n06:1")).status is JobStatus.REFUNDED
+    assert result.bank.job("n06:1").status is JobStatus.REFUNDED
     # upheld challenge released the review lock early
-    assert result.bank.job(parse_job_key("n01:2")).status is JobStatus.REFUNDED
+    assert result.bank.job("n01:2").status is JobStatus.REFUNDED
     # rejected challenge forfeited the bond and the job still settled
-    assert result.bank.job(parse_job_key("n02:2")).status is JobStatus.SETTLED
-    verdicts = {c.challenge_id: c.verdict for c in result.challenge_outcomes}
+    assert result.bank.job("n02:2").status is JobStatus.SETTLED
+    verdicts = {cid: c.verdict.value for cid, c in result.bank.challenges.items()}
     assert verdicts == {"ch1": "UPHELD", "ch2": "REJECTED"}
     assert result.audit["jobs_done"] == 11
     assert result.audit["jobs_cancelled"] == 4
@@ -259,14 +259,14 @@ def test_ac08_determinism_and_seed(reference_run):
 
     reseeded = run_scenario(scenario, seed=43)
     assert reseeded.ledger.dump() != result.ledger.dump()
-    juries = {c.challenge_id: c.jury for c in result.challenge_outcomes}
-    other = {c.challenge_id: c.jury for c in reseeded.challenge_outcomes}
+    juries = {cid: c.jury for cid, c in result.bank.challenges.items()}
+    other = {cid: c.jury for cid, c in reseeded.bank.challenges.items()}
     assert set(juries) == set(other)
     assert juries != other
 
 
 def test_ac09_three_worker_demo(demo_run):
-    job = demo_run.bank.job(parse_job_key("alpha:1"))
+    job = demo_run.bank.job("alpha:1")
     assert job.status is JobStatus.SETTLED
     assert set(job.workers) == {"worker-a", "worker-b", "worker-c"}
 

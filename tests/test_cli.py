@@ -1,11 +1,13 @@
 """CLI behavior: exit codes, output shape, verify and inspect flows."""
 
 import json
+import struct
 
 import pytest
 import yaml
 
 from computepool.cli import main
+from computepool.ledger import DUMP_MAGIC
 
 MINI = {
     "name": "cli-mini",
@@ -239,6 +241,43 @@ def test_coordinator_id_is_reserved(tmp_path, capsys):
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "nodes[2].id: 'coord' is reserved" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"safety_policy": {"max_source_bytes": "abc"}},
+     "safety_policy: max_source_bytes: expected an integer >= 1, got 'abc'"),
+    ({"safety_policy": {"max_tokens": [1]}},
+     "safety_policy: max_tokens: expected an integer >= 1, got [1]"),
+    ({"safety_policy": {"max_tokens": True}},
+     "safety_policy: max_tokens: expected an integer >= 1, got True"),
+    ({"safety_policy": {"max_tokens": 0}},
+     "safety_policy: max_tokens: expected an integer >= 1, got 0"),
+    ({"safety_policy": {"import_allowlist": 5}},
+     "safety_policy: import_allowlist: expected a list of module names, got 5"),
+    ({"safety_policy": {"import_allowlist": "math"}},
+     "safety_policy: import_allowlist: expected a list of module names, got 'math'"),
+    ({"nodes": [dict(MINI["nodes"][0], capability={"gpu": "no"})] + MINI["nodes"][1:]},
+     "nodes[0].capability.gpu: expected true or false, got 'no'"),
+])
+def test_hostile_policy_or_capability_value_is_usage_error(tmp_path, capsys, change, message):
+    scenario = tmp_path / "hostile.yaml"
+    scenario.write_text(yaml.safe_dump(dict(MINI, **change)))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_nesting_past_the_stack(tmp_path, capsys):
+    blob = b"L\x00\x00\x00\x01" * 5000 + b"N"
+    deep = tmp_path / "deep.bin"
+    deep.write_bytes(DUMP_MAGIC + struct.pack(">II", 1, len(blob)) + blob)
+    assert main(["verify", str(deep)]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out.strip())
+    assert report["ok"] is False and report["failing_height"] == 0
+    assert "malformed block 0" in report["reason"]
     assert "Traceback" not in err
 
 

@@ -18,8 +18,6 @@ from computepool.escrow import (
     JobStatus,
     ReviewVerdict,
     UnknownJobError,
-    job_key,
-    parse_job_key,
 )
 from computepool.tokenomics import NodeRegistry
 
@@ -28,42 +26,33 @@ def make_bank(balances=None):
     reg = NodeRegistry()
     defaults = {f"n{i}": 1000 for i in range(1, 9)}
     for deed, bal in (balances or defaults).items():
-        reg.register(deed, deed.encode().ljust(32, b"\0"), Fraction(bal))
+        reg.register(deed, Fraction(bal))
     return EscrowBank(reg)
-
-
-def test_job_key_roundtrip():
-    assert job_key(("alice", 3)) == "alice:3"
-    assert parse_job_key("alice:3") == ("alice", 3)
-    with pytest.raises(ValueError):
-        parse_job_key("no-separator")
-    with pytest.raises(ValueError):
-        parse_job_key("alice:zero")
 
 
 def test_submit_funds_escrow_and_sequences_ids():
     bank = make_bank()
-    j1 = bank.submit_job(("n1", 1), Fraction(100), "p", 2)
-    j2 = bank.submit_job(("n1", 2), Fraction(50), "p", 1)
-    j3 = bank.submit_job(("n2", 1), Fraction(10), "p", 1)
-    assert (j1.job_id, j2.job_id, j3.job_id) == (("n1", 1), ("n1", 2), ("n2", 1))
+    j1 = bank.submit_job("n1:1", "n1", Fraction(100), "p", 2)
+    j2 = bank.submit_job("n1:2", "n1", Fraction(50), "p", 1)
+    j3 = bank.submit_job("n2:1", "n2", Fraction(10), "p", 1)
+    assert (j1.job_id, j2.job_id, j3.job_id) == ("n1:1", "n1:2", "n2:1")
     assert (j1.sender, j3.sender) == ("n1", "n2")
     assert bank.registry.deed("n1").balance == 850
     assert bank.pools.escrow_pool == 160
     assert j1.status == JobStatus.PENDING
     with pytest.raises(EscrowError, match="already submitted"):
-        bank.submit_job(("n1", 2), Fraction(5), "p", 1)
+        bank.submit_job("n1:2", "n1", Fraction(5), "p", 1)
     assert bank.registry.deed("n1").balance == 850
 
 
 def test_submit_rejections_leave_state_untouched():
     bank = make_bank({"poor": 30})
     with pytest.raises(InsufficientFundsError):
-        bank.submit_job(("poor", 1), Fraction(31), "p", 1)
+        bank.submit_job("poor:1", "poor", Fraction(31), "p", 1)
     with pytest.raises(EscrowError):
-        bank.submit_job(("poor", 1), Fraction(0), "p", 1)
+        bank.submit_job("poor:1", "poor", Fraction(0), "p", 1)
     with pytest.raises(EscrowError):
-        bank.submit_job(("poor", 1), Fraction(5), "p", 0)
+        bank.submit_job("poor:1", "poor", Fraction(5), "p", 0)
     assert bank.registry.deed("poor").balance == 30
     assert bank.pools.escrow_pool == 0
     assert bank.jobs == {}
@@ -71,7 +60,7 @@ def test_submit_rejections_leave_state_untouched():
 
 def test_lifecycle_graph_is_enforced():
     bank = make_bank()
-    job = bank.submit_job(("n1", 1), Fraction(100), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
     with pytest.raises(JobLifecycleError):
         job.advance(JobStatus.DONE)  # must go through IN_PROGRESS
     bank.activate(job.job_id, ["n2"])
@@ -80,12 +69,12 @@ def test_lifecycle_graph_is_enforced():
     with pytest.raises(JobLifecycleError):
         bank.activate(job.job_id, ["n3"])
     with pytest.raises(UnknownJobError):
-        bank.activate(("ghost", 1), ["n2"])
+        bank.activate("ghost:1", ["n2"])
 
 
 def test_settle_done_feeds_reward_pool():
     bank = make_bank()
-    job = bank.submit_job(("n1", 1), Fraction(100), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, JobStatus.DONE, now=500, epoch=2)
     assert job.status == JobStatus.SETTLED
@@ -99,7 +88,7 @@ def test_settle_done_feeds_reward_pool():
 
 def test_settle_rejects_non_final_status():
     bank = make_bank()
-    job = bank.submit_job(("n1", 1), Fraction(100), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
     bank.activate(job.job_id, ["n2"])
     with pytest.raises(JobLifecycleError):
         bank.settle_job(job.job_id, JobStatus.SETTLED, now=0)
@@ -107,7 +96,7 @@ def test_settle_rejects_non_final_status():
 
 def test_cancel_locks_for_review_and_early_resolve_fails():
     bank = make_bank()
-    job = bank.submit_job(("n1", 1), Fraction(100), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, JobStatus.CANCELLED, now=1000)
     assert job.status == JobStatus.LOCKED_FOR_REVIEW
@@ -123,8 +112,8 @@ def test_cancel_locks_for_review_and_early_resolve_fails():
 
 def test_review_valid_pays_pool_invalid_refunds_sender():
     bank = make_bank()
-    j1 = bank.submit_job(("n1", 1), Fraction(100), "p", 1)
-    j2 = bank.submit_job(("n1", 2), Fraction(40), "p", 1)
+    j1 = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
+    j2 = bank.submit_job("n1:2", "n1", Fraction(40), "p", 1)
     for j in (j1, j2):
         bank.activate(j.job_id, ["n2"])
         bank.settle_job(j.job_id, JobStatus.CANCELLED, now=0)
@@ -141,10 +130,21 @@ def test_review_valid_pays_pool_invalid_refunds_sender():
 
 
 def locked_job(bank, sender="n1", reward=90, workers=("n2",)):
-    job = bank.submit_job((sender, len(bank.jobs) + 1), Fraction(reward), "p", len(workers))
+    job_id = f"{sender}:{len(bank.jobs) + 1}"
+    job = bank.submit_job(job_id, sender, Fraction(reward), "p", len(workers))
     bank.activate(job.job_id, list(workers))
     bank.settle_job(job.job_id, JobStatus.CANCELLED, now=0)
     return job
+
+
+def test_pool_payload_lists_locks_by_sender_then_sequence_number():
+    bank = make_bank({"s": 1000, "a": 1000, "w": 0})
+    for _ in range(10):
+        locked_job(bank, sender="s", reward=1, workers=("w",))
+    locked_job(bank, sender="a", reward=1, workers=("w",))
+    locked = [job_id for job_id, _amount, _unlock in bank.pools.to_payload()["locked"]]
+    # a plain string sort would put s:10 before s:2
+    assert locked == ["a:11"] + [f"s:{i}" for i in range(1, 11)]
 
 
 def test_jury_draw_matches_seeded_lottery_and_excludes_parties():
@@ -171,7 +171,7 @@ def test_jury_draw_matches_seeded_lottery_and_excludes_parties():
 
 def test_challenge_rejections():
     bank = make_bank()
-    job = bank.submit_job(("n1", 1), Fraction(90), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(90), "p", 1)
     active = [f"n{i}" for i in range(1, 9)]
     with pytest.raises(ChallengeError, match="not challengeable"):
         bank.open_challenge("n4", job.job_id, Fraction(9), b"s", active)
@@ -188,7 +188,7 @@ def test_challenge_rejections():
 
 def test_challenge_window_closes_after_settlement_epoch():
     bank = make_bank()
-    job = bank.submit_job(("n1", 1), Fraction(90), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(90), "p", 1)
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, JobStatus.DONE, now=0, epoch=2)
     active = [f"n{i}" for i in range(1, 9)]
@@ -243,7 +243,7 @@ def test_rejected_verdict_allows_early_review_release():
 
 def test_upheld_challenge_on_settled_job_claws_back_reward():
     bank = make_bank()
-    job = bank.submit_job(("n1", 1), Fraction(90), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(90), "p", 1)
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, JobStatus.DONE, now=0, epoch=1)
     active = [f"n{i}" for i in range(1, 9)]
@@ -279,7 +279,7 @@ def test_challenge_vote_bookkeeping():
 
 def test_pay_reward_guards_pool():
     bank = make_bank()
-    job = bank.submit_job(("n1", 1), Fraction(50), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(50), "p", 1)
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, JobStatus.DONE, now=0)
     bank.pay_reward("n3", Fraction(20))
@@ -301,7 +301,7 @@ def test_conservation_holds_across_any_job_history(steps):
     bank = make_bank({"s": 10**6, "w": 0, "x": 0})
     start = bank.conservation_total()
     for reward, outcome in steps:
-        job = bank.submit_job(("s", len(bank.jobs) + 1), Fraction(reward), "p", 1)
+        job = bank.submit_job(f"s:{len(bank.jobs) + 1}", "s", Fraction(reward), "p", 1)
         assert bank.conservation_total() == start
         bank.activate(job.job_id, ["w"])
         if outcome == "done":

@@ -212,7 +212,7 @@ def test_mirror_is_pure_and_ignores_non_financial_kinds():
         BOB,
     )
     assert oracle_mirror(entry) == oracle_mirror(entry)
-    assert oracle_mirror(entry) == [SettleCommand(("alice", 1), "DONE", 25, 1)]
+    assert oracle_mirror(entry) == [SettleCommand("alice:1", "DONE", 25, 1)]
     for kind, payload in [
         (EntryKind.NODE_SPEC, {"deed_id": "bob", "verify_key": BOB.verify_key.hex()}),
         (EntryKind.JOB_ASSIGN, {"job": "alice:1", "workers": []}),
@@ -240,7 +240,7 @@ def test_mirror_translates_rewards_and_challenges():
         ALICE,
     )
     assert oracle_mirror(opened) == [
-        OpenChallengeCommand("carol", ("alice", 1), Fraction(9), bytes.fromhex("ab" * 32), 3)
+        OpenChallengeCommand("carol", "alice:1", Fraction(9), bytes.fromhex("ab" * 32), 3)
     ]
     resolved = sign_entry(
         EntryKind.CHALLENGE, "coord",
@@ -297,3 +297,24 @@ def test_replaced_payload_is_dumped_and_caught_at_its_block(reference_ledger):
     result = verify_blocks(loaded)
     assert not result.ok
     assert result.failing_height == height
+
+
+def test_non_canonical_block_fails_at_its_height(reference_ledger):
+    # Block 1's height rewritten as the integer text "01" decodes to the same
+    # value, so only the rule that a dump must be canonical catches it.
+    data = reference_ledger.dump()
+    start = len(DUMP_MAGIC) + 4
+    (size0,) = struct.unpack(">I", data[start:start + 4])
+    at = start + 4 + size0
+    (size1,) = struct.unpack(">I", data[at:at + 4])
+    blob = data[at + 4:at + 4 + size1]
+    height = 5  # after the list tag and its item count
+    assert blob[height:height + 6] == encode(1)
+    forged_blob = blob[:height] + b"I\x00\x00\x00\x0201" + blob[height + 6:]
+    forged = (data[:at] + struct.pack(">I", len(forged_blob)) + forged_blob
+              + data[at + 4 + size1:])
+    assert verify_dump(data).ok
+    result = verify_dump(forged)
+    assert not result.ok
+    assert result.failing_height == 1
+    assert "non-canonical integer text '01'" in result.reason

@@ -102,6 +102,9 @@ def test_region_validation():
     data = base_scenario()
     data["regions"] = {}
     expect_error(data, "at least one region")
+    data = base_scenario()
+    data["regions"][1] = {}  # the coordinator's region is the first name in sorted order
+    expect_error(data, "regions (key): expected a non-empty string, got 1")
 
 
 def test_node_validation():
@@ -164,7 +167,7 @@ def test_challenge_validation():
         {"at": 40, "challenger": "b", "job": "a:1", "votes": [True, False, True]}
     ]
     sc = parse_scenario(data)
-    assert sc.challenges[0].job_id == ("a", 1)
+    assert sc.challenges[0].job_id == "a:1"
     assert sc.challenges[0].bond is None
     assert sc.challenges[0].votes == (True, False, True)
 
@@ -179,7 +182,7 @@ def test_challenge_validation():
     expect_error(bad, "challenges[0].challenger: unknown node 'zz'")
 
 
-def test_job_keys_count_per_sender():
+def test_job_ids_count_per_sender():
     data = base_scenario()
     data["jobs"] = [
         {"sender": "a", "at": 10, "reward": 5, "pipeline": "p", "n_workers": 1, "steps": 1},
@@ -190,7 +193,8 @@ def test_job_keys_count_per_sender():
         {"at": 40, "challenger": "c", "job": "a:2", "votes": [True]}
     ]
     sc = parse_scenario(data)
-    assert sc.challenges[0].job_id == ("a", 2)
+    assert [job.job_id for job in sc.jobs] == ["a:1", "b:1", "a:2"]
+    assert sc.challenges[0].job_id == "a:2"
 
 
 def test_load_scenario_file_errors(tmp_path, monkeypatch):

@@ -69,7 +69,7 @@ def test_small_run_settles_job_and_conserves_tokens():
     assert result.conservation_ok
     assert result.initial_total == result.final_total == 400
     assert result.audit["jobs_done"] == 1
-    job = result.bank.job(("sender", 1))
+    job = result.bank.job("sender:1")
     assert job.status == JobStatus.SETTLED
     # capability scores tie, so ranking falls back to lexicographic ids
     assert set(job.workers) == {"w-eu", "w-idle"}
@@ -150,7 +150,7 @@ def test_node_id_prefix_does_not_receive_another_nodes_messages():
     )
     result = run_scenario(sc)
     assert result.audit["jobs_done"] == 1
-    assert result.bank.job(("sender", 1)).workers == ["a/b"]
+    assert result.bank.job("sender:1").workers == ["a/b"]
     assert result.messages.consistent()
 
 
@@ -169,11 +169,10 @@ def test_downtime_shrinks_alive_fraction_and_share():
         ],
     )
     result = run_scenario(sc)
-    flaky = result.registry.activity("flaky")
-    steady = result.registry.activity("steady")
-    assert flaky.alive_by_epoch.get(2, 0) == 0
-    assert steady.alive_by_epoch[2] > 0
-    assert flaky.total_alive_seconds < steady.total_alive_seconds
+    flaky = result.bank.registry.activity("flaky")
+    steady = result.bank.registry.activity("steady")
+    # flaky misses the 12 s heartbeat ticks from 1200 through 2400: 101 of them
+    assert steady.total_alive_seconds - flaky.total_alive_seconds == 101 * 12
     alloc = result.allocations[-1]
     shares = {e.deed_id: e.share for e in alloc.entries}
     assert shares["flaky"] < shares["steady"]
@@ -211,9 +210,9 @@ def test_unsafe_plugin_is_rejected_before_funding_and_keys_stay_aligned():
     assert rejections[0].payload["job"] == "sender:1"
     assert any("reflective" in r for r in rejections[0].payload["reasons"])
     # the follow-up job keeps its parse-time key sender:2
-    done = result.bank.job(("sender", 2))
+    done = result.bank.job("sender:2")
     assert done.status == JobStatus.SETTLED
-    assert ("sender", 1) not in result.bank.jobs
+    assert "sender:1" not in result.bank.jobs
 
 
 def test_underfunded_job_is_rejected_and_later_job_runs():
@@ -238,7 +237,7 @@ def test_underfunded_job_is_rejected_and_later_job_runs():
         if e.kind == EntryKind.POOL_EVENT and e.payload.get("event") == "job_rejected"
     ]
     assert events and events[0]["job"] == "sender:1"
-    assert result.bank.job(("sender", 2)).status == JobStatus.SETTLED
+    assert result.bank.job("sender:2").status == JobStatus.SETTLED
     assert result.conservation_ok
 
 
@@ -278,9 +277,9 @@ def test_cancel_and_review_refund_path():
     result = run_scenario(sc)
     assert result.audit["jobs_cancelled"] == 1
     assert result.audit["reviews_resolved"] == 1
-    job = result.bank.job(("sender", 1))
+    job = result.bank.job("sender:1")
     assert job.status == JobStatus.REFUNDED
-    assert result.registry.deed("sender").balance == 400
+    assert result.bank.registry.deed("sender").balance == 400
     assert result.conservation_ok
 
 

@@ -212,10 +212,10 @@ def test_distribution_conserves_any_pool(rows, pool_int):
 
 def test_registry_balance_and_penalty_flow():
     reg = NodeRegistry()
-    reg.register("a", b"k" * 32, Fraction(100), registered_epoch=1)
-    reg.register("b", b"j" * 32, Fraction(0), registered_epoch=1)
+    reg.register("a", Fraction(100))
+    reg.register("b")
     with pytest.raises(ValueError):
-        reg.register("a", b"k" * 32)
+        reg.register("a")
     reg.credit("b", Fraction(25))
     reg.debit("a", Fraction(40))
     assert reg.deed("a").balance == 60
@@ -237,10 +237,8 @@ def test_registry_balance_and_penalty_flow():
 
 def test_accrue_alive_accumulates_across_epochs():
     reg = NodeRegistry()
-    reg.register("a", b"k" * 32)
-    reg.accrue_alive("a", 1, 60)
-    reg.accrue_alive("a", 1, 60)
-    reg.accrue_alive("a", 2, 30)
-    act = reg.activity("a")
-    assert act.total_alive_seconds == 150
-    assert act.alive_by_epoch == {1: 120, 2: 30}
+    reg.register("a")
+    reg.accrue_alive("a", 60)
+    reg.accrue_alive("a", 60)
+    reg.accrue_alive("a", 30)
+    assert reg.activity("a").total_alive_seconds == 150
