@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .ledger import LedgerBlock, LedgerError, VerifyResult, load_blocks, verify_blocks
@@ -22,8 +23,18 @@ from .scenario import ScenarioError, load_scenario
 from .simnet import SimulationError, run_scenario
 
 
+def _json_value(value):
+    """JSON for the payload values JSON has no type for: bytes as hex, and a
+    fraction as its exact string, the form reports give token amounts."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_value)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -80,75 +80,92 @@ def encode(value: Any) -> bytes:
 
 def decode(data: bytes) -> Any:
     """Decode one canonical value; rejects trailing bytes."""
-    try:
-        value, offset = _decode_at(data, 0)
-    except EncodingError:
-        raise
-    except (ValueError, struct.error, RecursionError) as exc:
-        # garbled digit runs, invalid utf-8, lists nested past the stack
-        raise EncodingError(f"malformed encoding: {exc}") from exc
+    value, offset = decode_at(data, 0)
     if offset != len(data):
         raise EncodingError(f"trailing bytes after value at offset {offset}")
     return value
 
 
-def _take(data: bytes, offset: int, n: int) -> bytes:
-    if offset + n > len(data):
-        raise EncodingError("truncated encoding")
-    return data[offset : offset + n]
+def decode_at(data: bytes, offset: int) -> tuple[Any, int]:
+    """Decode the one canonical value that starts at `offset` of `data`.
+
+    Returns the value and the offset just past its bytes, so a caller can walk
+    a larger encoding field by field and keep the bytes of any field it read.
+    """
+    try:
+        return _decode_at(data, offset)
+    except EncodingError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # garbled digit runs, invalid utf-8, lists nested past the stack
+        raise EncodingError(f"malformed encoding: {exc}") from exc
+
+
+_U32 = struct.Struct(">I")
+_F64 = struct.Struct(">d")
+_N, _T, _F, _I, _D, _S, _B, _Q, _L, _M = b"NTFIDSBQLM"
+# Tags followed by a 4-byte length (S, B, I) or item count (L, M).
+_SIZED = frozenset((_S, _I, _M, _L, _B))
+_TRUNCATED = "truncated encoding"
 
 
 def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
-    tag = _take(data, offset, 1)
+    # Reads in place: tags are compared as byte values and lengths unpacked
+    # at their offset; only a value's own bytes are sliced out.
+    size = len(data)
+    if offset >= size:
+        raise EncodingError(_TRUNCATED)
+    tag = data[offset]
     offset += 1
-    if tag == b"N":
-        return None, offset
-    if tag == b"T":
-        return True, offset
-    if tag == b"F":
-        return False, offset
-    if tag == b"I":
-        (n,) = struct.unpack(">I", _take(data, offset, 4))
-        text = _take(data, offset + 4, n).decode("ascii")
+    if tag in _SIZED:
+        if offset + 4 > size:
+            raise EncodingError(_TRUNCATED)
+        (n,) = _U32.unpack_from(data, offset)
+        offset += 4
+        if tag == _M:
+            out: dict[str, Any] = {}
+            last = None
+            for _ in range(n):
+                key, offset = _decode_at(data, offset)
+                if type(key) is not str:
+                    raise EncodingError("dict key is not a string")
+                if last is not None and key <= last:
+                    raise EncodingError(f"dict key {key!r} is out of ascending order")
+                out[key], offset = _decode_at(data, offset)
+                last = key
+            return out, offset
+        if tag == _L:
+            items = []
+            for _ in range(n):
+                item, offset = _decode_at(data, offset)
+                items.append(item)
+            return items, offset
+        end = offset + n
+        if end > size:
+            raise EncodingError(_TRUNCATED)
+        if tag == _S:
+            return data[offset:end].decode("utf-8"), end
+        if tag == _B:
+            return bytes(data[offset:end]), end
+        text = data[offset:end].decode("ascii")
         value = int(text)
         if str(value) != text:
             raise EncodingError(f"non-canonical integer text {text!r}")
-        return value, offset + 4 + n
-    if tag == b"D":
-        (v,) = struct.unpack(">d", _take(data, offset, 8))
-        return v, offset + 8
-    if tag == b"S":
-        (n,) = struct.unpack(">I", _take(data, offset, 4))
-        raw = _take(data, offset + 4, n)
-        return raw.decode("utf-8"), offset + 4 + n
-    if tag == b"B":
-        (n,) = struct.unpack(">I", _take(data, offset, 4))
-        return bytes(_take(data, offset + 4, n)), offset + 4 + n
-    if tag == b"Q":
+        return value, end
+    if tag == _N:
+        return None, offset
+    if tag == _T:
+        return True, offset
+    if tag == _F:
+        return False, offset
+    if tag == _D:
+        if offset + 8 > size:
+            raise EncodingError(_TRUNCATED)
+        return _F64.unpack_from(data, offset)[0], offset + 8
+    if tag == _Q:
         num, offset = _decode_at(data, offset)
         den, offset = _decode_at(data, offset)
         if type(num) is not int or type(den) is not int or den <= 0 or math.gcd(num, den) != 1:
             raise EncodingError(f"fraction {num!r}/{den!r} is not in lowest terms")
         return Fraction(num, den), offset
-    if tag == b"L":
-        (n,) = struct.unpack(">I", _take(data, offset, 4))
-        offset += 4
-        items = []
-        for _ in range(n):
-            item, offset = _decode_at(data, offset)
-            items.append(item)
-        return items, offset
-    if tag == b"M":
-        (n,) = struct.unpack(">I", _take(data, offset, 4))
-        offset += 4
-        out: dict[str, Any] = {}
-        for _ in range(n):
-            key, offset = _decode_at(data, offset)
-            if not isinstance(key, str):
-                raise EncodingError("dict key is not a string")
-            if out and key <= next(reversed(out)):
-                raise EncodingError(f"dict key {key!r} is out of ascending order")
-            val, offset = _decode_at(data, offset)
-            out[key] = val
-        return out, offset
-    raise EncodingError(f"unknown tag byte {tag!r} at offset {offset - 1}")
+    raise EncodingError(f"unknown tag byte {bytes([tag])!r} at offset {offset - 1}")

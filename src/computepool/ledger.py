@@ -19,7 +19,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .crypto import DIGEST_SIZE, ZERO_DIGEST, Signer, digest, verify
-from .encoding import Encoded, EncodingError, decode, encode
+# `decode` is not called here; perfbench/tracing.py patches it by this name.
+from .encoding import Encoded, EncodingError, decode, decode_at, encode  # noqa: F401
 
 DUMP_MAGIC = b"CPOOL-LEDGER\x01"
 
@@ -48,7 +49,8 @@ class LedgerEntry:
     """One signed ledger fact.
 
     An entry's payload is never mutated after construction. Its canonical
-    encoding is built once, at first use, and kept as `payload_bytes`; the
+    encoding is built once, at first use, and kept as `payload_bytes`; an
+    entry read from a dump keeps the bytes it was read from instead. The
     signing bytes, the digest input and the entry's part of a dump are framed
     around those bytes instead of encoding the payload again.
     """
@@ -71,11 +73,6 @@ class LedgerEntry:
     def to_wire(self) -> list:
         """The digest input, which is also the entry's part of a dump block."""
         return [self.kind.value, self.author, self.payload_bytes, self.signature]
-
-    @classmethod
-    def from_wire(cls, wire: list) -> "LedgerEntry":
-        kind, author, payload, signature = wire
-        return cls(EntryKind(kind), author, payload, signature)
 
 
 def sign_entry(kind: EntryKind, author: str, payload: dict, signer: Signer) -> LedgerEntry:
@@ -112,18 +109,6 @@ class LedgerBlock:
             self.digest,
             [e.to_wire() for e in self.entries],
         ]
-
-    @classmethod
-    def from_wire(cls, wire: list) -> "LedgerBlock":
-        height, prev_hash, root, timestamp, dig, entry_wires = wire
-        return cls(
-            height,
-            prev_hash,
-            root,
-            timestamp,
-            dig,
-            tuple(LedgerEntry.from_wire(w) for w in entry_wires),
-        )
 
 
 def _make_block(
@@ -228,30 +213,93 @@ class Ledger:
         return b"".join(out)
 
 
+_U32 = struct.Struct(">I")
+_KINDS = {kind.value: kind for kind in EntryKind}
+
+
+def _field(blob: bytes, at: int, want: type, name: str):
+    """Decode the field at `at`; it must be exactly of type `want` (so no
+    bool passes as an int)."""
+    value, end = decode_at(blob, at)
+    if type(value) is not want:
+        raise EncodingError(f"{name} is {type(value).__name__}, not {want.__name__}")
+    return value, end
+
+
+def _list_header(blob: bytes, at: int, name: str, length: int | None = None) -> tuple[int, int]:
+    """The item count of the list at `at`, and the offset of its first item."""
+    if blob[at:at + 1] != b"L":
+        value, _ = decode_at(blob, at)
+        raise EncodingError(f"{name} is {type(value).__name__}, not list")
+    if at + 5 > len(blob):
+        raise EncodingError("truncated encoding")
+    (count,) = _U32.unpack_from(blob, at + 1)
+    if length is not None and count != length:
+        raise EncodingError(f"{name} has {count} items, not {length}")
+    return count, at + 5
+
+
+def _read_block(blob: bytes) -> LedgerBlock:
+    """Parse one block's canonical bytes in a single strict walk.
+
+    The wire form is `[height, prev_hash, root, timestamp, digest, entries]`
+    with each entry `[kind, author, payload, signature]`. Every field must
+    have its type, and every payload is fully decoded under the canonical
+    rules. Each entry keeps the slice its payload was read from as its
+    `payload_bytes`: canonical decoding makes those the bytes `encode` would
+    write, so verification hashes and sign-checks exactly the bytes read.
+    """
+    _, at = _list_header(blob, 0, "block", 6)
+    height, at = _field(blob, at, int, "height")
+    prev_hash, at = _field(blob, at, bytes, "prev_hash")
+    root, at = _field(blob, at, bytes, "root")
+    timestamp, at = _field(blob, at, int, "timestamp")
+    dig, at = _field(blob, at, bytes, "digest")
+    count, at = _list_header(blob, at, "entries")
+    entries = []
+    for _ in range(count):
+        _, at = _list_header(blob, at, "entry", 4)
+        kind, at = _field(blob, at, str, "entry kind")
+        if kind not in _KINDS:
+            raise EncodingError(f"unknown entry kind {kind!r}")
+        author, at = _field(blob, at, str, "entry author")
+        start = at
+        payload, at = _field(blob, at, dict, "entry payload")
+        payload_bytes = Encoded(blob[start:at])
+        signature, at = _field(blob, at, bytes, "entry signature")
+        entry = LedgerEntry(_KINDS[kind], author, payload, signature)
+        # Fills the `payload_bytes` cache, as its first use would.
+        entry.__dict__["payload_bytes"] = payload_bytes
+        entries.append(entry)
+    if at != len(blob):
+        raise EncodingError(f"trailing bytes after value at offset {at}")
+    return LedgerBlock(height, prev_hash, root, timestamp, dig, tuple(entries))
+
+
 def load_blocks(data: bytes) -> list[LedgerBlock]:
-    """Parse a dump without verifying it. Raises LedgerError on malformed bytes."""
+    """Parse a dump without verifying it. Raises LedgerError on malformed bytes,
+    including a block field of the wrong type, at that block's height."""
     if not data.startswith(DUMP_MAGIC):
         raise LedgerError("not a ledger dump (bad magic)")
-    view = memoryview(data)[len(DUMP_MAGIC):]
-    if len(view) < 4:
+    at = len(DUMP_MAGIC)
+    if at + 4 > len(data):
         raise LedgerError("truncated dump header")
-    (count,) = struct.unpack(">I", view[:4])
-    view = view[4:]
+    (count,) = _U32.unpack_from(data, at)
+    at += 4
     blocks: list[LedgerBlock] = []
     for i in range(count):
-        if len(view) < 4:
+        if at + 4 > len(data):
             raise LedgerError(f"truncated dump at block {i}", i)
-        (size,) = struct.unpack(">I", view[:4])
-        view = view[4:]
-        if len(view) < size:
+        (size,) = _U32.unpack_from(data, at)
+        at += 4
+        if at + size > len(data):
             raise LedgerError(f"truncated dump at block {i}", i)
         try:
-            wire = decode(bytes(view[:size]))
-            blocks.append(LedgerBlock.from_wire(wire))
-        except (EncodingError, ValueError, TypeError, KeyError) as exc:
+            blocks.append(_read_block(data[at:at + size]))
+        except EncodingError as exc:
             raise LedgerError(f"malformed block {i}: {exc}", i) from None
-        view = view[size:]
-    if len(view):
+        at += size
+    if at != len(data):
         raise LedgerError("trailing bytes after final block")
     return blocks
 

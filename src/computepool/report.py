@@ -170,6 +170,18 @@ def entry_records(blocks) -> list[dict]:
     return records
 
 
+def _touches(record: dict, deed: str) -> bool:
+    """Whether a record names `deed` as author, deed, worker or the first item
+    of an `entries` row; rows of any other shape name no deed."""
+    payload = record["payload"]
+    if deed in (record["author"], payload.get("deed_id"), payload.get("worker")):
+        return True
+    rows = payload.get("entries")
+    return isinstance(rows, list) and any(
+        isinstance(row, list) and row and row[0] == deed for row in rows
+    )
+
+
 def filter_records(
     records: list[dict],
     epoch: int | None = None,
@@ -181,11 +193,8 @@ def filter_records(
         payload = record["payload"]
         if epoch is not None and payload.get("epoch") != epoch:
             continue
-        if deed is not None:
-            touches = {record["author"], payload.get("deed_id"), payload.get("worker")}
-            touches.update(d for d, *_ in payload.get("entries", []) if isinstance(d, str))
-            if deed not in touches:
-                continue
+        if deed is not None and not _touches(record, deed):
+            continue
         if job is not None and payload.get("job") != job:
             continue
         out.append(record)

@@ -6,8 +6,9 @@ import struct
 import pytest
 import yaml
 
+import forged_dumps
 from computepool.cli import main
-from computepool.ledger import DUMP_MAGIC
+from computepool.ledger import DUMP_MAGIC, load_blocks
 
 MINI = {
     "name": "cli-mini",
@@ -279,6 +280,40 @@ def test_verify_refuses_nesting_past_the_stack(tmp_path, capsys):
     assert report["ok"] is False and report["failing_height"] == 0
     assert "malformed block 0" in report["reason"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("forge", forged_dumps.FORGERIES)
+def test_wrongly_typed_dump_field_exits_one_at_its_height(run_dir, capsys, forge):
+    data, height = forge(load_blocks((run_dir / "ledger.bin").read_bytes()))
+    forged = run_dir / "forged.bin"
+    forged.write_bytes(data)
+
+    assert main(["verify", str(forged)]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out.strip())
+    assert report["ok"] is False and report["failing_height"] == height
+    assert "Traceback" not in err
+
+    assert main(["inspect", str(forged)]) == 1
+    err = capsys.readouterr().err
+    assert f"ledger fails verification at height {height}: malformed block" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload,printed", forged_dumps.ODD_PAYLOADS.values(),
+                         ids=forged_dumps.ODD_PAYLOADS.keys())
+def test_odd_payload_values_print_without_traceback(tmp_path, capsys, payload, printed):
+    path = tmp_path / "odd.bin"
+    path.write_bytes(forged_dumps.signed_payload_dump(payload))
+
+    assert main(["verify", str(path), "--format", "RECORDS"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out.splitlines()[-2])["payload"] == printed
+    assert "Traceback" not in err
+
+    for query in ([], ["--deed", "mallory"], ["--deed", "nobody"], ["--format", "SUMMARY"]):
+        assert main(["inspect", str(path), *query]) == 0, query
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two():

@@ -7,9 +7,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import forged_dumps
+from computepool import encoding, ledger
 from computepool.crypto import ZERO_DIGEST, derive_signer, digest
-from computepool.encoding import encode
+from computepool.encoding import Encoded, encode
 from computepool.ledger import (
     DUMP_MAGIC,
     CreditCommand,
@@ -261,17 +265,6 @@ def reference_ledger():
     return run_scenario(load_scenario(SCENARIOS / "reference.yaml")).ledger
 
 
-def reference_dump(blocks) -> bytes:
-    """A dump built straight from the format: one `encode` of each block's
-    whole nested wire value, with every payload encoded in place."""
-    out = [DUMP_MAGIC, struct.pack(">I", len(blocks))]
-    for b in blocks:
-        entries = [[e.kind.value, e.author, e.payload, e.signature] for e in b.entries]
-        blob = encode([b.height, b.prev_hash, b.root, b.timestamp, b.digest, entries])
-        out += [struct.pack(">I", len(blob)), blob]
-    return b"".join(out)
-
-
 def test_stored_payload_bytes_keep_every_byte(reference_ledger):
     entries = [entry for _, entry in reference_ledger.entries()]
     assert len(entries) > 100
@@ -280,7 +273,10 @@ def test_stored_payload_bytes_keep_every_byte(reference_ledger):
             entry.kind.value, entry.author, entry.payload, entry.signature)
         assert entry.signing_bytes() == encode([kind, author, payload])
         assert entry.digest() == digest(encode([kind, author, payload, signature]))
-    assert reference_ledger.dump() == reference_dump(reference_ledger.blocks)
+    # A dump built straight from the format: one `encode` of each block's whole
+    # nested wire value, with every payload encoded in place.
+    wires = forged_dumps.wires(reference_ledger.blocks)
+    assert reference_ledger.dump() == forged_dumps.frame(wires)
 
 
 def test_replaced_payload_is_dumped_and_caught_at_its_block(reference_ledger):
@@ -318,3 +314,78 @@ def test_non_canonical_block_fails_at_its_height(reference_ledger):
     assert not result.ok
     assert result.failing_height == 1
     assert "non-canonical integer text '01'" in result.reason
+
+
+# -- a loaded dump is verified over the bytes that were read -------------------
+
+
+def test_verifying_a_loaded_dump_encodes_no_payload(reference_ledger, monkeypatch):
+    data = reference_ledger.dump()
+    original = encoding.encode
+
+    def encode_no_maps(value):
+        if isinstance(value, dict):
+            raise AssertionError("a payload was encoded")
+        return original(value)
+
+    monkeypatch.setattr(encoding, "encode", encode_no_maps)
+    monkeypatch.setattr(ledger, "encode", encode_no_maps)
+    result = verify_blocks(load_blocks(data))
+    assert result.ok
+    assert result.entries == sum(len(b.entries) for b in reference_ledger.blocks)
+
+
+def test_loaded_payload_bytes_are_slices_of_the_dump(reference_ledger):
+    data = reference_ledger.dump()
+    at = 0
+    for block in load_blocks(data):
+        for entry in block.entries:
+            stored = vars(entry)["payload_bytes"]  # filled by the load itself
+            assert type(stored) is Encoded
+            assert stored == encode(entry.payload)
+            wire = encode([entry.kind.value, entry.author, stored, entry.signature])
+            at = data.index(wire, at) + len(wire)
+    assert at > len(data) // 2
+
+
+@pytest.mark.parametrize("forge", forged_dumps.FORGERIES)
+def test_wrongly_typed_dump_field_fails_at_its_height(reference_ledger, forge):
+    data, height = forge(reference_ledger.blocks)
+    assert data != reference_ledger.dump()
+    result = verify_dump(data)
+    assert not result.ok
+    assert result.failing_height == height
+    assert result.reason.startswith(f"malformed block {height}: ")
+
+
+other_typed_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_field_of_another_type_fails_at_its_block(data):
+    block_wires = forged_dumps.wires(sample_ledger().blocks)
+    height = data.draw(st.integers(0, len(block_wires) - 1))
+    block = block_wires[height]
+    # (container, index) of each header field, each entry and each entry field
+    slots = [(block, i) for i in range(6)]
+    for position, entry in enumerate(block[5]):
+        slots.append((block[5], position))
+        slots += [(entry, i) for i in range(4)]
+    container, index = data.draw(st.sampled_from(slots))
+    original = container[index]
+    container[index] = data.draw(
+        other_typed_values.filter(lambda v: type(v) is not type(original)))
+    result = verify_dump(forged_dumps.frame(block_wires))
+    assert not result.ok
+    assert result.failing_height == height
