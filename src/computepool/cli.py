@@ -61,7 +61,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "jobs_done": result.audit["jobs_done"],
         "jobs_cancelled": result.audit["jobs_cancelled"],
         "proofs_rejected": result.audit["proofs_rejected"],
-        "distributed_total": str(result.bank.pools.distributed_total),
+        "distributed_total": str(result.bank.distributed_total),
         "conservation_ok": result.conservation_ok,
         "out_dir": str(out_dir),
     }

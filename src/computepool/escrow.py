@@ -2,13 +2,16 @@
 
 Funds move along a fixed lifecycle: a sender's balance funds the escrow pool
 at submission; completion moves the job's reward from escrow to the reward
-pool; cancellation parks it in a time-locked review bucket that defaults to
-releasing toward the reward pool, or refunds the sender if the work is found
-invalid. Challenges escrow a bond from the challenger that is returned on an
-upheld verdict and forfeited to the reward pool otherwise.
+pool; cancellation locks it on the job itself until `Job.unlock_time`, when a
+review releases it to the reward pool, or refunds the sender if the work is
+found invalid. A challenge holds the bond its challenger posted until the
+jury decides: an upheld verdict returns the bond and refunds the job's sender
+once, whether the job is still locked or settled in the running epoch; a
+rejected verdict forfeits the bond to the reward pool.
 
 Every mutation is atomic per call and the class never creates or destroys
-tokens: balances + escrow + reward pool + locked funds + bonds is constant.
+tokens: deed balances + escrow pool + reward pool + the rewards of jobs locked
+for review + the bonds of pending challenges is constant.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Iterable
 from .tokenomics import NodeRegistry
 
 REVIEW_LOCK_SECONDS = 86400  # 24 hours of simulation time
+JURY_SIZE = 3
 
 
 class EscrowError(Exception):
@@ -60,7 +64,7 @@ _TRANSITIONS: dict[JobStatus, set[JobStatus]] = {
     JobStatus.DONE: {JobStatus.SETTLED},
     JobStatus.CANCELLED: {JobStatus.LOCKED_FOR_REVIEW},
     JobStatus.LOCKED_FOR_REVIEW: {JobStatus.SETTLED, JobStatus.REFUNDED},
-    JobStatus.SETTLED: set(),
+    JobStatus.SETTLED: {JobStatus.REFUNDED},
     JobStatus.REFUNDED: set(),
 }
 
@@ -86,6 +90,7 @@ class Job:
     status: JobStatus = JobStatus.PENDING
     workers: list[str] = field(default_factory=list)
     settled_epoch: int | None = None
+    unlock_time: int | None = None  # set when a cancellation locks the reward
 
     def advance(self, new_status: JobStatus) -> None:
         if new_status not in _TRANSITIONS[self.status]:
@@ -97,13 +102,6 @@ class Job:
 
 
 @dataclass
-class LockedFund:
-    job_id: str
-    amount: Fraction
-    unlock_time: int
-
-
-@dataclass
 class Challenge:
     challenge_id: str
     job_id: str
@@ -111,7 +109,6 @@ class Challenge:
     bond: Fraction
     jury: list[str]
     verdict: ChallengeVerdict = ChallengeVerdict.PENDING
-    votes: dict[str, bool] = field(default_factory=dict)
 
 
 def _sender_then_seq(job_id: str) -> tuple[str, int]:
@@ -120,55 +117,21 @@ def _sender_then_seq(job_id: str) -> tuple[str, int]:
     return sender, int(seq)
 
 
-@dataclass
-class PoolState:
-    escrow_pool: Fraction = Fraction(0)
-    reward_pool: Fraction = Fraction(0)
-    locked: dict[str, LockedFund] = field(default_factory=dict)
-    bonds: dict[str, Fraction] = field(default_factory=dict)
-    # Bookkeeping only; not part of the conservation identity.
-    distributed_total: Fraction = Fraction(0)
-    settled_rewards_total: Fraction = Fraction(0)
-    rejected_bonds_total: Fraction = Fraction(0)
-    clawback_total: Fraction = Fraction(0)
-
-    def locked_total(self) -> Fraction:
-        return sum((f.amount for f in self.locked.values()), Fraction(0))
-
-    def bonds_total(self) -> Fraction:
-        return sum(self.bonds.values(), Fraction(0))
-
-    def to_payload(self) -> dict:
-        return {
-            "escrow_pool": str(self.escrow_pool),
-            "reward_pool": str(self.reward_pool),
-            "locked": [
-                [f.job_id, str(f.amount), f.unlock_time]
-                for f in sorted(self.locked.values(), key=lambda f: _sender_then_seq(f.job_id))
-            ],
-            "bonds": [
-                [cid, str(amount)] for cid, amount in sorted(self.bonds.items())
-            ],
-            "distributed_total": str(self.distributed_total),
-        }
-
-
 class EscrowBank:
     """The public-chain pool machine: escrow, reward pool, locks, and bonds."""
 
-    def __init__(
-        self,
-        registry: NodeRegistry,
-        review_lock_seconds: int = REVIEW_LOCK_SECONDS,
-        jury_size: int = 3,
-    ):
+    def __init__(self, registry: NodeRegistry, review_lock_seconds: int = REVIEW_LOCK_SECONDS):
         self.registry = registry
-        self.pools = PoolState()
         self.review_lock_seconds = review_lock_seconds
-        self.jury_size = jury_size
         self.jobs: dict[str, Job] = {}
         self.challenges: dict[str, Challenge] = {}
-        self._challenge_seq = 0
+        self.escrow_pool = Fraction(0)
+        self.reward_pool = Fraction(0)
+        # Bookkeeping only; not part of the conservation identity.
+        self.distributed_total = Fraction(0)
+        self.settled_rewards_total = Fraction(0)
+        self.rejected_bonds_total = Fraction(0)
+        self.clawback_total = Fraction(0)
 
     # -- job lifecycle -----------------------------------------------------
 
@@ -194,7 +157,7 @@ class EscrowBank:
                 f"{sender} balance {deed.balance} cannot fund reward {reward}"
             )
         self.registry.debit(sender, reward)
-        self.pools.escrow_pool += reward
+        self.escrow_pool += reward
         job = Job(
             job_id=job_id,
             sender=sender,
@@ -218,13 +181,11 @@ class EscrowBank:
         job.workers = list(workers)
         return job
 
-    def settle_job(
-        self, job_id: str, final_status: JobStatus, now: int, epoch: int = 0
-    ) -> PoolState:
+    def settle_job(self, job_id: str, final_status: JobStatus, now: int, epoch: int = 0) -> Job:
         """Release a running job's escrowed reward.
 
-        DONE moves the reward straight to the reward pool. CANCELLED parks it
-        in the review lock for 24 hours of simulation time.
+        DONE moves the reward straight to the reward pool. CANCELLED locks it
+        on the job for review until `now + review_lock_seconds`.
         """
         job = self.job(job_id)
         if final_status not in (JobStatus.DONE, JobStatus.CANCELLED):
@@ -234,47 +195,40 @@ class EscrowBank:
                 f"job {job_id} already settled (status {job.status.value})"
             )
         job.advance(final_status)
-        self.pools.escrow_pool -= job.reward
+        self.escrow_pool -= job.reward
         if final_status == JobStatus.DONE:
-            self.pools.reward_pool += job.reward
-            self.pools.settled_rewards_total += job.reward
+            self.reward_pool += job.reward
+            self.settled_rewards_total += job.reward
             job.advance(JobStatus.SETTLED)
             job.settled_epoch = epoch
         else:
-            self.pools.locked[job_id] = LockedFund(
-                job_id, job.reward, now + self.review_lock_seconds
-            )
+            job.unlock_time = now + self.review_lock_seconds
             job.advance(JobStatus.LOCKED_FOR_REVIEW)
-        return self.pools
+        return job
 
-    def resolve_review(
-        self, job_id: str, verdict: ReviewVerdict, now: int, epoch: int = 0
-    ) -> PoolState:
+    def resolve_review(self, job_id: str, verdict: ReviewVerdict, now: int, epoch: int = 0) -> None:
         """Release a review lock: valid work feeds the reward pool, invalid
         work refunds the sender. Early release requires a challenge verdict."""
-        if job_id not in self.pools.locked:
+        job = self.jobs.get(job_id)
+        if job is None or job.status != JobStatus.LOCKED_FOR_REVIEW:
             raise UnknownJobError(f"no locked funds for job {job_id}")
-        fund = self.pools.locked[job_id]
         decided = any(
             c.job_id == job_id and c.verdict != ChallengeVerdict.PENDING
             for c in self.challenges.values()
         )
-        if now < fund.unlock_time and not decided:
+        if now < job.unlock_time and not decided:
             raise EscrowError(
                 f"review for {job_id} cannot resolve before "
-                f"t={fund.unlock_time} without a challenge verdict"
+                f"t={job.unlock_time} without a challenge verdict"
             )
-        job = self.job(job_id)
-        del self.pools.locked[job_id]
         if verdict == ReviewVerdict.WORK_VALID:
-            self.pools.reward_pool += fund.amount
-            self.pools.settled_rewards_total += fund.amount
+            self.reward_pool += job.reward
+            self.settled_rewards_total += job.reward
             job.advance(JobStatus.SETTLED)
             job.settled_epoch = epoch
         else:
-            self.registry.credit(job.sender, fund.amount)
+            self.registry.credit(job.sender, job.reward)
             job.advance(JobStatus.REFUNDED)
-        return self.pools
 
     # -- challenges ----------------------------------------------------------
 
@@ -313,31 +267,28 @@ class EscrowBank:
             )
         excluded = {challenger, job.sender, *job.workers}
         eligible = sorted(set(active_ids) - excluded)
-        if len(eligible) < self.jury_size:
-            raise ChallengeError(
-                f"only {len(eligible)} eligible jurors, need {self.jury_size}"
-            )
-        jury = random.Random(rng_seed).sample(eligible, self.jury_size)
+        if len(eligible) < JURY_SIZE:
+            raise ChallengeError(f"only {len(eligible)} eligible jurors, need {JURY_SIZE}")
+        jury = random.Random(rng_seed).sample(eligible, JURY_SIZE)
 
         self.registry.debit(challenger, bond)
-        self._challenge_seq += 1
         challenge = Challenge(
-            challenge_id=f"ch{self._challenge_seq}",
+            challenge_id=f"ch{len(self.challenges) + 1}",  # challenges are never removed
             job_id=job_id,
             challenger=challenger,
             bond=bond,
             jury=jury,
         )
         self.challenges[challenge.challenge_id] = challenge
-        self.pools.bonds[challenge.challenge_id] = bond
         return challenge
 
     def resolve_challenge(
         self, challenge_id: str, votes: dict[str, bool], now: int = 0
-    ) -> tuple[Challenge, PoolState]:
+    ) -> Challenge:
         """Apply jury votes (True = uphold). Majority uphold returns the bond
-        and refunds the challenged job's reward to its sender; otherwise the
-        bond is forfeited to the reward pool."""
+        and refunds the challenged job's reward to its sender, unless an
+        earlier verdict already did; otherwise the bond is forfeited to the
+        reward pool."""
         try:
             challenge = self.challenges[challenge_id]
         except KeyError:
@@ -350,29 +301,27 @@ class EscrowBank:
                 f"expected {sorted(challenge.jury)}, got {sorted(votes)}"
             )
         upheld = sum(1 for v in votes.values() if v) * 2 > len(challenge.jury)
-        challenge.votes = dict(votes)
         challenge.verdict = (
             ChallengeVerdict.UPHELD if upheld else ChallengeVerdict.REJECTED
         )
 
-        bond = self.pools.bonds.pop(challenge.challenge_id)
         job = self.job(challenge.job_id)
         if upheld:
-            self.registry.credit(challenge.challenger, bond)
+            self.registry.credit(challenge.challenger, challenge.bond)
             if job.status == JobStatus.LOCKED_FOR_REVIEW:
                 self.resolve_review(job.job_id, ReviewVerdict.WORK_INVALID, now)
             elif job.status == JobStatus.SETTLED:
-                # Funds already sit in the reward pool (same epoch, so not yet
-                # distributed); claw them back to the sender. The status graph
-                # has no SETTLED -> REFUNDED edge, so the job stays SETTLED.
-                self.pools.reward_pool -= job.reward
-                self.pools.settled_rewards_total -= job.reward
-                self.pools.clawback_total += job.reward
+                # The reward still sits in the reward pool, since the caller
+                # resolves a challenge before its epoch closes; claw it back.
+                self.reward_pool -= job.reward
+                self.settled_rewards_total -= job.reward
+                self.clawback_total += job.reward
                 self.registry.credit(job.sender, job.reward)
+                job.advance(JobStatus.REFUNDED)
         else:
-            self.pools.reward_pool += bond
-            self.pools.rejected_bonds_total += bond
-        return challenge, self.pools
+            self.reward_pool += challenge.bond
+            self.rejected_bonds_total += challenge.bond
+        return challenge
 
     # -- epoch distribution and audit ----------------------------------------
 
@@ -380,18 +329,36 @@ class EscrowBank:
         """Move one allocation entry's amount from the reward pool to a deed."""
         if amount < 0:
             raise EscrowError("reward amount must be non-negative")
-        if self.pools.reward_pool < amount:
+        if self.reward_pool < amount:
             raise EscrowError("reward pool underflow")
-        self.pools.reward_pool -= amount
+        self.reward_pool -= amount
         self.registry.credit(deed_id, amount)
-        self.pools.distributed_total += amount
+        self.distributed_total += amount
+
+    def _locked_jobs(self) -> list[Job]:
+        return [j for j in self.jobs.values() if j.status == JobStatus.LOCKED_FOR_REVIEW]
+
+    def _pending_challenges(self) -> list[Challenge]:
+        return [c for c in self.challenges.values() if c.verdict == ChallengeVerdict.PENDING]
 
     def conservation_total(self) -> Fraction:
         """Tokens visible anywhere in the system; constant across every event."""
         return (
             self.registry.total_balance()
-            + self.pools.escrow_pool
-            + self.pools.reward_pool
-            + self.pools.locked_total()
-            + self.pools.bonds_total()
+            + self.escrow_pool
+            + self.reward_pool
+            + sum((j.reward for j in self._locked_jobs()), Fraction(0))
+            + sum((c.bond for c in self._pending_challenges()), Fraction(0))
         )
+
+    def pool_payload(self) -> dict:
+        """Pool levels, review locks and pending bonds: one `pool.jsonl` row."""
+        locked = sorted(self._locked_jobs(), key=lambda j: _sender_then_seq(j.job_id))
+        bonds = sorted(self._pending_challenges(), key=lambda c: c.challenge_id)
+        return {
+            "escrow_pool": str(self.escrow_pool),
+            "reward_pool": str(self.reward_pool),
+            "locked": [[j.job_id, str(j.reward), j.unlock_time] for j in locked],
+            "bonds": [[c.challenge_id, str(c.bond)] for c in bonds],
+            "distributed_total": str(self.distributed_total),
+        }

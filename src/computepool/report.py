@@ -191,8 +191,10 @@ def filter_records(
     out = []
     for record in records:
         payload = record["payload"]
-        if epoch is not None and payload.get("epoch") != epoch:
-            continue
+        if epoch is not None:
+            value = payload.get("epoch")
+            if type(value) is not int or value != epoch:  # True == 1, but no bool is an epoch
+                continue
         if deed is not None and not _touches(record, deed):
             continue
         if job is not None and payload.get("job") != job:

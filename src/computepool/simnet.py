@@ -257,11 +257,15 @@ class Simulation:
             self._pending_entries = []
 
     def _check_conservation(self) -> None:
-        if self.bank.conservation_total() != self._initial_total:
+        """Fail the run if tokens appeared or vanished, or a pool went negative."""
+        bank = self.bank
+        total = bank.conservation_total()
+        if total != self._initial_total or bank.reward_pool < 0 or bank.escrow_pool < 0:
             self._conservation_ok = False
             raise SimulationError(
-                f"token conservation broken at t={self._now}ms: "
-                f"{self.bank.conservation_total()} != {self._initial_total}"
+                f"token conservation broken at t={self._now}ms: total {total} "
+                f"(initial {self._initial_total}), reward pool {bank.reward_pool}, "
+                f"escrow pool {bank.escrow_pool}"
             )
 
     # -- messages ---------------------------------------------------------------
@@ -713,7 +717,7 @@ class Simulation:
             task.cancelled = True
 
     def _on_review_unlock(self, job_id: str) -> None:
-        if job_id not in self.bank.pools.locked:
+        if self.bank.jobs[job_id].status != JobStatus.LOCKED_FOR_REVIEW:
             return  # a challenge verdict resolved it early
         spec = self._job_specs[job_id]
         verdict = (
@@ -772,7 +776,10 @@ class Simulation:
                 "jury": list(challenge.jury),
             },
         )
-        resolve_at = self._now + self.heartbeat_ms
+        # Resolve inside the running epoch, before its close pays out the
+        # reward pool that an upheld verdict on a settled job claws back from.
+        epoch_close = self._epoch_of(self._now) * self.epoch_ms
+        resolve_at = min(self._now + self.heartbeat_ms, epoch_close)
         self._schedule(resolve_at, PRI_ACTION, self._on_challenge_resolve, challenge, spec.votes)
 
     def _on_challenge_resolve(self, challenge: Challenge, votes_aligned: tuple[bool, ...]) -> None:
@@ -797,8 +804,8 @@ class Simulation:
 
     def _on_epoch_close(self, epoch: int) -> None:
         cfg = EpochConfig(self.scenario.epoch_seconds, current_epoch=epoch)
-        active = [self.registry.activity(n.node_id) for n in self.scenario.nodes]
-        pool = self.bank.pools.reward_pool
+        active = [self.registry.deed(n.node_id) for n in self.scenario.nodes]
+        pool = self.bank.reward_pool
         if pool > 0:
             try:
                 allocation = distribute_epoch_rewards(pool, active, cfg)
@@ -826,7 +833,7 @@ class Simulation:
                 self.registry.set_power(
                     node.node_id, epoch + 1, node.power_for_epoch(epoch + 1)
                 )
-        self.pool_timeline.append(dict(self.bank.pools.to_payload(), epoch=epoch))
+        self.pool_timeline.append(dict(self.bank.pool_payload(), epoch=epoch))
         self._check_conservation()
 
     # -- command application ---------------------------------------------------------
@@ -836,12 +843,12 @@ class Simulation:
         last_result = None
         for cmd in oracle_mirror(entry):
             if isinstance(cmd, SettleCommand):
-                self.bank.settle_job(
+                job = self.bank.settle_job(
                     cmd.job_id, JobStatus(cmd.final_status), cmd.at, epoch=cmd.epoch
                 )
-                if cmd.final_status == "CANCELLED":
-                    unlock_s = cmd.at + self.scenario.review_lock_seconds
-                    self._schedule(unlock_s * 1000, PRI_REVIEW, self._on_review_unlock, cmd.job_id)
+                if job.status == JobStatus.LOCKED_FOR_REVIEW:
+                    unlock_ms = job.unlock_time * 1000
+                    self._schedule(unlock_ms, PRI_REVIEW, self._on_review_unlock, job.job_id)
             elif isinstance(cmd, CreditCommand):
                 self.bank.pay_reward(cmd.deed_id, cmd.amount)
             elif isinstance(cmd, OpenChallengeCommand):
@@ -867,7 +874,7 @@ class Simulation:
                     )
                     last_result = None
             elif isinstance(cmd, ResolveChallengeCommand):
-                challenge, _ = self.bank.resolve_challenge(cmd.challenge_id, cmd.votes, cmd.at)
+                challenge = self.bank.resolve_challenge(cmd.challenge_id, cmd.votes, cmd.at)
                 self._record(
                     EntryKind.POOL_EVENT,
                     COORDINATOR_ID,

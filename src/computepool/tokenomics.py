@@ -87,24 +87,18 @@ class Capability:
 
 @dataclass
 class NodeDeed:
-    """A node's non-fungible identity record and its token balance."""
+    """A node's non-fungible identity record: its token balance, cumulative
+    alive time and per-epoch power scores."""
 
     deed_id: str
     balance: Fraction = Fraction(0)
+    total_alive_seconds: int = 0
+    power_by_epoch: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.balance = Fraction(self.balance)
         if self.balance < 0:
             raise ValueError("deed balance must be non-negative")
-
-
-@dataclass
-class NodeActivity:
-    """Per-node accounting: cumulative alive time and per-epoch power scores."""
-
-    deed_id: str
-    total_alive_seconds: int = 0
-    power_by_epoch: dict[int, float] = field(default_factory=dict)
 
     def power_at(self, epoch: int) -> float:
         return self.power_by_epoch.get(epoch, 0.0)
@@ -164,7 +158,7 @@ def node_power_index(power: float, live_fraction: float) -> float:
 
 
 def _power_indexes(
-    active: list[NodeActivity], cfg: EpochConfig
+    active: list[NodeDeed], cfg: EpochConfig
 ) -> tuple[dict[str, float], dict[str, float]]:
     t_p = total_protocol_time(cfg)
     fractions = {
@@ -178,7 +172,7 @@ def _power_indexes(
 
 
 def distribute_epoch_rewards(
-    pool_snapshot: Fraction, active: list[NodeActivity], cfg: EpochConfig
+    pool_snapshot: Fraction, active: list[NodeDeed], cfg: EpochConfig
 ) -> RewardAllocation:
     """Split an epoch-close pool snapshot across the active set.
 
@@ -222,29 +216,21 @@ def distribute_epoch_rewards(
 
 
 class NodeRegistry:
-    """All deeds and their activity records; the single balance authority."""
+    """All deeds; the single balance authority."""
 
     def __init__(self):
         self.deeds: dict[str, NodeDeed] = {}
-        self.activities: dict[str, NodeActivity] = {}
 
     def register(self, deed_id: str, balance: Fraction = Fraction(0)) -> NodeDeed:
         if deed_id in self.deeds:
             raise ValueError(f"deed id already registered: {deed_id}")
         deed = NodeDeed(deed_id, Fraction(balance))
         self.deeds[deed_id] = deed
-        self.activities[deed_id] = NodeActivity(deed_id)
         return deed
 
     def deed(self, deed_id: str) -> NodeDeed:
         try:
             return self.deeds[deed_id]
-        except KeyError:
-            raise UnknownDeedError(deed_id) from None
-
-    def activity(self, deed_id: str) -> NodeActivity:
-        try:
-            return self.activities[deed_id]
         except KeyError:
             raise UnknownDeedError(deed_id) from None
 
@@ -265,10 +251,10 @@ class NodeRegistry:
         return sum((d.balance for d in self.deeds.values()), Fraction(0))
 
     def accrue_alive(self, deed_id: str, seconds: int) -> None:
-        self.activity(deed_id).total_alive_seconds += seconds
+        self.deed(deed_id).total_alive_seconds += seconds
 
     def set_power(self, deed_id: str, epoch: int, power: float) -> None:
-        self.activity(deed_id).power_by_epoch[epoch] = clamp_power(power)
+        self.deed(deed_id).power_by_epoch[epoch] = clamp_power(power)
 
     def apply_penalty(
         self, deed_id: str, epoch: int, delta: float, *, current_epoch: int
@@ -282,7 +268,7 @@ class NodeRegistry:
             raise ValueError(
                 f"penalties apply only to the current epoch ({current_epoch}), got {epoch}"
             )
-        activity = self.activity(deed_id)
-        new_power = clamp_power(activity.power_at(epoch) - delta)
-        activity.power_by_epoch[epoch] = new_power
+        deed = self.deed(deed_id)
+        new_power = clamp_power(deed.power_at(epoch) - delta)
+        deed.power_by_epoch[epoch] = new_power
         return new_power

@@ -36,7 +36,7 @@ from computepool.escrow import JobStatus
 from computepool.pipeline import hash_sign_recheck, make_plugin_code, safety_check
 from computepool.scenario import load_scenario, parse_scenario
 from computepool.simnet import run_scenario
-from computepool.tokenomics import EpochConfig, NodeActivity, distribute_epoch_rewards
+from computepool.tokenomics import EpochConfig, NodeDeed, distribute_epoch_rewards
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -73,7 +73,7 @@ def random_active(rng, epoch, epoch_seconds):
         if i == 0:
             alive = max(1, alive)  # keep at least one node eligible
         nodes.append(
-            NodeActivity(
+            NodeDeed(
                 f"n{i:02d}",
                 total_alive_seconds=alive,
                 power_by_epoch={epoch: rng.uniform(-50.0, 50.0)},
@@ -137,16 +137,16 @@ def test_ac04_conservation_identity(reference_run):
     minted = sum((n.balance for n in result.scenario.nodes), Fraction(0))
     assert result.initial_total == minted
     assert result.final_total == minted
-    pools = result.bank.pools
-    assert pools.escrow_pool == 0
-    assert pools.reward_pool == 0
-    assert pools.locked_total() == 0
-    assert pools.bonds_total() == 0
-    assert pools.clawback_total == 0
-    assert pools.distributed_total == pools.settled_rewards_total + pools.rejected_bonds_total
-    assert result.bank.registry.total_balance() == minted
+    bank = result.bank
+    assert bank.escrow_pool == 0
+    assert bank.reward_pool == 0
+    pool = bank.pool_payload()
+    assert pool["locked"] == [] and pool["bonds"] == []
+    assert bank.clawback_total == 0
+    assert bank.distributed_total == bank.settled_rewards_total + bank.rejected_bonds_total
+    assert bank.registry.total_balance() == minted
     paid = sum((a.total_amount() for a in result.allocations), Fraction(0))
-    assert paid == pools.distributed_total
+    assert paid == bank.distributed_total
 
 
 def test_ac05_settlement_paths(reference_run):
@@ -178,7 +178,7 @@ def test_ac05_settlement_paths(reference_run):
     credited = sum(
         (c.amount for c in commands if isinstance(c, CreditCommand)), Fraction(0)
     )
-    assert credited == result.bank.pools.distributed_total
+    assert credited == result.bank.distributed_total
     assert sum(isinstance(c, OpenChallengeCommand) for c in commands) == 2
     assert sum(isinstance(c, ResolveChallengeCommand) for c in commands) == 2
 
@@ -298,7 +298,7 @@ def test_ac09_three_worker_demo(demo_run):
     aggregate = encode(shards)
     assert done["aggregate"] == digest(aggregate).hex()
     assert done["aggregate_size"] == len(aggregate)
-    assert demo_run.bank.pools.distributed_total == 300
+    assert demo_run.bank.distributed_total == 300
     assert demo_run.conservation_ok
 
 

@@ -316,6 +316,15 @@ def test_odd_payload_values_print_without_traceback(tmp_path, capsys, payload, p
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_inspect_epoch_filter_skips_a_bool_epoch(tmp_path, capsys):
+    path = tmp_path / "bool-epoch.bin"
+    path.write_bytes(forged_dumps.signed_payload_dump({"event": "x", "epoch": True}))
+    assert main(["inspect", str(path), "--epoch", "1"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["inspect", str(path)]) == 0
+    assert '"epoch":true' in capsys.readouterr().out
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -38,7 +38,7 @@ def test_submit_funds_escrow_and_sequences_ids():
     assert (j1.job_id, j2.job_id, j3.job_id) == ("n1:1", "n1:2", "n2:1")
     assert (j1.sender, j3.sender) == ("n1", "n2")
     assert bank.registry.deed("n1").balance == 850
-    assert bank.pools.escrow_pool == 160
+    assert bank.escrow_pool == 160
     assert j1.status == JobStatus.PENDING
     with pytest.raises(EscrowError, match="already submitted"):
         bank.submit_job("n1:2", "n1", Fraction(5), "p", 1)
@@ -54,7 +54,7 @@ def test_submit_rejections_leave_state_untouched():
     with pytest.raises(EscrowError):
         bank.submit_job("poor:1", "poor", Fraction(5), "p", 0)
     assert bank.registry.deed("poor").balance == 30
-    assert bank.pools.escrow_pool == 0
+    assert bank.escrow_pool == 0
     assert bank.jobs == {}
 
 
@@ -79,9 +79,9 @@ def test_settle_done_feeds_reward_pool():
     bank.settle_job(job.job_id, JobStatus.DONE, now=500, epoch=2)
     assert job.status == JobStatus.SETTLED
     assert job.settled_epoch == 2
-    assert bank.pools.escrow_pool == 0
-    assert bank.pools.reward_pool == 100
-    assert bank.pools.settled_rewards_total == 100
+    assert bank.escrow_pool == 0
+    assert bank.reward_pool == 100
+    assert bank.settled_rewards_total == 100
     with pytest.raises(JobLifecycleError, match="already settled"):
         bank.settle_job(job.job_id, JobStatus.DONE, now=501)
 
@@ -100,14 +100,13 @@ def test_cancel_locks_for_review_and_early_resolve_fails():
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, JobStatus.CANCELLED, now=1000)
     assert job.status == JobStatus.LOCKED_FOR_REVIEW
-    fund = bank.pools.locked[job.job_id]
-    assert fund.amount == 100
-    assert fund.unlock_time == 1000 + REVIEW_LOCK_SECONDS
+    assert job.unlock_time == 1000 + REVIEW_LOCK_SECONDS
+    assert bank.pool_payload()["locked"] == [[job.job_id, "100", job.unlock_time]]
     with pytest.raises(EscrowError, match="cannot resolve before"):
         bank.resolve_review(job.job_id, ReviewVerdict.WORK_VALID, now=1000)
     with pytest.raises(EscrowError):
         bank.resolve_review(job.job_id, ReviewVerdict.WORK_VALID,
-                            now=fund.unlock_time - 1)
+                            now=job.unlock_time - 1)
 
 
 def test_review_valid_pays_pool_invalid_refunds_sender():
@@ -120,11 +119,11 @@ def test_review_valid_pays_pool_invalid_refunds_sender():
     unlock = REVIEW_LOCK_SECONDS
     bank.resolve_review(j1.job_id, ReviewVerdict.WORK_VALID, now=unlock, epoch=3)
     assert j1.status == JobStatus.SETTLED
-    assert bank.pools.reward_pool == 100
+    assert bank.reward_pool == 100
     bank.resolve_review(j2.job_id, ReviewVerdict.WORK_INVALID, now=unlock)
     assert j2.status == JobStatus.REFUNDED
     assert bank.registry.deed("n1").balance == 1000 - 100  # only j1 stayed spent
-    assert bank.pools.locked == {}
+    assert bank.pool_payload()["locked"] == []
     with pytest.raises(UnknownJobError):
         bank.resolve_review(j2.job_id, ReviewVerdict.WORK_VALID, now=unlock)
 
@@ -142,7 +141,7 @@ def test_pool_payload_lists_locks_by_sender_then_sequence_number():
     for _ in range(10):
         locked_job(bank, sender="s", reward=1, workers=("w",))
     locked_job(bank, sender="a", reward=1, workers=("w",))
-    locked = [job_id for job_id, _amount, _unlock in bank.pools.to_payload()["locked"]]
+    locked = [job_id for job_id, _amount, _unlock in bank.pool_payload()["locked"]]
     # a plain string sort would put s:10 before s:2
     assert locked == ["a:11"] + [f"s:{i}" for i in range(1, 11)]
 
@@ -156,7 +155,7 @@ def test_jury_draw_matches_seeded_lottery_and_excludes_parties():
     assert ch.jury == random.Random(b"seed-a").sample(eligible, 3)
     assert not {"n1", "n2", "n3", "n4"} & set(ch.jury)
     assert bank.registry.deed("n4").balance == 1000 - 9
-    assert bank.pools.bonds[ch.challenge_id] == 9
+    assert bank.pool_payload()["bonds"] == [[ch.challenge_id, "9"]]
 
     # same seed, same jury; the draw has no hidden state
     bank2 = make_bank()
@@ -204,13 +203,14 @@ def test_upheld_challenge_on_locked_job_refunds_sender_and_bond():
     active = [f"n{i}" for i in range(1, 9)]
     ch = bank.open_challenge("n4", job.job_id, Fraction(9), b"s", active)
     votes = {ch.jury[0]: True, ch.jury[1]: True, ch.jury[2]: False}
-    resolved, pools = bank.resolve_challenge(ch.challenge_id, votes)
+    resolved = bank.resolve_challenge(ch.challenge_id, votes)
     assert resolved.verdict == ChallengeVerdict.UPHELD
     assert job.status == JobStatus.REFUNDED
     assert bank.registry.deed("n1").balance == 1000  # reward refunded
     assert bank.registry.deed("n4").balance == 1000  # bond returned
-    assert pools.locked == {} and pools.bonds == {}
-    assert pools.reward_pool == 0
+    pool = bank.pool_payload()
+    assert pool["locked"] == [] and pool["bonds"] == []
+    assert bank.reward_pool == 0
 
 
 def test_rejected_challenge_forfeits_bond_to_pool():
@@ -219,15 +219,15 @@ def test_rejected_challenge_forfeits_bond_to_pool():
     active = [f"n{i}" for i in range(1, 9)]
     ch = bank.open_challenge("n4", job.job_id, Fraction(9), b"s", active)
     votes = {j: (i == 2) for i, j in enumerate(ch.jury)}
-    resolved, pools = bank.resolve_challenge(ch.challenge_id, votes)
+    resolved = bank.resolve_challenge(ch.challenge_id, votes)
     assert resolved.verdict == ChallengeVerdict.REJECTED
     assert bank.registry.deed("n4").balance == 991
-    assert pools.reward_pool == 9
-    assert pools.rejected_bonds_total == 9
+    assert bank.reward_pool == 9
+    assert bank.rejected_bonds_total == 9
     # the job is still locked; the ordinary review can now run at unlock time
     assert job.status == JobStatus.LOCKED_FOR_REVIEW
     bank.resolve_review(job.job_id, ReviewVerdict.WORK_VALID, now=REVIEW_LOCK_SECONDS)
-    assert pools.reward_pool == 99
+    assert bank.reward_pool == 99
 
 
 def test_rejected_verdict_allows_early_review_release():
@@ -248,13 +248,12 @@ def test_upheld_challenge_on_settled_job_claws_back_reward():
     bank.settle_job(job.job_id, JobStatus.DONE, now=0, epoch=1)
     active = [f"n{i}" for i in range(1, 9)]
     ch = bank.open_challenge("n4", job.job_id, Fraction(9), b"s", active, epoch=1)
-    resolved, pools = bank.resolve_challenge(ch.challenge_id,
-                                             {j: True for j in ch.jury})
+    resolved = bank.resolve_challenge(ch.challenge_id, {j: True for j in ch.jury})
     assert resolved.verdict == ChallengeVerdict.UPHELD
-    assert job.status == JobStatus.SETTLED  # no settled -> refunded edge
-    assert pools.reward_pool == 0
-    assert pools.clawback_total == 90
-    assert pools.settled_rewards_total == 0
+    assert job.status == JobStatus.REFUNDED
+    assert bank.reward_pool == 0
+    assert bank.clawback_total == 90
+    assert bank.settled_rewards_total == 0
     assert bank.registry.deed("n1").balance == 1000
     assert bank.registry.deed("n4").balance == 1000
 
@@ -284,7 +283,7 @@ def test_pay_reward_guards_pool():
     bank.settle_job(job.job_id, JobStatus.DONE, now=0)
     bank.pay_reward("n3", Fraction(20))
     assert bank.registry.deed("n3").balance == 1020
-    assert bank.pools.distributed_total == 20
+    assert bank.distributed_total == 20
     with pytest.raises(EscrowError, match="underflow"):
         bank.pay_reward("n3", Fraction(31))
     with pytest.raises(EscrowError):
@@ -292,27 +291,81 @@ def test_pay_reward_guards_pool():
 
 
 verdict_choice = st.sampled_from(["done", "valid", "invalid"])
+upheld_votes = st.lists(st.booleans(), max_size=2)  # per challenge: upheld or rejected
 
 
-@given(st.lists(st.tuples(st.integers(min_value=1, max_value=200), verdict_choice),
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=200), verdict_choice, upheld_votes),
                 min_size=1, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_conservation_holds_across_any_job_history(steps):
-    bank = make_bank({"s": 10**6, "w": 0, "x": 0})
+    """Each step settles or locks one job and opens its challenges; the verdicts
+    and the review land one step later. The test keeps its own model of open
+    locks, pending bonds and the reward pool."""
+    bank = make_bank({"s": 10**6, "c": 10**6, "j0": 0, "j1": 0, "j2": 0, "w": 0, "x": 0})
     start = bank.conservation_total()
-    for reward, outcome in steps:
-        job = bank.submit_job(f"s:{len(bank.jobs) + 1}", "s", Fraction(reward), "p", 1)
+    rewards: dict[str, Fraction] = {}
+    locks: dict[str, int] = {}  # job id -> unlock time
+    bonds: dict[str, Fraction] = {}  # challenge id -> bond
+    refunded: set[str] = set()
+    pool = Fraction(0)
+
+    def check():
         assert bank.conservation_total() == start
-        bank.activate(job.job_id, ["w"])
+        assert bank.reward_pool == pool >= 0
+        row = bank.pool_payload()
+        by_seq = sorted(locks, key=lambda job_id: int(job_id.split(":")[1]))
+        assert row["locked"] == [[j, str(rewards[j]), locks[j]] for j in by_seq]
+        assert row["bonds"] == [[cid, str(bonds[cid])] for cid in sorted(bonds)]
+
+    def land(verdicts, reviews, now):
+        nonlocal pool
+        for cid, job_id, upheld in verdicts:
+            bank.resolve_challenge(cid, {j: upheld for j in bank.challenges[cid].jury}, now)
+            bond = bonds.pop(cid)
+            if not upheld:
+                pool += bond
+            elif job_id not in refunded:  # an upheld verdict refunds a job once
+                if locks.pop(job_id, None) is None:
+                    pool -= rewards[job_id]
+                refunded.add(job_id)
+            check()
+        for job_id, verdict in reviews:
+            if job_id in locks:
+                bank.resolve_review(job_id, verdict, now=locks.pop(job_id))
+                if verdict == ReviewVerdict.WORK_VALID:
+                    pool += rewards[job_id]
+                else:
+                    refunded.add(job_id)
+                check()
+
+    verdicts, reviews = [], []
+    for now, (reward, outcome, upholds) in enumerate(steps):
+        land(verdicts, reviews, now)
+        verdicts, reviews = [], []
+        job_id = f"s:{len(bank.jobs) + 1}"
+        rewards[job_id] = Fraction(reward)
+        bank.submit_job(job_id, "s", rewards[job_id], "p", 1)
+        check()
+        bank.activate(job_id, ["w"])
         if outcome == "done":
-            bank.settle_job(job.job_id, JobStatus.DONE, now=0)
+            bank.settle_job(job_id, JobStatus.DONE, now=now, epoch=1)
+            pool += rewards[job_id]
         else:
-            bank.settle_job(job.job_id, JobStatus.CANCELLED, now=0)
-            assert bank.conservation_total() == start
+            bank.settle_job(job_id, JobStatus.CANCELLED, now=now)
+            locks[job_id] = now + REVIEW_LOCK_SECONDS
             verdict = (ReviewVerdict.WORK_VALID if outcome == "valid"
                        else ReviewVerdict.WORK_INVALID)
-            bank.resolve_review(job.job_id, verdict, now=REVIEW_LOCK_SECONDS)
-        assert bank.conservation_total() == start
+            reviews.append((job_id, verdict))
+        check()
+        for upheld in upholds:
+            bond = rewards[job_id] / 10
+            ch = bank.open_challenge("c", job_id, bond, b"s", ["c", "j0", "j1", "j2"], epoch=1)
+            bonds[ch.challenge_id] = bond
+            verdicts.append((ch.challenge_id, job_id, upheld))
+            check()
+    land(verdicts, reviews, len(steps))
+    assert locks == {} and bonds == {}
     # drain whatever reached the reward pool and check one last time
-    bank.pay_reward("x", bank.pools.reward_pool)
-    assert bank.conservation_total() == start
+    bank.pay_reward("x", bank.reward_pool)
+    pool = Fraction(0)
+    check()

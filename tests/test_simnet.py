@@ -1,5 +1,6 @@
 """End-to-end simulation behavior on small scenarios."""
 
+import copy
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,9 +75,9 @@ def test_small_run_settles_job_and_conserves_tokens():
     # capability scores tie, so ranking falls back to lexicographic ids
     assert set(job.workers) == {"w-eu", "w-idle"}
     # escrow fully drained into rewards and distributed at epoch close
-    assert result.bank.pools.escrow_pool == 0
-    assert result.bank.pools.reward_pool == 0
-    assert result.bank.pools.distributed_total == 100
+    assert result.bank.escrow_pool == 0
+    assert result.bank.reward_pool == 0
+    assert result.bank.distributed_total == 100
     assert result.messages.consistent()
     assert result.messages.dropped == 0
     assert verify_blocks(result.ledger.blocks).ok
@@ -169,8 +170,8 @@ def test_downtime_shrinks_alive_fraction_and_share():
         ],
     )
     result = run_scenario(sc)
-    flaky = result.bank.registry.activity("flaky")
-    steady = result.bank.registry.activity("steady")
+    flaky = result.bank.registry.deed("flaky")
+    steady = result.bank.registry.deed("steady")
     # flaky misses the 12 s heartbeat ticks from 1200 through 2400: 101 of them
     assert steady.total_alive_seconds - flaky.total_alive_seconds == 101 * 12
     alloc = result.allocations[-1]
@@ -287,6 +288,57 @@ def test_demo_scenario_runs_end_to_end():
     result = run_scenario(load_scenario(SCENARIOS / "demo_trio.yaml"))
     assert result.conservation_ok
     assert result.audit["jobs_done"] == 1
-    assert result.bank.pools.distributed_total == 300
+    assert result.bank.distributed_total == 300
     assert verify_blocks(result.ledger.blocks).ok
     assert result.messages.consistent()
+
+
+def test_review_unlocks_after_the_scenario_lock_length():
+    sc = two_region_scenario(
+        epochs=8,
+        review_lock_seconds=7200,
+        jobs=[
+            {"sender": "sender", "at": 60, "reward": 100, "pipeline": "count",
+             "n_workers": 2, "steps": 1000, "cancel_at": 600},
+        ],
+    )
+    result = run_scenario(sc)
+    payloads = [e.payload for _, e in result.ledger.entries()]
+    cancelled = next(p for p in payloads if p.get("status") == "CANCELLED")
+    resolved = next(p for p in payloads if p.get("event") == "review_resolved")
+    assert cancelled["at"] == 600
+    assert resolved["at"] == 600 + 7200
+    assert result.pool_timeline[0]["locked"] == [["sender:1", "100", 7800]]
+    assert result.bank.job("sender:1").status == JobStatus.SETTLED
+    assert result.conservation_ok
+
+
+def demo_with_challenges(*challenges):
+    """demo_trio plus five idle jurors j0-j4, who challenge alpha:1 at the given times."""
+    raw = copy.deepcopy(load_scenario(SCENARIOS / "demo_trio.yaml").raw)
+    raw["nodes"] += [
+        {"id": f"j{i}", "region": "local", "balance": 100, "capability": {"cpu": 1.0}}
+        for i in range(5)
+    ]
+    raw["challenges"] = [
+        {"challenger": who, "job": "alpha:1", "at": at, "votes": [True, True, True]}
+        for who, at in challenges
+    ]
+    return parse_scenario(raw)
+
+
+@pytest.mark.parametrize("challenges", [
+    [("j0", 1000), ("j1", 1010)],  # the second verdict lands on a refunded job
+    [("j0", 3590)],  # a heartbeat later would be after epoch 1 closes and pays out
+], ids=["two upheld", "before the close"])
+def test_upheld_challenge_on_settled_job_refunds_once_within_its_epoch(challenges):
+    result = run_scenario(demo_with_challenges(*challenges))
+    assert result.audit["challenges_opened"] == len(challenges)
+    assert result.conservation_ok
+    bank = result.bank
+    assert bank.job("alpha:1").status == JobStatus.REFUNDED
+    assert bank.clawback_total == 300
+    assert bank.registry.deed("alpha").balance == 500
+    assert all(bank.registry.deed(who).balance == 100 for who, _ in challenges)
+    assert [row["reward_pool"] for row in result.pool_timeline] == ["0", "0"]
+    assert result.allocations == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from computepool.tokenomics import (
     EpochConfig,
-    NodeActivity,
+    NodeDeed,
     NodeRegistry,
     NoEligibleNodesError,
     UnknownDeedError,
@@ -34,7 +34,7 @@ def decimal_shares(powers: list[float], alive: list[float]) -> list[float]:
 
 def make_active(powers, alive_seconds, epoch=4):
     return [
-        NodeActivity(f"n{i:02d}", total_alive_seconds=s, power_by_epoch={epoch: p})
+        NodeDeed(f"n{i:02d}", total_alive_seconds=s, power_by_epoch={epoch: p})
         for i, (p, s) in enumerate(zip(powers, alive_seconds))
     ]
 
@@ -228,7 +228,7 @@ def test_registry_balance_and_penalty_flow():
 
     reg.set_power("a", 3, 2.0)
     assert reg.apply_penalty("a", 3, 0.5, current_epoch=3) == 1.5
-    assert reg.activity("a").power_at(3) == 1.5
+    assert reg.deed("a").power_at(3) == 1.5
     with pytest.raises(ValueError):
         reg.apply_penalty("a", 2, 0.5, current_epoch=3)
     # penalties saturate at the clamp floor
@@ -241,4 +241,4 @@ def test_accrue_alive_accumulates_across_epochs():
     reg.accrue_alive("a", 60)
     reg.accrue_alive("a", 60)
     reg.accrue_alive("a", 30)
-    assert reg.activity("a").total_alive_seconds == 150
+    assert reg.deed("a").total_alive_seconds == 150
