@@ -275,6 +275,10 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             if end <= start:
                 _fail(dpath, f"'to' ({end}) must be after 'from' ({start})")
             downtime.append(DowntimeSpec(start, end))
+        order = sorted(range(len(downtime)), key=lambda j: downtime[j].start)
+        for prev, j in zip(order, order[1:]):
+            if downtime[j].start < downtime[prev].end:
+                _fail(f"{path}.downtime[{j}]", f"starts before downtime[{prev}] ends at {downtime[prev].end}")
         nodes.append(
             NodeSpec(
                 node_id=node_id,
@@ -282,7 +286,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 balance=_fraction(cfg.get("balance", 0), f"{path}.balance"),
                 capability=_capability(cfg.get("capability", {}), f"{path}.capability"),
                 power=power,
-                downtime=tuple(sorted(downtime, key=lambda d: d.start)),
+                downtime=tuple(downtime[j] for j in order),
             )
         )
     if not nodes:

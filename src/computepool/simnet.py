@@ -7,8 +7,8 @@ reads the wall clock, so one (scenario, seed) pair always produces the same
 ledger bytes and the same reports.
 
 Ordering at equal timestamps is fixed by an explicit priority tier per event
-kind, with epoch closes last, so state observed by a close includes every
-same-tick heartbeat, delivery, and unlock.
+kind, with epoch closes last, so a close sees the tick's heartbeat (one event
+for every node that is up) and every same-tick delivery and unlock.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class SimulationError(Exception):
 
 
 # Priority tiers at equal timestamps; lower runs first. Epoch closes run last
-# so same-tick heartbeats, deliveries, and unlocks land inside the epoch.
+# so the tick's heartbeat and same-tick deliveries and unlocks land inside it.
 PRI_DELIVER = 0
 PRI_NODE_FLIP = 1
 PRI_HEARTBEAT = 2
@@ -242,9 +242,7 @@ class Simulation:
             self._schedule(retry, PRI_ACTION, handler, *args)
 
     def _epoch_of(self, at_ms: int) -> int:
-        if at_ms <= 0:
-            return 1
-        return -(-at_ms // self.epoch_ms)
+        return max(1, -(-at_ms // self.epoch_ms))
 
     def _record(self, kind: EntryKind, author: str, payload: dict) -> LedgerEntry:
         entry = sign_entry(kind, author, payload, self._signer(author))
@@ -349,11 +347,9 @@ class Simulation:
             for window in node.downtime:
                 self._schedule(window.start * 1000, PRI_NODE_FLIP, flip, node.node_id, False)
                 self._schedule(window.end * 1000, PRI_NODE_FLIP, flip, node.node_id, True)
-            t = self.heartbeat_ms
-            while t <= self.horizon_ms:
-                self._schedule(t, PRI_HEARTBEAT, self._on_heartbeat, node.node_id)
-                t += self.heartbeat_ms
 
+        for t in range(self.heartbeat_ms, self.horizon_ms + 1, self.heartbeat_ms):
+            self._schedule(t, PRI_HEARTBEAT, self._on_heartbeat)
         for epoch in range(1, scenario.epochs + 1):
             self._schedule(epoch * self.epoch_ms, PRI_EPOCH_CLOSE, self._on_epoch_close, epoch)
 
@@ -365,15 +361,15 @@ class Simulation:
         for ch in scenario.challenges:
             self._schedule(ch.at * 1000, PRI_ACTION, self._on_challenge_open, ch)
 
-        self._now = 0
         self._seal_tick()
         self._initial_total = self.bank.conservation_total()
 
     # -- event handlers --------------------------------------------------------
 
-    def _on_heartbeat(self, node: str) -> None:
-        if self._up[node]:
-            self.registry.accrue_alive(node, self.scenario.heartbeat_seconds)
+    def _on_heartbeat(self) -> None:
+        for node in self.scenario.nodes:
+            if self._up[node.node_id]:
+                self.registry.accrue_alive(node.node_id, self.scenario.heartbeat_seconds)
 
     def _on_job_arrival(self, spec: JobSpec) -> None:
         self.audit["jobs_submitted"] += 1

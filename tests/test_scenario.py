@@ -114,6 +114,16 @@ def test_node_validation():
     data = base_scenario()
     data["nodes"][2]["downtime"][0]["to"] = 10
     expect_error(data, "nodes[2].downtime[0]: 'to' (10) must be after 'from' (10)")
+    data = base_scenario()  # an inner window would bring the node back up too early
+    data["nodes"][2]["downtime"] = [{"from": 120, "to": 600}, {"from": 200, "to": 300}]
+    expect_error(data, "nodes[2].downtime[1]: starts before downtime[0] ends at 600")
+    data = base_scenario()  # the path names the window as written, not in sorted order
+    data["nodes"][2]["downtime"] = [{"from": 30, "to": 40}, {"from": 10, "to": 20}, {"from": 15, "to": 25}]
+    expect_error(data, "nodes[2].downtime[2]: starts before downtime[1] ends at 20")
+    data = base_scenario()  # windows that only touch stay legal, and are kept sorted
+    data["nodes"][2]["downtime"] = [{"from": 20, "to": 30}, {"from": 10, "to": 20}]
+    windows = parse_scenario(data).nodes[2].downtime
+    assert [(d.start, d.end) for d in windows] == [(10, 20), (20, 30)]
     data = base_scenario()
     data["nodes"][0]["capability"] = {"cpu": -1}
     expect_error(data, "nodes[0].capability")

@@ -5,11 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from computepool.escrow import JobStatus
 from computepool.ledger import EntryKind, verify_blocks
 from computepool.scenario import load_scenario, parse_scenario
-from computepool.simnet import Simulation, run_scenario, topic_matches
+from computepool.simnet import PRI_HEARTBEAT, Simulation, run_scenario, topic_matches
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -177,6 +179,53 @@ def test_downtime_shrinks_alive_fraction_and_share():
     alloc = result.allocations[-1]
     shares = {e.deed_id: e.share for e in alloc.entries}
     assert shares["flaky"] < shares["steady"]
+
+
+@st.composite
+def downtime_scenarios(draw):
+    """1-3 nodes with sorted downtime windows, touching ones included.
+
+    Window edges are often a heartbeat tick or an epoch close, and the
+    heartbeat often does not divide the epoch.
+    """
+    epoch_seconds = draw(st.integers(10, 90))
+    heartbeat = draw(st.integers(1, epoch_seconds))
+    epochs = draw(st.integers(1, 3))
+    horizon = epochs * epoch_seconds
+    edge = st.one_of(
+        st.integers(0, horizon // heartbeat + 1).map(lambda k: k * heartbeat),
+        st.integers(0, epochs).map(lambda k: k * epoch_seconds),
+        st.integers(0, horizon + heartbeat),
+    )
+    nodes = []
+    for i in range(draw(st.integers(1, 3))):
+        edges = sorted(draw(st.lists(edge, max_size=6)))
+        windows = [{"from": a, "to": b} for a, b in zip(edges[::2], edges[1::2]) if a < b]
+        nodes.append({"id": f"n{i}", "region": "eu", "downtime": windows})
+    return {
+        "name": "alive", "seed": 3, "epochs": epochs, "epoch_seconds": epoch_seconds,
+        "heartbeat_seconds": heartbeat, "regions": {"eu": {}}, "nodes": nodes,
+        "pipelines": {}, "jobs": [],
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(downtime_scenarios())
+def test_alive_time_counts_the_ticks_outside_every_window(data):
+    result = run_scenario(parse_scenario(data))
+    heartbeat = data["heartbeat_seconds"]
+    ticks = range(heartbeat, data["epochs"] * data["epoch_seconds"] + 1, heartbeat)
+    for node in data["nodes"]:
+        # a node is down over [from, to): it misses the tick at `from`, counts the one at `to`
+        up = [t for t in ticks if not any(w["from"] <= t < w["to"] for w in node["downtime"])]
+        assert result.bank.registry.deed(node["id"]).total_alive_seconds == heartbeat * len(up)
+
+
+def test_setup_schedules_one_heartbeat_per_tick():
+    sim = Simulation(two_region_scenario(heartbeat_seconds=7))  # 7 s does not divide 1200 s
+    sim._setup()
+    ticks = sorted(at for at, pri, *_ in sim._heap if pri == PRI_HEARTBEAT)
+    assert ticks == list(range(7000, sim.horizon_ms + 1, 7000))
 
 
 def test_unsafe_plugin_is_rejected_before_funding_and_keys_stay_aligned():
