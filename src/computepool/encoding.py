@@ -17,7 +17,15 @@ and a digest over a decoded value is a digest over the bytes that were read.
 
 An `Encoded` value is a piece that is already encoded: `encode` emits it as
 it stands, so a caller can frame stored bytes into a larger value without
-encoding them again.
+encoding them again. `list_of` frames a list around items that are all
+already encoded.
+
+`encode` looks up each value's exact type in one dispatch table. A value of
+a subclass takes the encoder of the nearest base in its MRO that the table
+holds. So a subclass of `Encoded` is emitted as it stands rather than framed
+as `bytes`, an `IntEnum` encodes as its integer (while `bool` keeps its own
+tags), a namedtuple as a list and a str subclass, also as a map key, as a
+string. A type with no such base is rejected with `EncodingError`.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 
 class EncodingError(ValueError):
@@ -36,46 +44,74 @@ class Encoded(bytes):
     """The canonical encoding of some value; `encode` emits it unchanged."""
 
 
-def _u32(n: int) -> bytes:
-    return struct.pack(">I", n)
+_U32 = struct.Struct(">I")
+_F64 = struct.Struct(">d")
 
 
 def encode(value: Any) -> bytes:
     """Encode ``value`` to its canonical byte string."""
-    if value is None:
-        return b"N"
-    # bool before int: bool is an int subclass
-    if value is True:
-        return b"T"
-    if value is False:
-        return b"F"
-    if isinstance(value, int):
-        text = str(value).encode("ascii")
-        return b"I" + _u32(len(text)) + text
-    if isinstance(value, float):
-        return b"D" + struct.pack(">d", value)
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return b"S" + _u32(len(raw)) + raw
-    if isinstance(value, Encoded):
-        return value
-    if isinstance(value, (bytes, bytearray)):
-        return b"B" + _u32(len(value)) + bytes(value)
-    if isinstance(value, Fraction):
-        return b"Q" + encode(value.numerator) + encode(value.denominator)
-    if isinstance(value, (list, tuple)):
-        parts = [encode(item) for item in value]
-        return b"L" + _u32(len(parts)) + b"".join(parts)
-    if isinstance(value, dict):
-        keys = list(value.keys())
-        if any(not isinstance(k, str) for k in keys):
+    try:
+        encoder = _ENCODERS[type(value)]
+    except KeyError:
+        encoder = _inherited_encoder(type(value))
+    return encoder(value)
+
+
+def list_of(parts: list[bytes]) -> bytes:
+    """The encoding of a list, given the encodings of its items."""
+    return b"L" + _U32.pack(len(parts)) + b"".join(parts)
+
+
+def _int(value: int) -> bytes:
+    text = b"%d" % value
+    return b"I" + _U32.pack(len(text)) + text
+
+
+def _str(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return b"S" + _U32.pack(len(raw)) + raw
+
+
+def _dict(value: dict) -> bytes:
+    for key in value:
+        if not isinstance(key, str):
             raise EncodingError("dict keys must be strings")
-        out = [b"M", _u32(len(keys))]
-        for k in sorted(keys):
-            out.append(encode(k))
-            out.append(encode(value[k]))
-        return b"".join(out)
-    raise EncodingError(f"cannot canonically encode {type(value).__name__}")
+    out = [b"M", _U32.pack(len(value))]
+    for key in sorted(value):
+        out.append(_str(key))
+        out.append(encode(value[key]))
+    return b"".join(out)
+
+
+def _bytes(value: bytes) -> bytes:
+    return b"B" + _U32.pack(len(value)) + value
+
+
+def _list(value: list) -> bytes:
+    return list_of([encode(item) for item in value])
+
+
+_ENCODERS: dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda value: b"N",
+    bool: lambda value: b"T" if value else b"F",
+    int: _int,
+    float: lambda value: b"D" + _F64.pack(value),
+    str: _str,
+    Encoded: lambda value: value,
+    bytes: _bytes,
+    bytearray: _bytes,
+    Fraction: lambda value: b"Q" + _int(value.numerator) + _int(value.denominator),
+    list: _list,
+    tuple: _list,
+    dict: _dict,
+}
+
+
+def _inherited_encoder(cls: type) -> Callable[[Any], bytes]:
+    for base in cls.__mro__[1:]:
+        if base in _ENCODERS:
+            return _ENCODERS[base]
+    raise EncodingError(f"cannot canonically encode {cls.__name__}")
 
 
 def decode(data: bytes) -> Any:
@@ -101,8 +137,6 @@ def decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         raise EncodingError(f"malformed encoding: {exc}") from exc
 
 
-_U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
 _N, _T, _F, _I, _D, _S, _B, _Q, _L, _M = b"NTFIDSBQLM"
 # Tags followed by a 4-byte length (S, B, I) or item count (L, M).
 _SIZED = frozenset((_S, _I, _M, _L, _B))

@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from .crypto import DIGEST_SIZE, ZERO_DIGEST, Signer, digest, verify
 # `decode` is not called here; perfbench/tracing.py patches it by this name.
-from .encoding import Encoded, EncodingError, decode, decode_at, encode  # noqa: F401
+from .encoding import Encoded, EncodingError, decode, decode_at, encode, list_of  # noqa: F401
 
 DUMP_MAGIC = b"CPOOL-LEDGER\x01"
+_U32 = struct.Struct(">I")
 
 
 class LedgerError(Exception):
@@ -52,7 +53,8 @@ class LedgerEntry:
     encoding is built once, at first use, and kept as `payload_bytes`; an
     entry read from a dump keeps the bytes it was read from instead. The
     signing bytes, the digest input and the entry's part of a dump are framed
-    around those bytes instead of encoding the payload again.
+    around those bytes instead of encoding the payload again, and are not
+    kept: a sealed block keeps its own bytes instead.
     """
 
     kind: EntryKind
@@ -64,15 +66,21 @@ class LedgerEntry:
     def payload_bytes(self) -> Encoded:
         return Encoded(encode(self.payload))
 
+    def frames(self) -> tuple[bytes, bytes]:
+        """The signing bytes `[kind, author, payload]` and the wire bytes
+        `[kind, author, payload, signature]`, framed around one encoding of
+        the kind and author. The wire bytes are the digest input and the
+        entry's part of a dump block."""
+        items = [encode(self.kind.value), encode(self.author), self.payload_bytes]
+        signing = list_of(items)
+        items.append(encode(self.signature))
+        return signing, list_of(items)
+
     def signing_bytes(self) -> bytes:
-        return encode([self.kind.value, self.author, self.payload_bytes])
+        return self.frames()[0]
 
     def digest(self) -> bytes:
-        return digest(encode(self.to_wire()))
-
-    def to_wire(self) -> list:
-        """The digest input, which is also the entry's part of a dump block."""
-        return [self.kind.value, self.author, self.payload_bytes, self.signature]
+        return digest(self.frames()[1])
 
 
 def sign_entry(kind: EntryKind, author: str, payload: dict, signer: Signer) -> LedgerEntry:
@@ -83,8 +91,9 @@ def sign_entry(kind: EntryKind, author: str, payload: dict, signer: Signer) -> L
     return entry
 
 
-def entries_root(entries: list[LedgerEntry]) -> bytes:
-    return digest(b"".join(e.digest() for e in entries))
+def entries_root(wires: list[bytes]) -> bytes:
+    """The root over the entries with these wire bytes."""
+    return digest(b"".join([digest(wire) for wire in wires]))
 
 
 def block_digest(height: int, prev_hash: bytes, root: bytes, timestamp: int) -> bytes:
@@ -100,22 +109,30 @@ class LedgerBlock:
     digest: bytes
     entries: tuple[LedgerEntry, ...]
 
-    def to_wire(self) -> list:
-        return [
-            self.height,
-            self.prev_hash,
-            self.root,
-            self.timestamp,
-            self.digest,
-            [e.to_wire() for e in self.entries],
-        ]
+    @cached_property
+    def wire_bytes(self) -> bytes:
+        """The block's canonical encoding, its part of a dump. A sealed block
+        has it from its seal; a loaded or rebuilt block frames it here."""
+        return self._framed([entry.frames()[1] for entry in self.entries])
+
+    def _framed(self, wires: list[bytes]) -> bytes:
+        return list_of([
+            encode(self.height),
+            encode(self.prev_hash),
+            encode(self.root),
+            encode(self.timestamp),
+            encode(self.digest),
+            list_of(wires),
+        ])
 
 
 def _make_block(
-    height: int, prev_hash: bytes, timestamp: int, entries: list[LedgerEntry]
+    height: int, prev_hash: bytes, timestamp: int, entries: list[LedgerEntry],
+    wires: list[bytes],
 ) -> LedgerBlock:
-    root = entries_root(entries)
-    return LedgerBlock(
+    """Seal `entries`, whose wire bytes are `wires`; each entry is framed once."""
+    root = entries_root(wires)
+    block = LedgerBlock(
         height=height,
         prev_hash=prev_hash,
         root=root,
@@ -123,6 +140,9 @@ def _make_block(
         digest=block_digest(height, prev_hash, root, timestamp),
         entries=tuple(entries),
     )
+    # Fills the `wire_bytes` cache, as its first use would.
+    block.__dict__["wire_bytes"] = block._framed(wires)
+    return block
 
 
 class _KeyTable:
@@ -131,8 +151,9 @@ class _KeyTable:
     def __init__(self) -> None:
         self.keys: dict[str, bytes] = {}
 
-    def check(self, entry: LedgerEntry) -> str | None:
-        """Return None if the entry's signature is valid, else the reason."""
+    def check(self, entry: LedgerEntry, signing_bytes: bytes) -> str | None:
+        """Return None if the entry's signature over its `signing_bytes` is
+        valid, else the reason."""
         if entry.kind == EntryKind.NODE_SPEC:
             declared = entry.payload.get("deed_id")
             key_hex = entry.payload.get("verify_key")
@@ -144,7 +165,7 @@ class _KeyTable:
                 key = bytes.fromhex(key_hex)
             except ValueError:
                 return f"NODE_SPEC for {entry.author} has a malformed verify_key"
-            if not verify(key, entry.signing_bytes(), entry.signature):
+            if not verify(key, signing_bytes, entry.signature):
                 return f"NODE_SPEC self-signature for {entry.author} is invalid"
             known = self.keys.get(entry.author)
             if known is not None and known != key:
@@ -154,7 +175,7 @@ class _KeyTable:
         key = self.keys.get(entry.author)
         if key is None:
             return f"entry author {entry.author!r} has no registered key"
-        if not verify(key, entry.signing_bytes(), entry.signature):
+        if not verify(key, signing_bytes, entry.signature):
             return f"bad signature on {entry.kind.value} entry by {entry.author}"
         return None
 
@@ -172,7 +193,7 @@ class Ledger:
     """Append-only chain with an empty genesis block at height 0, time 0."""
 
     def __init__(self):
-        self.blocks: list[LedgerBlock] = [_make_block(0, ZERO_DIGEST, 0, [])]
+        self.blocks: list[LedgerBlock] = [_make_block(0, ZERO_DIGEST, 0, [], [])]
         self._keys = _KeyTable()
 
     @property
@@ -190,12 +211,15 @@ class Ledger:
         # Validate against a scratch key table so a failing batch leaves no trace.
         scratch = _KeyTable()
         scratch.keys = dict(self._keys.keys)
+        wires = []
         for entry in entries:
-            reason = scratch.check(entry)
+            signing, wire = entry.frames()
+            reason = scratch.check(entry, signing)
             if reason is not None:
                 raise LedgerError(reason)
+            wires.append(wire)
         self._keys.keys = scratch.keys
-        block = _make_block(len(self.blocks), self.head.digest, timestamp, entries)
+        block = _make_block(len(self.blocks), self.head.digest, timestamp, entries, wires)
         self.blocks.append(block)
         return block
 
@@ -205,15 +229,14 @@ class Ledger:
                 yield block, entry
 
     def dump(self) -> bytes:
-        out = [DUMP_MAGIC, struct.pack(">I", len(self.blocks))]
+        out = [DUMP_MAGIC, _U32.pack(len(self.blocks))]
         for block in self.blocks:
-            blob = encode(block.to_wire())
-            out.append(struct.pack(">I", len(blob)))
+            blob = block.wire_bytes
+            out.append(_U32.pack(len(blob)))
             out.append(blob)
         return b"".join(out)
 
 
-_U32 = struct.Struct(">I")
 _KINDS = {kind.value: kind for kind in EntryKind}
 
 
@@ -332,12 +355,13 @@ def verify_blocks(blocks: list[LedgerBlock]) -> VerifyResult:
             return fail("digest field has wrong size")
         if prev is not None and block.timestamp < prev.timestamp:
             return fail("block timestamp decreases")
-        if entries_root(list(block.entries)) != block.root:
+        frames = [entry.frames() for entry in block.entries]
+        if entries_root([wire for _, wire in frames]) != block.root:
             return fail("entries root mismatch")
         if block_digest(block.height, block.prev_hash, block.root, block.timestamp) != block.digest:
             return fail("block digest mismatch")
-        for entry in block.entries:
-            reason = keys.check(entry)
+        for entry, (signing, _) in zip(block.entries, frames):
+            reason = keys.check(entry, signing)
             if reason is not None:
                 return fail(reason)
             total_entries += 1

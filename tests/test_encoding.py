@@ -1,13 +1,16 @@
 """Canonical codec: roundtrips, key-order independence, strict decode."""
 
 import math
+import struct
+from collections import namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from computepool.encoding import EncodingError, decode, encode
+from computepool.encoding import Encoded, EncodingError, decode, encode
 
 scalars = st.one_of(
     st.none(),
@@ -225,3 +228,93 @@ def test_edited_encodings_fail_or_round_trip(value, changes):
             else:
                 del raw[at]
     decode_raises_or_round_trips(bytes(raw))
+
+
+# -- encode against the format spec, written out plainly ----------------------
+
+
+def reference_encode(value) -> bytes:
+    """The wire format, one branch per tag, with subclasses taken by isinstance."""
+    if isinstance(value, Encoded):
+        return bytes(value)
+    if value is None:
+        return b"N"
+    if isinstance(value, bool):
+        return b"T" if value else b"F"
+    if isinstance(value, int):
+        return tagged(b"I", str(int(value)).encode("ascii"))
+    if isinstance(value, float):
+        return b"D" + struct.pack(">d", value)
+    if isinstance(value, str):
+        return tagged(b"S", str.encode(value, "utf-8"))
+    if isinstance(value, (bytes, bytearray)):
+        return tagged(b"B", bytes(value))
+    if isinstance(value, Fraction):
+        return b"Q" + reference_encode(value.numerator) + reference_encode(value.denominator)
+    if isinstance(value, (list, tuple)):
+        return counted(b"L", [reference_encode(item) for item in value])
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise EncodingError("dict keys must be strings")
+        return counted(b"M", [reference_encode(k) + reference_encode(value[k]) for k in sorted(value)])
+    raise EncodingError(f"cannot encode {type(value).__name__}")
+
+
+class Colour(IntEnum):
+    RED = 1
+    BLUE = -7
+
+
+class Label(str):
+    pass
+
+
+Pair = namedtuple("Pair", "left right")
+
+subclassed_scalars = st.one_of(
+    scalars,
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf]),
+    st.sampled_from(Colour),
+    st.text(max_size=10).map(Label),
+    st.binary(max_size=10).map(bytearray),
+    scalars.map(lambda value: Encoded(reference_encode(value))),
+)
+# Values no encoder may accept, placed anywhere in a nested value.
+unencodable = st.one_of(
+    st.sets(st.integers(), max_size=2),
+    st.builds(object),
+    st.dictionaries(st.integers(), st.none(), min_size=1, max_size=2),
+)
+wide_keys = st.one_of(st.text(max_size=5), st.text(max_size=5).map(Label))
+
+
+def nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=5).map(tuple),
+            st.builds(Pair, inner, inner),
+            st.dictionaries(wide_keys, inner, max_size=5),
+        ),
+        max_leaves=20,
+    )
+
+
+def outcome(encoder, value):
+    try:
+        return encoder(value)
+    except EncodingError:
+        return EncodingError
+
+
+@given(nested(subclassed_scalars))
+@settings(max_examples=300, deadline=None)
+def test_encode_matches_the_reference_encoder(value):
+    assert encode(value) == reference_encode(value)
+
+
+@given(nested(st.one_of(subclassed_scalars, unencodable)))
+@settings(max_examples=200, deadline=None)
+def test_encode_rejects_what_the_reference_rejects(value):
+    assert outcome(encode, value) == outcome(reference_encode, value)

@@ -295,6 +295,32 @@ def test_replaced_payload_is_dumped_and_caught_at_its_block(reference_ledger):
     assert result.failing_height == height
 
 
+def test_dump_is_built_from_every_block_as_it_stands(reference_ledger):
+    data = reference_ledger.dump()
+    assert reference_ledger.dump() == data
+    # Loaded blocks were not sealed here: they frame their bytes at first use.
+    loaded = Ledger()
+    loaded.blocks = load_blocks(data)
+    assert loaded.dump() == data
+    # A rebuilt block dumps its own fields, not the bytes of the block it
+    # was rebuilt from.
+    blocks = list(reference_ledger.blocks)
+    height = len(blocks) // 2
+    victim = blocks[height]
+    entry = victim.entries[0]
+    forged_entry = dataclasses.replace(entry, author="mallory")
+    blocks[height] = dataclasses.replace(
+        victim, timestamp=victim.timestamp + 1, entries=(forged_entry,) + victim.entries[1:])
+    forged = Ledger()
+    forged.blocks = blocks
+    forged_data = forged.dump()
+    assert forged_data == forged_dumps.frame(forged_dumps.wires(blocks))
+    rebuilt = load_blocks(forged_data)[height]
+    assert rebuilt.timestamp == victim.timestamp + 1
+    assert rebuilt.entries[0].author == "mallory"
+    assert reference_ledger.dump() == data
+
+
 def test_non_canonical_block_fails_at_its_height(reference_ledger):
     # Block 1's height rewritten as the integer text "01" decodes to the same
     # value, so only the rule that a dump must be canonical catches it.
