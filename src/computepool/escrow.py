@@ -9,6 +9,11 @@ jury decides: an upheld verdict returns the bond and refunds the job's sender
 once, whether the job is still locked or settled in the running epoch; a
 rejected verdict forfeits the bond to the reward pool.
 
+A recorded ledger fact moves funds through `EscrowBank.apply`, which reads
+the entry's payload and calls the one method that kind of fact stands for.
+The simulator calls it on each entry it records, and a replay of a dump can
+call it on the same entries.
+
 Every mutation is atomic per call and the class never creates or destroys
 tokens: deed balances + escrow pool + reward pool + the rewards of jobs locked
 for review + the bonds of pending challenges is constant.
@@ -22,6 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
+from .ledger import EntryKind, LedgerEntry
 from .tokenomics import NodeRegistry
 
 REVIEW_LOCK_SECONDS = 86400  # 24 hours of simulation time
@@ -322,6 +328,41 @@ class EscrowBank:
             self.reward_pool += challenge.bond
             self.rejected_bonds_total += challenge.bond
         return challenge
+
+    # -- ledger facts ----------------------------------------------------------
+
+    def apply(
+        self, entry: LedgerEntry, active_ids: Iterable[str] = ()
+    ) -> Job | Challenge | None:
+        """Move funds as one ledger entry says, and return the job or
+        challenge it changed.
+
+        `JOB_ASSIGN` activates its job, `JOB_STATUS` DONE or CANCELLED
+        settles it, and `CHALLENGE` opens (jurors drawn from `active_ids`)
+        or resolves a challenge. `REWARD_RECORD` pays each row and returns
+        None. Any other entry changes nothing and returns None.
+        """
+        p = entry.payload
+        if entry.kind == EntryKind.JOB_ASSIGN:
+            return self.activate(p["job"], [worker for worker, _index in p["workers"]])
+        if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):
+            return self.settle_job(p["job"], JobStatus(p["status"]), p["at"], epoch=p["epoch"])
+        if entry.kind == EntryKind.REWARD_RECORD:
+            for deed_id, amount, _share in p["entries"]:
+                self.pay_reward(deed_id, Fraction(amount))
+            return None
+        if entry.kind == EntryKind.CHALLENGE and p["phase"] == "opened":
+            return self.open_challenge(
+                p["challenger"],
+                p["job"],
+                Fraction(p["bond"]),
+                bytes.fromhex(p["seed"]),
+                active_ids,
+                epoch=p["epoch"],
+            )
+        if entry.kind == EntryKind.CHALLENGE and p["phase"] == "resolved":
+            return self.resolve_challenge(p["challenge"], p["votes"], p["at"])
+        return None
 
     # -- epoch distribution and audit ----------------------------------------
 

@@ -1,22 +1,17 @@
-"""Private append-only ledger: signed entries, hash-chained blocks, mirroring.
+"""Private append-only ledger: signed entries and hash-chained blocks.
 
 Entries are signed by their authoring node; blocks bind entries with a root
 digest and chain through prev_hash. Verification is self-certifying: the key
 table is rebuilt from NODE_SPEC entries in ledger order, so a dump carries
 everything needed to check it.
-
-`oracle_mirror` is the single bridge from ledger facts to pool mutations: it
-turns one entry into zero or more commands for the escrow bank and nothing
-else in the system moves funds in response to ledger content.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from fractions import Fraction
 
 from .crypto import DIGEST_SIZE, ZERO_DIGEST, Signer, digest, verify
 # `decode` is not called here; perfbench/tracing.py patches it by this name.
@@ -78,9 +73,6 @@ class LedgerEntry:
 
     def signing_bytes(self) -> bytes:
         return self.frames()[0]
-
-    def digest(self) -> bytes:
-        return digest(self.frames()[1])
 
 
 def sign_entry(kind: EntryKind, author: str, payload: dict, signer: Signer) -> LedgerEntry:
@@ -376,85 +368,3 @@ def verify_dump(data: bytes) -> VerifyResult:
         return VerifyResult(False, exc.height, str(exc))
     return verify_blocks(blocks)
 
-
-# -- oracle mirror ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SettleCommand:
-    job_id: str
-    final_status: str  # "DONE" or "CANCELLED"
-    at: int
-    epoch: int
-
-
-@dataclass(frozen=True)
-class CreditCommand:
-    deed_id: str
-    amount: Fraction
-
-
-@dataclass(frozen=True)
-class OpenChallengeCommand:
-    challenger: str
-    job_id: str
-    bond: Fraction
-    seed: bytes
-    epoch: int
-
-
-@dataclass(frozen=True)
-class ResolveChallengeCommand:
-    challenge_id: str
-    votes: dict[str, bool] = field(hash=False)
-    at: int = 0
-
-
-Command = SettleCommand | CreditCommand | OpenChallengeCommand | ResolveChallengeCommand
-
-
-def oracle_mirror(entry: LedgerEntry) -> list[Command]:
-    """Translate one ledger entry into pool commands.
-
-    Pure and stateless: the same entry always yields the same commands, and
-    entry kinds with no financial meaning yield none.
-    """
-    p = entry.payload
-    if entry.kind == EntryKind.JOB_STATUS:
-        status = p["status"]
-        if status in ("DONE", "CANCELLED"):
-            return [
-                SettleCommand(
-                    job_id=p["job"],
-                    final_status=status,
-                    at=int(p["at"]),
-                    epoch=int(p["epoch"]),
-                )
-            ]
-        return []
-    if entry.kind == EntryKind.REWARD_RECORD:
-        return [
-            CreditCommand(deed_id=deed, amount=Fraction(amount))
-            for deed, amount, _share in p["entries"]
-        ]
-    if entry.kind == EntryKind.CHALLENGE:
-        if p["phase"] == "opened":
-            return [
-                OpenChallengeCommand(
-                    challenger=p["challenger"],
-                    job_id=p["job"],
-                    bond=Fraction(p["bond"]),
-                    seed=bytes.fromhex(p["seed"]),
-                    epoch=int(p["epoch"]),
-                )
-            ]
-        if p["phase"] == "resolved":
-            return [
-                ResolveChallengeCommand(
-                    challenge_id=p["challenge"],
-                    votes={juror: bool(v) for juror, v in p["votes"].items()},
-                    at=int(p["at"]),
-                )
-            ]
-        return []
-    return []

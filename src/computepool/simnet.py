@@ -43,17 +43,7 @@ from .escrow import (
     ReviewVerdict,
     UnknownJobError,
 )
-from .ledger import (
-    CreditCommand,
-    EntryKind,
-    Ledger,
-    LedgerEntry,
-    OpenChallengeCommand,
-    ResolveChallengeCommand,
-    SettleCommand,
-    oracle_mirror,
-    sign_entry,
-)
+from .ledger import EntryKind, Ledger, LedgerEntry, sign_entry
 from .pipeline import (
     ExpressionError,
     PipelineRun,
@@ -266,6 +256,12 @@ class Simulation:
                 f"escrow pool {bank.escrow_pool}"
             )
 
+    def _apply_entry(self, entry: LedgerEntry):
+        """Move funds as a fresh entry says, then check conservation."""
+        changed = self.bank.apply(entry)
+        self._check_conservation()
+        return changed
+
     # -- messages ---------------------------------------------------------------
 
     def _publish(self, to: str, handler, msg, sender: str) -> None:
@@ -447,7 +443,7 @@ class Simulation:
             commitments[a.worker] = make_capability_commitment(
                 a.job, a.worker, cap, self._signer(a.worker)
             ).hex()
-        self._record(
+        entry = self._record(
             EntryKind.JOB_ASSIGN,
             COORDINATOR_ID,
             {
@@ -459,7 +455,7 @@ class Simulation:
                 "commitments": commitments,
             },
         )
-        self.bank.activate(job_id, [a.worker for a in assignments])
+        self.bank.apply(entry)  # moves no funds, so no conservation check
         self._jobs[job_id] = _JobRuntime(assignments)
         user_code = spec.pipeline.user_code
         for a in assignments:
@@ -702,7 +698,8 @@ class Simulation:
                 "reason": "scripted_cancel",
             },
         )
-        self._apply_entry(entry)
+        job = self._apply_entry(entry)
+        self._schedule(job.unlock_time * 1000, PRI_REVIEW, self._on_review_unlock, job_id)
         self.audit["jobs_cancelled"] += 1
         for a in self._jobs[job_id].assignments:
             self._publish(a.worker, self._on_cancel_delivered, job_id, COORDINATOR_ID)
@@ -757,7 +754,17 @@ class Simulation:
                 "at": self._now // 1000,
             },
         )
-        challenge = self._apply_entry(entry)
+        active_ids = [n for n, up in self._up.items() if up and n != COORDINATOR_ID]
+        try:
+            challenge = self.bank.apply(entry, active_ids)
+        except (ChallengeError, InsufficientFundsError) as exc:
+            challenge = None
+            self._record(
+                EntryKind.POOL_EVENT,
+                COORDINATOR_ID,
+                {"event": "challenge_rejected", "job": spec.job_id, "reason": str(exc)},
+            )
+        self._check_conservation()
         if challenge is None:
             self.audit["challenges_failed"] += 1
             return
@@ -796,7 +803,16 @@ class Simulation:
                 "at": self._now // 1000,
             },
         )
-        self._apply_entry(entry)
+        challenge = self._apply_entry(entry)
+        self._record(
+            EntryKind.POOL_EVENT,
+            COORDINATOR_ID,
+            {
+                "event": "challenge_settled",
+                "challenge": challenge.challenge_id,
+                "verdict": challenge.verdict.value,
+            },
+        )
 
     def _on_epoch_close(self, epoch: int) -> None:
         cfg = EpochConfig(self.scenario.epoch_seconds, current_epoch=epoch)
@@ -831,57 +847,6 @@ class Simulation:
                 )
         self.pool_timeline.append(dict(self.bank.pool_payload(), epoch=epoch))
         self._check_conservation()
-
-    # -- command application ---------------------------------------------------------
-
-    def _apply_entry(self, entry: LedgerEntry):
-        """Run the oracle mirror over a fresh entry and apply its commands."""
-        last_result = None
-        for cmd in oracle_mirror(entry):
-            if isinstance(cmd, SettleCommand):
-                job = self.bank.settle_job(
-                    cmd.job_id, JobStatus(cmd.final_status), cmd.at, epoch=cmd.epoch
-                )
-                if job.status == JobStatus.LOCKED_FOR_REVIEW:
-                    unlock_ms = job.unlock_time * 1000
-                    self._schedule(unlock_ms, PRI_REVIEW, self._on_review_unlock, job.job_id)
-            elif isinstance(cmd, CreditCommand):
-                self.bank.pay_reward(cmd.deed_id, cmd.amount)
-            elif isinstance(cmd, OpenChallengeCommand):
-                active_ids = [n for n, up in self._up.items() if up and n != COORDINATOR_ID]
-                try:
-                    last_result = self.bank.open_challenge(
-                        cmd.challenger,
-                        cmd.job_id,
-                        cmd.bond,
-                        cmd.seed,
-                        active_ids,
-                        epoch=cmd.epoch,
-                    )
-                except (ChallengeError, InsufficientFundsError) as exc:
-                    self._record(
-                        EntryKind.POOL_EVENT,
-                        COORDINATOR_ID,
-                        {
-                            "event": "challenge_rejected",
-                            "job": cmd.job_id,
-                            "reason": str(exc),
-                        },
-                    )
-                    last_result = None
-            elif isinstance(cmd, ResolveChallengeCommand):
-                challenge = self.bank.resolve_challenge(cmd.challenge_id, cmd.votes, cmd.at)
-                self._record(
-                    EntryKind.POOL_EVENT,
-                    COORDINATOR_ID,
-                    {
-                        "event": "challenge_settled",
-                        "challenge": challenge.challenge_id,
-                        "verdict": challenge.verdict.value,
-                    },
-                )
-        self._check_conservation()
-        return last_result
 
     # -- main loop -----------------------------------------------------------------
 

@@ -1,5 +1,7 @@
-"""Escrow bank: job lifecycle, review locks, challenges, conservation."""
+"""Escrow bank: job lifecycle, review locks, challenges, ledger entries,
+conservation."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from computepool.escrow import (
     ReviewVerdict,
     UnknownJobError,
 )
+from computepool.ledger import EntryKind, LedgerEntry
 from computepool.tokenomics import NodeRegistry
 
 
@@ -288,6 +291,131 @@ def test_pay_reward_guards_pool():
         bank.pay_reward("n3", Fraction(31))
     with pytest.raises(EscrowError):
         bank.pay_reward("n3", Fraction(-1))
+
+
+# -- apply: one ledger entry, one bank method ------------------------------
+
+ACTIVE = [f"n{i}" for i in range(1, 9)]
+SEED_HEX = "ab" * 32
+# n1 sends, n2 and n3 work, n4 challenges: the jury comes from n5-n8.
+JURY = random.Random(bytes.fromhex(SEED_HEX)).sample(["n5", "n6", "n7", "n8"], 3)
+
+
+def entry(kind, payload):
+    return LedgerEntry(kind, "coord", payload, b"")
+
+
+def snapshot(bank):
+    """Everything `apply` may change: balances, pool levels, jobs, challenges
+    and running totals."""
+    state = {k: v for k, v in vars(bank).items() if k != "registry"}
+    balances = {d: deed.balance for d, deed in bank.registry.deeds.items()}
+    return copy.deepcopy((balances, bank.pool_payload(), state))
+
+
+def running(bank):
+    bank.submit_job("n1:1", "n1", Fraction(5), "p", 2)
+    bank.activate("n1:1", ["n2", "n3"])
+
+
+def settled(bank):
+    running(bank)
+    bank.settle_job("n1:1", JobStatus.DONE, now=100, epoch=1)
+
+
+def locked(bank):
+    running(bank)
+    bank.settle_job("n1:1", JobStatus.CANCELLED, now=100, epoch=1)
+
+
+def challenged(bank):
+    locked(bank)
+    bank.open_challenge("n4", "n1:1", Fraction(9), bytes.fromhex(SEED_HEX), ACTIVE, epoch=1)
+
+
+def pay_both(bank):
+    bank.pay_reward("n2", Fraction(5, 2))
+    bank.pay_reward("n3", Fraction(5, 2))
+
+
+APPLY_CASES = {
+    "assign": (
+        lambda bank: bank.submit_job("n1:1", "n1", Fraction(5), "p", 2),
+        entry(EntryKind.JOB_ASSIGN, {
+            "job": "n1:1", "pipeline": "p", "steps": 3, "epoch": 1,
+            "workers": [["n2", 0], ["n3", 1]], "commitments": {},
+        }),
+        lambda bank: bank.activate("n1:1", ["n2", "n3"]),
+    ),
+    "done": (
+        running,
+        entry(EntryKind.JOB_STATUS,
+              {"job": "n1:1", "status": "DONE", "at": 100, "epoch": 2, "aggregate": "00"}),
+        lambda bank: bank.settle_job("n1:1", JobStatus.DONE, now=100, epoch=2),
+    ),
+    "cancelled": (
+        running,
+        entry(EntryKind.JOB_STATUS,
+              {"job": "n1:1", "status": "CANCELLED", "at": 100, "epoch": 2}),
+        lambda bank: bank.settle_job("n1:1", JobStatus.CANCELLED, now=100, epoch=2),
+    ),
+    "reward": (
+        settled,
+        entry(EntryKind.REWARD_RECORD,
+              {"epoch": 1, "pool": "5", "entries": [["n2", "5/2", 0.5], ["n3", "5/2", 0.5]]}),
+        pay_both,
+    ),
+    "opened": (
+        locked,
+        entry(EntryKind.CHALLENGE, {
+            "phase": "opened", "job": "n1:1", "challenger": "n4", "bond": "9/2",
+            "seed": SEED_HEX, "epoch": 1, "at": 150,
+        }),
+        lambda bank: bank.open_challenge(
+            "n4", "n1:1", Fraction(9, 2), bytes.fromhex(SEED_HEX), ACTIVE, epoch=1
+        ),
+    ),
+    "resolved": (
+        challenged,
+        entry(EntryKind.CHALLENGE, {
+            "phase": "resolved", "challenge": "ch1", "job": "n1:1",
+            "votes": {JURY[0]: True, JURY[1]: True, JURY[2]: False}, "at": 160,
+        }),
+        lambda bank: bank.resolve_challenge(
+            "ch1", {JURY[0]: True, JURY[1]: True, JURY[2]: False}, 160
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("prepare, fact, direct", APPLY_CASES.values(), ids=APPLY_CASES)
+def test_apply_matches_the_direct_call(prepare, fact, direct):
+    bank, twin = make_bank(), make_bank()
+    prepare(bank)
+    prepare(twin)
+    before = snapshot(bank)
+    changed = bank.apply(fact, ACTIVE)
+    expected = direct(twin)
+    assert snapshot(bank) != before
+    assert snapshot(bank) == snapshot(twin)
+    assert changed == expected
+    if fact.kind == EntryKind.CHALLENGE:
+        assert bank.challenges["ch1"].jury == JURY
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (EntryKind.NODE_SPEC, {"deed_id": "n1", "verify_key": "00" * 32}),
+    (EntryKind.PROGRESS_PROOF, {"job": "n1:1", "worker": "n2", "link": 1}),
+    (EntryKind.POOL_EVENT, {"event": "review_resolved", "job": "n1:1"}),
+    (EntryKind.JOB_STATUS, {"job": "n1:1", "status": "IN_PROGRESS", "at": 100, "epoch": 1}),
+    (EntryKind.CHALLENGE, {"phase": "appealed", "challenge": "ch1", "job": "n1:1"}),
+], ids=["node_spec", "progress_proof", "pool_event", "in_progress", "unknown_phase"])
+def test_apply_ignores_entries_that_move_no_funds(kind, payload):
+    bank = make_bank()
+    challenged(bank)
+    before = snapshot(bank)
+    assert bank.apply(entry(kind, payload), ACTIVE) is None
+    assert snapshot(bank) == before
 
 
 verdict_choice = st.sampled_from(["done", "valid", "invalid"])

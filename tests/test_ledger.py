@@ -1,4 +1,4 @@
-"""Hash-chained ledger: appends, dumps, tamper detection, oracle mirror."""
+"""Hash-chained ledger: appends, dumps, tamper detection."""
 
 import dataclasses
 import random
@@ -16,15 +16,10 @@ from computepool.crypto import ZERO_DIGEST, derive_signer, digest
 from computepool.encoding import Encoded, encode
 from computepool.ledger import (
     DUMP_MAGIC,
-    CreditCommand,
     EntryKind,
     Ledger,
     LedgerError,
-    OpenChallengeCommand,
-    ResolveChallengeCommand,
-    SettleCommand,
     load_blocks,
-    oracle_mirror,
     sign_entry,
     verify_blocks,
     verify_dump,
@@ -209,54 +204,6 @@ def test_broken_chain_link_is_detected():
     assert result.failing_height == 2
 
 
-def test_mirror_is_pure_and_ignores_non_financial_kinds():
-    entry = sign_entry(
-        EntryKind.JOB_STATUS, "bob",
-        {"job": "alice:1", "status": "DONE", "at": 25, "epoch": 1, "digest": "00"},
-        BOB,
-    )
-    assert oracle_mirror(entry) == oracle_mirror(entry)
-    assert oracle_mirror(entry) == [SettleCommand("alice:1", "DONE", 25, 1)]
-    for kind, payload in [
-        (EntryKind.NODE_SPEC, {"deed_id": "bob", "verify_key": BOB.verify_key.hex()}),
-        (EntryKind.JOB_ASSIGN, {"job": "alice:1", "workers": []}),
-        (EntryKind.PROGRESS_PROOF, {"job": "alice:1", "link": 1}),
-        (EntryKind.POOL_EVENT, {"event": "anything"}),
-        (EntryKind.JOB_STATUS, {"job": "alice:1", "status": "IN_PROGRESS"}),
-    ]:
-        assert oracle_mirror(sign_entry(kind, "bob", payload, BOB)) == []
-
-
-def test_mirror_translates_rewards_and_challenges():
-    reward = sign_entry(
-        EntryKind.REWARD_RECORD, "coord",
-        {"epoch": 2, "entries": [["a", "5/2", 0.5], ["b", "5/2", 0.5]]},
-        ALICE,
-    )
-    assert oracle_mirror(reward) == [
-        CreditCommand("a", Fraction(5, 2)),
-        CreditCommand("b", Fraction(5, 2)),
-    ]
-    opened = sign_entry(
-        EntryKind.CHALLENGE, "carol",
-        {"phase": "opened", "challenger": "carol", "job": "alice:1",
-         "bond": "9", "seed": "ab" * 32, "epoch": 3},
-        ALICE,
-    )
-    assert oracle_mirror(opened) == [
-        OpenChallengeCommand("carol", "alice:1", Fraction(9), bytes.fromhex("ab" * 32), 3)
-    ]
-    resolved = sign_entry(
-        EntryKind.CHALLENGE, "coord",
-        {"phase": "resolved", "challenge": "ch1", "votes": {"x": True, "y": False},
-         "at": 77},
-        ALICE,
-    )
-    assert oracle_mirror(resolved) == [
-        ResolveChallengeCommand("ch1", {"x": True, "y": False}, 77)
-    ]
-
-
 # -- each entry's payload is encoded once; every byte stays as specified ------
 
 
@@ -272,7 +219,7 @@ def test_stored_payload_bytes_keep_every_byte(reference_ledger):
         kind, author, payload, signature = (
             entry.kind.value, entry.author, entry.payload, entry.signature)
         assert entry.signing_bytes() == encode([kind, author, payload])
-        assert entry.digest() == digest(encode([kind, author, payload, signature]))
+        assert digest(entry.frames()[1]) == digest(encode([kind, author, payload, signature]))
     # A dump built straight from the format: one `encode` of each block's whole
     # nested wire value, with every payload encoded in place.
     wires = forged_dumps.wires(reference_ledger.blocks)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from computepool.escrow import JobStatus
+from computepool.escrow import EscrowBank, JobStatus
 from computepool.ledger import EntryKind, verify_blocks
 from computepool.scenario import load_scenario, parse_scenario
 from computepool.simnet import PRI_HEARTBEAT, Simulation, run_scenario, topic_matches
@@ -391,3 +391,44 @@ def test_upheld_challenge_on_settled_job_refunds_once_within_its_epoch(challenge
     assert all(bank.registry.deed(who).balance == 100 for who, _ in challenges)
     assert [row["reward_pool"] for row in result.pool_timeline] == ["0", "0"]
     assert result.allocations == []
+
+
+def test_challenge_after_its_window_is_recorded_then_rejected():
+    # alpha:1 settles in epoch 1; at t=4000 s epoch 2 runs, so the window is closed.
+    result = run_scenario(demo_with_challenges(("j0", 4000)))
+    opened, rejected = result.ledger.blocks[8].entries
+    assert (opened.kind, opened.payload["phase"]) == (EntryKind.CHALLENGE, "opened")
+    assert (rejected.kind, rejected.payload["event"]) == (
+        EntryKind.POOL_EVENT, "challenge_rejected"
+    )
+    events = [e.payload.get("event") for _, e in result.ledger.entries()]
+    assert "jury_drawn" not in events
+    assert result.audit["challenges_failed"] == 1
+    assert result.audit["challenges_opened"] == 0
+    unchallenged = run_scenario(demo_with_challenges())
+    j0 = result.bank.registry.deed("j0").balance
+    assert j0 == unchallenged.bank.registry.deed("j0").balance  # no bond moved
+    assert result.conservation_ok
+
+
+def test_every_fund_moving_entry_reaches_the_bank_once_in_ledger_order(monkeypatch):
+    applied = []
+    apply = EscrowBank.apply
+
+    def recording_apply(bank, entry, *args, **kwargs):
+        applied.append(entry)
+        return apply(bank, entry, *args, **kwargs)
+
+    monkeypatch.setattr(EscrowBank, "apply", recording_apply)
+    result = run_scenario(load_scenario(SCENARIOS / "reference.yaml"))
+
+    def moves_funds(entry):
+        if entry.kind == EntryKind.JOB_STATUS:
+            return entry.payload["status"] in ("DONE", "CANCELLED")
+        return entry.kind in (
+            EntryKind.JOB_ASSIGN, EntryKind.REWARD_RECORD, EntryKind.CHALLENGE
+        )
+
+    recorded = [entry for _, entry in result.ledger.entries() if moves_funds(entry)]
+    assert len(recorded) > 30
+    assert [id(e) for e in applied] == [id(e) for e in recorded]
