@@ -72,15 +72,9 @@ class Assignment:
     worker_index: int
 
 
-def assign_workers(
-    job: str,
-    requirement: Capability,
-    candidates: dict[str, Capability],
-    n: int,
-    weights: CapabilityWeights = CapabilityWeights(),
-) -> list[Assignment]:
-    """Fill `n` worker slots with the top-ranked candidates, one per slot."""
-    ranked = rank_candidates(requirement, candidates, weights)
+def assign_workers(job: str, ranked: list[str], n: int) -> list[Assignment]:
+    """Fill `n` worker slots from a `rank_candidates` list, best first, one
+    per slot."""
     if len(ranked) < n:
         raise InsufficientWorkersError(
             f"job {job}: need {n} eligible workers, found {len(ranked)}"

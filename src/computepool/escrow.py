@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .ledger import EntryKind, LedgerEntry
-from .tokenomics import NodeRegistry
+from .tokenomics import NodeRegistry, exact_sum
 
 REVIEW_LOCK_SECONDS = 86400  # 24 hours of simulation time
 JURY_SIZE = 3
@@ -339,8 +339,9 @@ class EscrowBank:
 
         `JOB_ASSIGN` activates its job, `JOB_STATUS` DONE or CANCELLED
         settles it, and `CHALLENGE` opens (jurors drawn from `active_ids`)
-        or resolves a challenge. `REWARD_RECORD` pays each row and returns
-        None. Any other entry changes nothing and returns None.
+        or resolves a challenge. `REWARD_RECORD` pays every row, or none if
+        any row is invalid, and returns None. Any other entry changes nothing
+        and returns None.
         """
         p = entry.payload
         if entry.kind == EntryKind.JOB_ASSIGN:
@@ -348,8 +349,9 @@ class EscrowBank:
         if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):
             return self.settle_job(p["job"], JobStatus(p["status"]), p["at"], epoch=p["epoch"])
         if entry.kind == EntryKind.REWARD_RECORD:
-            for deed_id, amount, _share in p["entries"]:
-                self.pay_reward(deed_id, Fraction(amount))
+            self.pay_rewards(
+                [(deed_id, Fraction(amount)) for deed_id, amount, _share in p["entries"]]
+            )
             return None
         if entry.kind == EntryKind.CHALLENGE and p["phase"] == "opened":
             return self.open_challenge(
@@ -368,13 +370,24 @@ class EscrowBank:
 
     def pay_reward(self, deed_id: str, amount: Fraction) -> None:
         """Move one allocation entry's amount from the reward pool to a deed."""
-        if amount < 0:
-            raise EscrowError("reward amount must be non-negative")
-        if self.reward_pool < amount:
+        self.pay_rewards([(deed_id, amount)])
+
+    def pay_rewards(self, rows: list[tuple[str, Fraction]]) -> None:
+        """Pay every (deed, amount) row from the reward pool, or none of them.
+
+        Every deed must be known, no amount negative, and the rows together
+        must fit in the pool; otherwise nothing moves.
+        """
+        for deed_id, amount in rows:
+            self.registry.deed(deed_id)
+            if amount < 0:
+                raise EscrowError("reward amount must be non-negative")
+        if self.reward_pool < exact_sum(amount for _deed_id, amount in rows):
             raise EscrowError("reward pool underflow")
-        self.reward_pool -= amount
-        self.registry.credit(deed_id, amount)
-        self.distributed_total += amount
+        for deed_id, amount in rows:
+            self.reward_pool -= amount
+            self.registry.credit(deed_id, amount)
+            self.distributed_total += amount
 
     def _locked_jobs(self) -> list[Job]:
         return [j for j in self.jobs.values() if j.status == JobStatus.LOCKED_FOR_REVIEW]
@@ -384,13 +397,13 @@ class EscrowBank:
 
     def conservation_total(self) -> Fraction:
         """Tokens visible anywhere in the system; constant across every event."""
-        return (
-            self.registry.total_balance()
-            + self.escrow_pool
-            + self.reward_pool
-            + sum((j.reward for j in self._locked_jobs()), Fraction(0))
-            + sum((c.bond for c in self._pending_challenges()), Fraction(0))
-        )
+        return exact_sum([
+            self.registry.total_balance(),
+            self.escrow_pool,
+            self.reward_pool,
+            *(j.reward for j in self._locked_jobs()),
+            *(c.bond for c in self._pending_challenges()),
+        ])
 
     def pool_payload(self) -> dict:
         """Pool levels, review locks and pending bonds: one `pool.jsonl` row."""

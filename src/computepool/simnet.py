@@ -31,6 +31,7 @@ from .distribution import (
     make_capability_commitment,
     make_result_shard,
     next_commitment,
+    rank_candidates,
     reduce_gather,
 )
 from .encoding import encode
@@ -54,6 +55,7 @@ from .pipeline import (
 )
 from .scenario import COORDINATOR_ID, ChallengeSpec, JobSpec, NodeSpec, Scenario
 from .tokenomics import (
+    Capability,
     EpochConfig,
     NodeRegistry,
     NoEligibleNodesError,
@@ -171,6 +173,13 @@ class Simulation:
 
         self._signers: dict[str, Signer] = {}
         self._node_specs: dict[str, NodeSpec] = {n.node_id: n for n in scenario.nodes}
+        # Capabilities never change, so each distinct requirement is ranked
+        # once; an assignment filters its list by who is up and who sent.
+        capabilities = {n.node_id: n.capability for n in scenario.nodes}
+        self._ranked: dict[Capability, list[str]] = {
+            req: rank_candidates(req, capabilities, scenario.capability_weights)
+            for req in {job.requirement for job in scenario.jobs}
+        }
         self._up: dict[str, bool] = {}
 
         self._net_rng = random.Random(
@@ -419,19 +428,13 @@ class Simulation:
 
     def _try_assign(self, job_id: str) -> None:
         spec = self._job_specs[job_id]
-        candidates = {
-            node_id: ns.capability
-            for node_id, ns in self._node_specs.items()
+        ranked = [
+            node_id
+            for node_id in self._ranked[spec.requirement]
             if self._up[node_id] and node_id != spec.sender
-        }
+        ]
         try:
-            assignments = assign_workers(
-                job_id,
-                spec.requirement,
-                candidates,
-                spec.n_workers,
-                self.scenario.capability_weights,
-            )
+            assignments = assign_workers(job_id, ranked, spec.n_workers)
         except InsufficientWorkersError:
             # Job stays PENDING; try again next tick if the horizon allows.
             self._retry_later(self._on_assign_retry, job_id)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 # Power scores are kept in a bounded band so exp() stays finite and penalty
 # arithmetic cannot run away.
@@ -28,6 +29,26 @@ class NoEligibleNodesError(Exception):
 
 class UnknownDeedError(KeyError):
     pass
+
+
+def exact_sum(values: Iterable[Fraction | int]) -> Fraction:
+    """The exact sum of rationals, added as integers.
+
+    Numerators that share a denominator are added as plain integers; the
+    groups are then combined once over the lcm of the denominators. A pool's
+    balances carry few distinct denominators, so this does a handful of
+    big-integer steps where a `Fraction` sum normalizes after every addition.
+    """
+    by_denominator: dict[int, int] = {}
+    for value in values:
+        n, d = value.as_integer_ratio()
+        by_denominator[d] = by_denominator.get(d, 0) + n
+    if not by_denominator:
+        return Fraction(0)
+    common = math.lcm(*by_denominator)
+    return Fraction(
+        sum(n * (common // d) for d, n in by_denominator.items()), common
+    )
 
 
 def clamp_power(power: float) -> float:
@@ -121,9 +142,6 @@ class RewardAllocation:
     pool: Fraction
     entries: list[RewardShare]
 
-    def total_amount(self) -> Fraction:
-        return sum((e.amount for e in self.entries), Fraction(0))
-
 
 def total_protocol_time(cfg: EpochConfig) -> int:
     """Seconds elapsed over all closed epochs (epoch length times epoch count)."""
@@ -197,7 +215,7 @@ def distribute_epoch_rewards(
         deed: pool_snapshot * Fraction(share) if share > 0.0 else Fraction(0)
         for deed, share in shares.items()
     }
-    residue = pool_snapshot - sum(amounts.values(), Fraction(0))
+    residue = pool_snapshot - exact_sum(amounts.values())
     if residue:
         sink = min(shares, key=lambda d: (-shares[d], d))
         amounts[sink] += residue
@@ -248,7 +266,7 @@ class NodeRegistry:
         deed.balance -= amount
 
     def total_balance(self) -> Fraction:
-        return sum((d.balance for d in self.deeds.values()), Fraction(0))
+        return exact_sum(d.balance for d in self.deeds.values())
 
     def accrue_alive(self, deed_id: str, seconds: int) -> None:
         self.deed(deed_id).total_alive_seconds += seconds

@@ -26,7 +26,7 @@ from computepool.escrow import JobStatus
 from computepool.pipeline import hash_sign_recheck, make_plugin_code, safety_check
 from computepool.scenario import load_scenario, parse_scenario
 from computepool.simnet import run_scenario
-from computepool.tokenomics import EpochConfig, NodeDeed, distribute_epoch_rewards
+from computepool.tokenomics import EpochConfig, NodeDeed, distribute_epoch_rewards, exact_sum
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -81,7 +81,7 @@ def test_ac01_shares_normalize():
         pool = Fraction(rng.randint(1, 10**6), rng.choice([1, 3, 7]))
         alloc = distribute_epoch_rewards(pool, active, cfg)
         assert abs(sum(e.share for e in alloc.entries) - 1.0) <= 1e-9
-        assert alloc.total_amount() == pool
+        assert exact_sum(e.amount for e in alloc.entries) == pool
 
 
 def decimal_shares(active, epoch, epoch_seconds):
@@ -135,7 +135,7 @@ def test_ac04_conservation_identity(reference_run):
     assert bank.clawback_total == 0
     assert bank.distributed_total == bank.settled_rewards_total + bank.rejected_bonds_total
     assert bank.registry.total_balance() == minted
-    paid = sum((a.total_amount() for a in result.allocations), Fraction(0))
+    paid = exact_sum(e.amount for a in result.allocations for e in a.entries)
     assert paid == bank.distributed_total
 
 

@@ -60,13 +60,41 @@ def test_assign_workers_fills_slots_in_rank_order():
         "w2": Capability(cpu=8),
         "w3": Capability(cpu=4),
     }
-    out = assign_workers("job:1", Capability(cpu=1), candidates, 2)
+    ranked = rank_candidates(Capability(cpu=1), candidates)
+    out = assign_workers("job:1", ranked, 2)
     assert out == [
         Assignment("job:1", "w2", 0),
         Assignment("job:1", "w3", 1),
     ]
     with pytest.raises(InsufficientWorkersError, match="need 4"):
-        assign_workers("job:1", Capability(cpu=1), candidates, 4)
+        assign_workers("job:1", ranked, 4)
+
+
+NODE_IDS = [f"n{i}" for i in range(8)]
+# Small integer capabilities make equal scores common, so ties are exercised.
+small_caps = st.builds(
+    Capability,
+    cpu=st.integers(0, 2),
+    gpu=st.booleans(),
+    gpu_units=st.integers(0, 1),
+    memory=st.integers(0, 2),
+)
+
+
+@given(
+    st.dictionaries(st.sampled_from(NODE_IDS), small_caps),
+    small_caps,
+    st.sets(st.sampled_from(NODE_IDS)),
+    st.sampled_from(NODE_IDS),
+)
+@settings(max_examples=100, deadline=None)
+def test_filtering_a_ranking_equals_ranking_the_filtered_candidates(
+    candidates, requirement, up, sender
+):
+    eligible = {n for n in candidates if n in up and n != sender}
+    filtered = [n for n in rank_candidates(requirement, candidates) if n in eligible]
+    subset = {n: cap for n, cap in candidates.items() if n in eligible}
+    assert filtered == rank_candidates(requirement, subset)
 
 
 def test_capability_commitment_roundtrip():

@@ -22,7 +22,7 @@ from computepool.escrow import (
     UnknownJobError,
 )
 from computepool.ledger import EntryKind, LedgerEntry
-from computepool.tokenomics import NodeRegistry
+from computepool.tokenomics import NodeRegistry, UnknownDeedError
 
 
 def make_bank(balances=None):
@@ -401,6 +401,26 @@ def test_apply_matches_the_direct_call(prepare, fact, direct):
     assert changed == expected
     if fact.kind == EntryKind.CHALLENGE:
         assert bank.challenges["ch1"].jury == JURY
+
+
+def reward_rows(*rows):
+    return entry(EntryKind.REWARD_RECORD,
+                 {"epoch": 1, "pool": "5", "entries": [[d, a, 0.5] for d, a in rows]})
+
+
+@pytest.mark.parametrize("pay, error", [
+    (lambda bank: bank.apply(reward_rows(("n2", "2"), ("ghost", "3"))), UnknownDeedError),
+    (lambda bank: bank.apply(reward_rows(("n2", "3"), ("n3", "3"))), EscrowError),
+    (lambda bank: bank.apply(reward_rows(("n2", "2"), ("n3", "-1"))), EscrowError),
+    (lambda bank: bank.pay_reward("ghost", Fraction(5)), UnknownDeedError),
+], ids=["unknown_deed_last", "rows_over_pool", "negative_row", "pay_unknown_deed"])
+def test_a_reward_payout_is_all_or_nothing(pay, error):
+    bank = make_bank()
+    settled(bank)  # 5 tokens in the reward pool
+    before = snapshot(bank), bank.conservation_total()
+    with pytest.raises(error):
+        pay(bank)
+    assert (snapshot(bank), bank.conservation_total()) == before
 
 
 @pytest.mark.parametrize("kind, payload", [

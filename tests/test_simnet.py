@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from computepool.escrow import EscrowBank, JobStatus
 from computepool.ledger import EntryKind, verify_blocks
 from computepool.scenario import load_scenario, parse_scenario
-from computepool.simnet import PRI_HEARTBEAT, Simulation, run_scenario, topic_matches
+from computepool.simnet import (
+    PRI_HEARTBEAT,
+    Simulation,
+    SimulationError,
+    run_scenario,
+    topic_matches,
+)
+from computepool.tokenomics import NodeRegistry
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -432,3 +439,26 @@ def test_every_fund_moving_entry_reaches_the_bank_once_in_ledger_order(monkeypat
     recorded = [entry for _, entry in result.ledger.entries() if moves_funds(entry)]
     assert len(recorded) > 30
     assert [id(e) for e in applied] == [id(e) for e in recorded]
+
+
+def test_a_stray_fraction_of_a_token_breaks_conservation(monkeypatch):
+    scenario = load_scenario(SCENARIOS / "reference.yaml")
+    assert run_scenario(scenario).conservation_ok
+    # 2**61 - 1 is prime, and no balance in the run has it as a denominator.
+    # The stray rides on the run's second credit, n02's first reward, so
+    # n02's balance gets denominator 2**54 * (2**61 - 1). n01 holds 2**56,
+    # which that does not divide: only a sum over the lcm is exact here.
+    stray = Fraction(1, 2**61 - 1)
+    credits = []
+    credit = NodeRegistry.credit
+
+    def leaky_credit(self, deed_id, amount):
+        credits.append(deed_id)
+        credit(self, deed_id, amount + (stray if len(credits) == 2 else 0))
+
+    monkeypatch.setattr(NodeRegistry, "credit", leaky_credit)
+    with pytest.raises(SimulationError, match="token conservation broken") as broken:
+        run_scenario(scenario)
+    # The check reports the exact drift, not merely some inequality.
+    minted = sum((n.balance for n in scenario.nodes), Fraction(0))
+    assert f"total {minted + stray} (initial {minted})" in str(broken.value)

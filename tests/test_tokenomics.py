@@ -18,6 +18,7 @@ from computepool.tokenomics import (
     alive_fraction,
     clamp_power,
     distribute_epoch_rewards,
+    exact_sum,
     node_power_index,
     total_protocol_time,
 )
@@ -90,7 +91,7 @@ def test_three_node_distribution_exact_total():
     cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([1.0, 0.0, -1.0], [400, 200, 100])
     alloc = distribute_epoch_rewards(Fraction(100), active, cfg)
-    assert alloc.total_amount() == Fraction(100)
+    assert exact_sum(e.amount for e in alloc.entries) == Fraction(100)
     amounts = {e.deed_id: float(e.amount) for e in alloc.entries}
     assert amounts["n00"] == pytest.approx(82.11707398853238, abs=1e-9)
     assert amounts["n01"] == pytest.approx(15.104591644767638, abs=1e-9)
@@ -127,7 +128,7 @@ def test_residue_goes_to_highest_share_lowest_id_on_tie():
     residue = Fraction(1) - sum(plain.values())
     assert by_id["n00"] == plain["n00"] + residue
     assert by_id["n01"] == plain["n01"]
-    assert alloc.total_amount() == Fraction(1)
+    assert exact_sum(e.amount for e in alloc.entries) == Fraction(1)
 
 
 finite_power = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -143,7 +144,7 @@ def test_shares_normalize_to_one(rows):
     active = make_active([p for p, _ in rows], [s for _, s in rows])
     alloc = distribute_epoch_rewards(Fraction(1000), active, cfg)
     assert abs(sum(e.share for e in alloc.entries) - 1.0) <= 1e-9
-    assert alloc.total_amount() == Fraction(1000)
+    assert exact_sum(e.amount for e in alloc.entries) == Fraction(1000)
 
 
 @given(
@@ -207,7 +208,21 @@ def test_distribution_conserves_any_pool(rows, pool_int):
     cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([p for p, _ in rows], [s for _, s in rows])
     alloc = distribute_epoch_rewards(pool, active, cfg)
-    assert alloc.total_amount() == pool
+    assert exact_sum(e.amount for e in alloc.entries) == pool
+
+
+# Shared small denominators make groups; wide ones make many distinct groups
+# whose lcm runs far past 64 bits.
+denominators = st.one_of(st.sampled_from([1, 2, 3, 7, 2**32, 2**64]), st.integers(1, 2**64))
+rationals = st.builds(Fraction, st.integers(-(10**20), 10**20), denominators)
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-3, 3)), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_equals_the_fraction_sum(values):
+    total = exact_sum(values)
+    assert isinstance(total, Fraction)
+    assert total == sum(values, Fraction(0))
 
 
 def test_registry_balance_and_penalty_flow():
