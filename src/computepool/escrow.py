@@ -12,7 +12,8 @@ rejected verdict forfeits the bond to the reward pool.
 A recorded ledger fact moves funds through `EscrowBank.apply`, which reads
 the entry's payload and calls the one method that kind of fact stands for.
 The simulator calls it on each entry it records, and a replay of a dump can
-call it on the same entries.
+call it on the same entries. A `REWARD_RECORD` must pay out the whole reward
+pool, exactly, or nothing moves.
 
 Every mutation is atomic per call and the class never creates or destroys
 tokens: deed balances + escrow pool + reward pool + the rewards of jobs locked
@@ -135,9 +136,6 @@ class EscrowBank:
         self.reward_pool = Fraction(0)
         # Bookkeeping only; not part of the conservation identity.
         self.distributed_total = Fraction(0)
-        self.settled_rewards_total = Fraction(0)
-        self.rejected_bonds_total = Fraction(0)
-        self.clawback_total = Fraction(0)
 
     # -- job lifecycle -----------------------------------------------------
 
@@ -204,7 +202,6 @@ class EscrowBank:
         self.escrow_pool -= job.reward
         if final_status == JobStatus.DONE:
             self.reward_pool += job.reward
-            self.settled_rewards_total += job.reward
             job.advance(JobStatus.SETTLED)
             job.settled_epoch = epoch
         else:
@@ -229,7 +226,6 @@ class EscrowBank:
             )
         if verdict == ReviewVerdict.WORK_VALID:
             self.reward_pool += job.reward
-            self.settled_rewards_total += job.reward
             job.advance(JobStatus.SETTLED)
             job.settled_epoch = epoch
         else:
@@ -320,13 +316,10 @@ class EscrowBank:
                 # The reward still sits in the reward pool, since the caller
                 # resolves a challenge before its epoch closes; claw it back.
                 self.reward_pool -= job.reward
-                self.settled_rewards_total -= job.reward
-                self.clawback_total += job.reward
                 self.registry.credit(job.sender, job.reward)
                 job.advance(JobStatus.REFUNDED)
         else:
             self.reward_pool += challenge.bond
-            self.rejected_bonds_total += challenge.bond
         return challenge
 
     # -- ledger facts ----------------------------------------------------------
@@ -340,8 +333,9 @@ class EscrowBank:
         `JOB_ASSIGN` activates its job, `JOB_STATUS` DONE or CANCELLED
         settles it, and `CHALLENGE` opens (jurors drawn from `active_ids`)
         or resolves a challenge. `REWARD_RECORD` pays every row, or none if
-        any row is invalid, and returns None. Any other entry changes nothing
-        and returns None.
+        any row is invalid or the rows do not sum exactly to the record's
+        `pool`, which must be the whole reward pool; it returns None. Any
+        other entry changes nothing and returns None.
         """
         p = entry.payload
         if entry.kind == EntryKind.JOB_ASSIGN:
@@ -349,9 +343,14 @@ class EscrowBank:
         if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):
             return self.settle_job(p["job"], JobStatus(p["status"]), p["at"], epoch=p["epoch"])
         if entry.kind == EntryKind.REWARD_RECORD:
-            self.pay_rewards(
-                [(deed_id, Fraction(amount)) for deed_id, amount, _share in p["entries"]]
-            )
+            rows = [(deed_id, Fraction(amount)) for deed_id, amount, _share in p["entries"]]
+            pool = Fraction(p["pool"])
+            if pool != self.reward_pool or exact_sum(a for _deed_id, a in rows) != pool:
+                raise EscrowError(
+                    f"reward record for pool {pool} does not pay out the reward pool "
+                    f"{self.reward_pool} exactly"
+                )
+            self.pay_rewards(rows)
             return None
         if entry.kind == EntryKind.CHALLENGE and p["phase"] == "opened":
             return self.open_challenge(
@@ -366,11 +365,7 @@ class EscrowBank:
             return self.resolve_challenge(p["challenge"], p["votes"], p["at"])
         return None
 
-    # -- epoch distribution and audit ----------------------------------------
-
-    def pay_reward(self, deed_id: str, amount: Fraction) -> None:
-        """Move one allocation entry's amount from the reward pool to a deed."""
-        self.pay_rewards([(deed_id, amount)])
+    # -- epoch distribution and conservation --------------------------------
 
     def pay_rewards(self, rows: list[tuple[str, Fraction]]) -> None:
         """Pay every (deed, amount) row from the reward pool, or none of them.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -194,25 +195,10 @@ class Simulation:
 
         self.allocations: list[RewardAllocation] = []
         self.pool_timeline: list[dict] = []
-        self.audit: dict = {
-            "proofs_accepted": 0,
-            "proofs_rejected": 0,
-            "penalties": 0,
-            "jobs_submitted": 0,
-            "jobs_rejected": 0,
-            "jobs_done": 0,
-            "jobs_cancelled": 0,
-            "reviews_resolved": 0,
-            "challenges_opened": 0,
-            "challenges_failed": 0,
-            "code_rechecks": 0,
-            "plugins_vetted": 0,
-            "closes_skipped": 0,
-        }
+        self.code_rechecks = 0  # the one audit counter no entry records
         self.messages = MessageAudit()
         self._in_flight = 0  # scheduled deliveries that have not run yet
         self._initial_total = Fraction(0)
-        self._conservation_ok = True
 
     # -- plumbing ---------------------------------------------------------
 
@@ -258,7 +244,6 @@ class Simulation:
         bank = self.bank
         total = bank.conservation_total()
         if total != self._initial_total or bank.reward_pool < 0 or bank.escrow_pool < 0:
-            self._conservation_ok = False
             raise SimulationError(
                 f"token conservation broken at t={self._now}ms: total {total} "
                 f"(initial {self._initial_total}), reward pool {bank.reward_pool}, "
@@ -377,18 +362,14 @@ class Simulation:
                 self.registry.accrue_alive(node.node_id, self.scenario.heartbeat_seconds)
 
     def _on_job_arrival(self, spec: JobSpec) -> None:
-        self.audit["jobs_submitted"] += 1
-
         # User code is vetted before any funds move, so a rejected plugin
         # never strands tokens in escrow.
         user_code = spec.pipeline.user_code
         if user_code is not None:
-            self.audit["plugins_vetted"] += 1
             for source in user_code:
                 code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
                 verdict = safety_check(code.source, self.scenario.safety_policy)
                 if not verdict.safe:
-                    self.audit["jobs_rejected"] += 1
                     self._record(
                         EntryKind.POOL_EVENT,
                         COORDINATOR_ID,
@@ -402,7 +383,7 @@ class Simulation:
                     )
                     return
                 ok, reason = hash_sign_recheck(code, self._signer(spec.sender).verify_key)
-                self.audit["code_rechecks"] += 1
+                self.code_rechecks += 1
                 if not ok:
                     raise SimulationError(f"plugin recheck failed at submit: {reason}")
 
@@ -411,7 +392,6 @@ class Simulation:
                 spec.job_id, spec.sender, spec.reward, spec.pipeline_name, spec.n_workers
             )
         except InsufficientFundsError:
-            self.audit["jobs_rejected"] += 1
             self._record(
                 EntryKind.POOL_EVENT,
                 COORDINATOR_ID,
@@ -482,7 +462,7 @@ class Simulation:
             return  # duplicate delivery after a retransmit
         if code is not None:
             ok, reason = hash_sign_recheck(code, self._signer(code.author).verify_key)
-            self.audit["code_rechecks"] += 1
+            self.code_rechecks += 1
             if not ok:
                 self._record(
                     EntryKind.POOL_EVENT,
@@ -614,15 +594,12 @@ class Simulation:
         ok, reason = self._tracker.observe(proof)
         epoch = self._epoch_of(self._now)
         if ok:
-            self.audit["proofs_accepted"] += 1
             self._record(
                 EntryKind.PROGRESS_PROOF,
                 proof.worker,
                 dict(proof.to_payload(), epoch=epoch, verdict="accepted"),
             )
         else:
-            self.audit["proofs_rejected"] += 1
-            self.audit["penalties"] += 1
             new_power = self.registry.apply_penalty(
                 proof.worker, epoch, PENALTY_POWER, current_epoch=epoch
             )
@@ -676,7 +653,6 @@ class Simulation:
             },
         )
         self._apply_entry(entry)
-        self.audit["jobs_done"] += 1
 
     def _on_job_cancel(self, job_id: str) -> None:
         job = self.bank.jobs.get(job_id)
@@ -703,7 +679,6 @@ class Simulation:
         )
         job = self._apply_entry(entry)
         self._schedule(job.unlock_time * 1000, PRI_REVIEW, self._on_review_unlock, job_id)
-        self.audit["jobs_cancelled"] += 1
         for a in self._jobs[job_id].assignments:
             self._publish(a.worker, self._on_cancel_delivered, job_id, COORDINATOR_ID)
 
@@ -721,7 +696,6 @@ class Simulation:
         )
         now_s = self._now // 1000
         self.bank.resolve_review(job_id, verdict, now_s, epoch=self._epoch_of(self._now))
-        self.audit["reviews_resolved"] += 1
         self._record(
             EntryKind.POOL_EVENT,
             COORDINATOR_ID,
@@ -738,7 +712,6 @@ class Simulation:
         try:
             job = self.bank.job(spec.job_id)
         except UnknownJobError:
-            self.audit["challenges_failed"] += 1
             return
         bond = spec.bond if spec.bond is not None else job.reward * self.scenario.bond_fraction
         seed = digest(
@@ -769,9 +742,7 @@ class Simulation:
             )
         self._check_conservation()
         if challenge is None:
-            self.audit["challenges_failed"] += 1
             return
-        self.audit["challenges_opened"] += 1
         self._record(
             EntryKind.POOL_EVENT,
             COORDINATOR_ID,
@@ -821,28 +792,24 @@ class Simulation:
         cfg = EpochConfig(self.scenario.epoch_seconds, current_epoch=epoch)
         active = [self.registry.deed(n.node_id) for n in self.scenario.nodes]
         pool = self.bank.reward_pool
-        if pool > 0:
-            try:
-                allocation = distribute_epoch_rewards(pool, active, cfg)
-            except NoEligibleNodesError:
-                self.audit["closes_skipped"] += 1
-                allocation = None
-            if allocation is not None:
-                self.allocations.append(allocation)
-                entry = self._record(
-                    EntryKind.REWARD_RECORD,
-                    COORDINATOR_ID,
-                    {
-                        "epoch": epoch,
-                        "pool": str(pool),
-                        "entries": [
-                            [e.deed_id, str(e.amount), e.share] for e in allocation.entries
-                        ],
-                    },
-                )
-                self._apply_entry(entry)
-        else:
-            self.audit["closes_skipped"] += 1
+        try:
+            allocation = distribute_epoch_rewards(pool, active, cfg) if pool > 0 else None
+        except NoEligibleNodesError:
+            allocation = None
+        if allocation is not None:
+            self.allocations.append(allocation)
+            entry = self._record(
+                EntryKind.REWARD_RECORD,
+                COORDINATOR_ID,
+                {
+                    "epoch": epoch,
+                    "pool": str(pool),
+                    "entries": [
+                        [e.deed_id, str(e.amount), e.share] for e in allocation.entries
+                    ],
+                },
+            )
+            self._apply_entry(entry)
         if epoch < self.scenario.epochs:
             for node in self.scenario.nodes:
                 self.registry.set_power(
@@ -863,7 +830,6 @@ class Simulation:
                 self._seal_tick()
         self._seal_tick()
         final_total = self.bank.conservation_total()
-        conservation_ok = self._conservation_ok and final_total == self._initial_total
         self.messages.pending_at_end = self._in_flight
         return RunResult(
             scenario=self.scenario,
@@ -872,12 +838,48 @@ class Simulation:
             bank=self.bank,
             allocations=self.allocations,
             pool_timeline=self.pool_timeline,
-            audit=dict(self.audit),
+            audit=audit_counters(self.scenario, self.ledger, self.code_rechecks),
             messages=self.messages,
-            conservation_ok=conservation_ok,
+            conservation_ok=final_total == self._initial_total,
             initial_total=self._initial_total,
             final_total=final_total,
         )
+
+
+# Entries of these kinds are counted by this payload field, the rest by kind.
+# No pool event shares a name with a job status.
+_COUNTED_FIELD = {EntryKind.POOL_EVENT: "event", EntryKind.JOB_STATUS: "status"}
+
+
+def audit_counters(scenario: Scenario, ledger: Ledger, code_rechecks: int) -> dict:
+    """The run's audit counters, counted from its sealed ledger.
+
+    Four counters have no entry and come from the scenario. A run that
+    returns has handled every scripted job arrival, challenge and epoch close
+    exactly once: each job was submitted, and its user code vetted first;
+    each challenge either drew a jury or failed; each close either recorded
+    a `REWARD_RECORD` or was skipped. `code_rechecks` has no entry either,
+    so the simulation counts it as it runs.
+    """
+    counts: Counter = Counter()
+    for _block, entry in ledger.entries():
+        tag = _COUNTED_FIELD.get(entry.kind)
+        counts[entry.payload[tag] if tag else entry.kind] += 1
+    return {
+        "proofs_accepted": counts[EntryKind.PROGRESS_PROOF],
+        "proofs_rejected": counts["proof_rejected"],
+        "penalties": counts["proof_rejected"],
+        "jobs_submitted": len(scenario.jobs),
+        "jobs_rejected": counts["plugin_rejected"] + counts["job_rejected"],
+        "jobs_done": counts["DONE"],
+        "jobs_cancelled": counts["CANCELLED"],
+        "reviews_resolved": counts["review_resolved"],
+        "challenges_opened": counts["jury_drawn"],
+        "challenges_failed": len(scenario.challenges) - counts["jury_drawn"],
+        "code_rechecks": code_rechecks,
+        "plugins_vetted": sum(job.pipeline.user_code is not None for job in scenario.jobs),
+        "closes_skipped": scenario.epochs - counts[EntryKind.REWARD_RECORD],
+    }
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

@@ -22,7 +22,7 @@ import plugin_corpus
 from computepool.crypto import derive_signer, digest
 from computepool.encoding import encode
 from computepool.ledger import DUMP_MAGIC, EntryKind, verify_blocks, verify_dump
-from computepool.escrow import JobStatus
+from computepool.escrow import ChallengeVerdict, JobStatus
 from computepool.pipeline import hash_sign_recheck, make_plugin_code, safety_check
 from computepool.scenario import load_scenario, parse_scenario
 from computepool.simnet import run_scenario
@@ -132,8 +132,26 @@ def test_ac04_conservation_identity(reference_run):
     assert bank.reward_pool == 0
     pool = bank.pool_payload()
     assert pool["locked"] == [] and pool["bonds"] == []
-    assert bank.clawback_total == 0
-    assert bank.distributed_total == bank.settled_rewards_total + bank.rejected_bonds_total
+    # No reward was clawed back: no job that settled, by finishing or by a
+    # valid review, also lost an upheld challenge.
+    entries = [e for _, e in result.ledger.entries()]
+    settled = {
+        e.payload["job"] for e in entries
+        if (e.kind == EntryKind.JOB_STATUS and e.payload["status"] == "DONE")
+        or (e.kind == EntryKind.POOL_EVENT and e.payload["event"] == "review_resolved"
+            and e.payload["verdict"] == "WORK_VALID")
+    }
+    upheld = {
+        e.payload["job"] for e in entries
+        if e.kind == EntryKind.CHALLENGE and e.payload["phase"] == "resolved"
+        and sum(e.payload["votes"].values()) * 2 > len(e.payload["votes"])
+    }
+    assert upheld and not settled & upheld
+    # So every token paid out is a settled job's reward or a forfeited bond.
+    assert bank.distributed_total == exact_sum([
+        *(j.reward for j in bank.jobs.values() if j.status == JobStatus.SETTLED),
+        *(c.bond for c in bank.challenges.values() if c.verdict == ChallengeVerdict.REJECTED),
+    ])
     assert bank.registry.total_balance() == minted
     paid = exact_sum(e.amount for a in result.allocations for e in a.entries)
     assert paid == bank.distributed_total

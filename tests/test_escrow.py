@@ -84,7 +84,8 @@ def test_settle_done_feeds_reward_pool():
     assert job.settled_epoch == 2
     assert bank.escrow_pool == 0
     assert bank.reward_pool == 100
-    assert bank.settled_rewards_total == 100
+    assert bank.registry.deed("n1").balance == 900
+    assert bank.conservation_total() == 8000
     with pytest.raises(JobLifecycleError, match="already settled"):
         bank.settle_job(job.job_id, JobStatus.DONE, now=501)
 
@@ -226,7 +227,8 @@ def test_rejected_challenge_forfeits_bond_to_pool():
     assert resolved.verdict == ChallengeVerdict.REJECTED
     assert bank.registry.deed("n4").balance == 991
     assert bank.reward_pool == 9
-    assert bank.rejected_bonds_total == 9
+    assert bank.pool_payload()["bonds"] == []  # the bond left escrow for the pool
+    assert bank.conservation_total() == 8000
     # the job is still locked; the ordinary review can now run at unlock time
     assert job.status == JobStatus.LOCKED_FOR_REVIEW
     bank.resolve_review(job.job_id, ReviewVerdict.WORK_VALID, now=REVIEW_LOCK_SECONDS)
@@ -254,9 +256,11 @@ def test_upheld_challenge_on_settled_job_claws_back_reward():
     resolved = bank.resolve_challenge(ch.challenge_id, {j: True for j in ch.jury})
     assert resolved.verdict == ChallengeVerdict.UPHELD
     assert job.status == JobStatus.REFUNDED
-    assert bank.reward_pool == 0
-    assert bank.clawback_total == 90
-    assert bank.settled_rewards_total == 0
+    assert bank.pool_payload() == {
+        "escrow_pool": "0", "reward_pool": "0", "locked": [], "bonds": [],
+        "distributed_total": "0",
+    }
+    assert bank.conservation_total() == 8000
     assert bank.registry.deed("n1").balance == 1000
     assert bank.registry.deed("n4").balance == 1000
 
@@ -284,13 +288,13 @@ def test_pay_reward_guards_pool():
     job = bank.submit_job("n1:1", "n1", Fraction(50), "p", 1)
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, JobStatus.DONE, now=0)
-    bank.pay_reward("n3", Fraction(20))
+    bank.pay_rewards([("n3", Fraction(20))])
     assert bank.registry.deed("n3").balance == 1020
     assert bank.distributed_total == 20
     with pytest.raises(EscrowError, match="underflow"):
-        bank.pay_reward("n3", Fraction(31))
+        bank.pay_rewards([("n3", Fraction(31))])
     with pytest.raises(EscrowError):
-        bank.pay_reward("n3", Fraction(-1))
+        bank.pay_rewards([("n3", Fraction(-1))])
 
 
 # -- apply: one ledger entry, one bank method ------------------------------
@@ -307,7 +311,7 @@ def entry(kind, payload):
 
 def snapshot(bank):
     """Everything `apply` may change: balances, pool levels, jobs, challenges
-    and running totals."""
+    and the distributed total."""
     state = {k: v for k, v in vars(bank).items() if k != "registry"}
     balances = {d: deed.balance for d, deed in bank.registry.deeds.items()}
     return copy.deepcopy((balances, bank.pool_payload(), state))
@@ -334,8 +338,7 @@ def challenged(bank):
 
 
 def pay_both(bank):
-    bank.pay_reward("n2", Fraction(5, 2))
-    bank.pay_reward("n3", Fraction(5, 2))
+    bank.pay_rewards([("n2", Fraction(5, 2)), ("n3", Fraction(5, 2))])
 
 
 APPLY_CASES = {
@@ -403,22 +406,27 @@ def test_apply_matches_the_direct_call(prepare, fact, direct):
         assert bank.challenges["ch1"].jury == JURY
 
 
-def reward_rows(*rows):
+def reward_rows(*rows, pool="5"):
     return entry(EntryKind.REWARD_RECORD,
-                 {"epoch": 1, "pool": "5", "entries": [[d, a, 0.5] for d, a in rows]})
+                 {"epoch": 1, "pool": pool, "entries": [[d, a, 0.5] for d, a in rows]})
 
 
-@pytest.mark.parametrize("pay, error", [
-    (lambda bank: bank.apply(reward_rows(("n2", "2"), ("ghost", "3"))), UnknownDeedError),
-    (lambda bank: bank.apply(reward_rows(("n2", "3"), ("n3", "3"))), EscrowError),
-    (lambda bank: bank.apply(reward_rows(("n2", "2"), ("n3", "-1"))), EscrowError),
-    (lambda bank: bank.pay_reward("ghost", Fraction(5)), UnknownDeedError),
-], ids=["unknown_deed_last", "rows_over_pool", "negative_row", "pay_unknown_deed"])
-def test_a_reward_payout_is_all_or_nothing(pay, error):
+@pytest.mark.parametrize("pay, error, match", [
+    (lambda bank: bank.apply(reward_rows(("n2", "2"), ("ghost", "3"))),
+     UnknownDeedError, "ghost"),
+    (lambda bank: bank.apply(reward_rows(("n2", "3"), ("n3", "3"))), EscrowError, "exactly"),
+    (lambda bank: bank.apply(reward_rows(("n2", "6"), ("n3", "-1"))), EscrowError, "non-negative"),
+    (lambda bank: bank.apply(reward_rows(("n2", "2"), ("n3", "1"))), EscrowError, "exactly"),
+    (lambda bank: bank.apply(reward_rows(("n2", "2"), ("n3", "2"), pool="4")),
+     EscrowError, "exactly"),
+    (lambda bank: bank.pay_rewards([("ghost", Fraction(5))]), UnknownDeedError, "ghost"),
+], ids=["unknown_deed_last", "rows_over_pool", "negative_row", "rows_short_of_pool",
+        "pool_is_not_the_reward_pool", "pay_unknown_deed"])
+def test_a_reward_payout_is_all_or_nothing(pay, error, match):
     bank = make_bank()
     settled(bank)  # 5 tokens in the reward pool
     before = snapshot(bank), bank.conservation_total()
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         pay(bank)
     assert (snapshot(bank), bank.conservation_total()) == before
 
@@ -514,6 +522,6 @@ def test_conservation_holds_across_any_job_history(steps):
     land(verdicts, reviews, len(steps))
     assert locks == {} and bonds == {}
     # drain whatever reached the reward pool and check one last time
-    bank.pay_reward("x", bank.reward_pool)
+    bank.pay_rewards([("x", bank.reward_pool)])
     pool = Fraction(0)
     check()

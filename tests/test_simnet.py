@@ -393,7 +393,12 @@ def test_upheld_challenge_on_settled_job_refunds_once_within_its_epoch(challenge
     assert result.conservation_ok
     bank = result.bank
     assert bank.job("alpha:1").status == JobStatus.REFUNDED
-    assert bank.clawback_total == 300
+    # alpha:1's 300 reached the reward pool once, by its one DONE entry, and
+    # left it only by being clawed back: nothing was paid out.
+    done = [e.payload["job"] for _, e in result.ledger.entries()
+            if e.kind == EntryKind.JOB_STATUS and e.payload["status"] == "DONE"]
+    assert done == ["alpha:1"] and bank.job("alpha:1").reward == 300
+    assert bank.distributed_total == 0
     assert bank.registry.deed("alpha").balance == 500
     assert all(bank.registry.deed(who).balance == 100 for who, _ in challenges)
     assert [row["reward_pool"] for row in result.pool_timeline] == ["0", "0"]
@@ -416,6 +421,85 @@ def test_challenge_after_its_window_is_recorded_then_rejected():
     j0 = result.bank.registry.deed("j0").balance
     assert j0 == unchallenged.bank.registry.deed("j0").balance  # no bond moved
     assert result.conservation_ok
+
+
+def counters_scenario():
+    """Three 100 s epochs with 10 s heartbeats. Up to t=200 s every node is
+    down from each tick to one second after it, so none has any alive time
+    before epoch 3; arrivals, challenges and worker steps fall between ticks.
+
+    - sender:1 runs an unsafe `expr` plugin and is rejected at vetting.
+    - sender:2 asks for more than the sender holds and is rejected unfunded.
+    - sender:3 runs a safe `expr` plugin on worker `a` in epoch 2, three
+      steps, with a forged proof at step 2: links 1-3 are accepted and the
+      forgery is rejected. Its code is rechecked at submission and on delivery.
+    - A challenge of sender:1 finds no job; `poor` cannot post its bond; j1's
+      challenge of sender:3 draws j2, j3 and poor and is rejected.
+    - Epoch 1 closes on an empty pool, epoch 2 on 110 tokens that no node is
+      eligible for, and epoch 3 pays them out.
+    """
+    hb = 10
+    down = [{"from": t, "to": t + 1} for t in range(hb, 201, hb)]
+    nodes = [
+        {"id": "a"}, {"id": "j1", "balance": 50}, {"id": "j2"}, {"id": "j3"},
+        {"id": "poor", "balance": 5}, {"id": "sender", "balance": 400},
+    ]
+    return parse_scenario({
+        "name": "counters",
+        "seed": 5,
+        "epochs": 3,
+        "epoch_seconds": 100,
+        "heartbeat_seconds": hb,
+        "regions": {"eu": {"intra_latency_ms": 2, "inter_latency_ms": 20, "drop_rate": 0.0}},
+        "nodes": [dict(node, region="eu", downtime=down) for node in nodes],
+        "pipelines": {
+            "unsafe": {"source": {"kind": "counter"},
+                       "business": {"kind": "expr", "params": {"expr": "acc + eval"}}},
+            "count": {"source": {"kind": "counter"}, "business": {"kind": "sum"}},
+            "formula": {"source": {"kind": "counter", "params": {"start": 1}},
+                        "business": {"kind": "expr", "params": {"expr": "acc + x", "init": 0.0}}},
+        },
+        "jobs": [
+            {"sender": "sender", "at": 12, "reward": 100, "pipeline": "unsafe",
+             "n_workers": 1, "steps": 2},
+            {"sender": "sender", "at": 13, "reward": 500, "pipeline": "count",
+             "n_workers": 1, "steps": 2},
+            {"sender": "sender", "at": 102, "reward": 100, "pipeline": "formula",
+             "n_workers": 1, "steps": 3,
+             "faults": [{"worker_index": 0, "step": 2, "kind": "forge"}]},
+        ],
+        "challenges": [
+            {"challenger": "j1", "job": "sender:1", "at": 50, "votes": [True] * 3},
+            {"challenger": "poor", "job": "sender:3", "at": 150, "bond": 10,
+             "votes": [True] * 3},
+            {"challenger": "j1", "job": "sender:3", "at": 152, "bond": 10,
+             "votes": [False] * 3},
+        ],
+    })
+
+
+def test_every_audit_counter_matches_a_hand_count():
+    result = run_scenario(counters_scenario())
+    assert result.conservation_ok
+    assert result.audit == {
+        "proofs_accepted": 3,
+        "proofs_rejected": 1,
+        "penalties": 1,
+        "jobs_submitted": 3,
+        "jobs_rejected": 2,
+        "jobs_done": 1,
+        "jobs_cancelled": 0,
+        "reviews_resolved": 0,
+        "challenges_opened": 1,
+        "challenges_failed": 2,
+        "code_rechecks": 2,
+        "plugins_vetted": 2,
+        "closes_skipped": 2,
+    }
+    assert result.bank.job("sender:3").workers == ["a"]
+    assert sorted(result.bank.challenges["ch1"].jury) == ["j2", "j3", "poor"]
+    assert [row["reward_pool"] for row in result.pool_timeline] == ["0", "110", "0"]
+    assert [a.epoch for a in result.allocations] == [3]
 
 
 def test_every_fund_moving_entry_reaches_the_bank_once_in_ledger_order(monkeypatch):
