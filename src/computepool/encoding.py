@@ -14,6 +14,9 @@ survive a decode and re-encode on CPython's struct module.
 map keys in strictly ascending order and fractions in lowest terms with a
 positive denominator. So `encode(decode(b)) == b` for every `b` it accepts,
 and a digest over a decoded value is a digest over the bytes that were read.
+Every string it decodes, map keys included, is interned (`sys.intern`), so a
+loaded ledger holds one object per distinct string however often it occurs;
+an interned string that nothing references any more is freed.
 
 An `Encoded` value is a piece that is already encoded: `encode` emits it as
 it stands, so a caller can frame stored bytes into a larger value without
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -141,6 +145,7 @@ _N, _T, _F, _I, _D, _S, _B, _Q, _L, _M = b"NTFIDSBQLM"
 # Tags followed by a 4-byte length (S, B, I) or item count (L, M).
 _SIZED = frozenset((_S, _I, _M, _L, _B))
 _TRUNCATED = "truncated encoding"
+_intern = sys.intern
 
 
 def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
@@ -160,9 +165,19 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
             out: dict[str, Any] = {}
             last = None
             for _ in range(n):
-                key, offset = _decode_at(data, offset)
-                if type(key) is not str:
+                # A key must be a string; reading it here saves a call per key.
+                if offset >= size:
+                    raise EncodingError(_TRUNCATED)
+                if data[offset] != _S:
                     raise EncodingError("dict key is not a string")
+                start = offset + 5
+                if start > size:
+                    raise EncodingError(_TRUNCATED)
+                (n_key,) = _U32.unpack_from(data, offset + 1)
+                offset = start + n_key
+                if offset > size:
+                    raise EncodingError(_TRUNCATED)
+                key = _intern(data[start:offset].decode("utf-8"))
                 if last is not None and key <= last:
                     raise EncodingError(f"dict key {key!r} is out of ascending order")
                 out[key], offset = _decode_at(data, offset)
@@ -178,7 +193,7 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         if end > size:
             raise EncodingError(_TRUNCATED)
         if tag == _S:
-            return data[offset:end].decode("utf-8"), end
+            return _intern(data[offset:end].decode("utf-8")), end
         if tag == _B:
             return bytes(data[offset:end]), end
         text = data[offset:end].decode("ascii")

@@ -45,11 +45,13 @@ class LedgerEntry:
     """One signed ledger fact.
 
     An entry's payload is never mutated after construction. Its canonical
-    encoding is built once, at first use, and kept as `payload_bytes`; an
-    entry read from a dump keeps the bytes it was read from instead. The
-    signing bytes, the digest input and the entry's part of a dump are framed
-    around those bytes instead of encoding the payload again, and are not
-    kept: a sealed block keeps its own bytes instead.
+    encoding is built at first use, when it is signed, and cached as
+    `payload_bytes` until its block is sealed: from then on the block's bytes
+    are the one copy, and a later `frames()` encodes the payload again. An
+    entry read from a dump keeps the bytes it was read from, its only copy.
+    The signing bytes, the digest input and the entry's part of a dump are
+    framed around the cached bytes instead of encoding the payload again, and
+    are not kept: a sealed block keeps its own bytes instead.
     """
 
     kind: EntryKind
@@ -76,9 +78,10 @@ class LedgerEntry:
 
 
 def sign_entry(kind: EntryKind, author: str, payload: dict, signer: Signer) -> LedgerEntry:
+    """An entry signed by `signer`. It caches the payload bytes the signature
+    was made over until its block is sealed."""
     entry = LedgerEntry(kind, author, payload, b"")
-    # No one else holds the entry yet, so this completes its construction; it
-    # keeps the payload bytes the signature was made over.
+    # No one else holds the entry yet, so this completes its construction.
     object.__setattr__(entry, "signature", signer.sign(entry.signing_bytes()))
     return entry
 
@@ -132,8 +135,12 @@ def _make_block(
         digest=block_digest(height, prev_hash, root, timestamp),
         entries=tuple(entries),
     )
-    # Fills the `wire_bytes` cache, as its first use would.
+    # Fills the `wire_bytes` cache, as its first use would. Those bytes are
+    # now the one copy of each entry's payload bytes, so the entries drop
+    # theirs.
     block.__dict__["wire_bytes"] = block._framed(wires)
+    for entry in entries:
+        entry.__dict__.pop("payload_bytes", None)
     return block
 
 

@@ -57,8 +57,9 @@ def _number(value, path: str) -> float:
 
 def _fraction(value, path: str, positive: bool = False) -> Fraction:
     try:
-        if isinstance(value, float):
-            _fail(path, "token amounts must be integers or 'p/q' strings, not floats")
+        if isinstance(value, (bool, float)):
+            _fail(path, "token amounts must be integers or 'p/q' strings, not "
+                  f"{type(value).__name__}s")
         amount = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
         _fail(path, f"not a token amount: {value!r}")

@@ -113,15 +113,21 @@ def test_decode_rejects_trailing_bytes():
 
 
 def test_decode_rejects_truncation():
-    raw = encode("hello world")
-    for cut in range(len(raw)):
-        with pytest.raises(EncodingError):
-            decode(raw[:cut])
+    for raw in (encode("hello world"), encode({"key": "value"})):
+        for cut in range(len(raw)):
+            with pytest.raises(EncodingError, match="truncated"):
+                decode(raw[:cut])
 
 
 def test_decode_rejects_unknown_tag():
     with pytest.raises(EncodingError):
         decode(b"Z\x00\x00\x00\x00")
+
+
+def test_decode_rejects_a_map_key_that_is_not_utf8_text():
+    for key in (encode(1), encode(b"k"), b"Z", tagged(b"S", b"\xff")):
+        with pytest.raises(EncodingError, match="not a string|malformed"):
+            decode(counted(b"M", [key + b"N"]))
 
 
 def test_decode_rejects_garbled_int():

@@ -215,6 +215,8 @@ def reference_ledger():
 def test_stored_payload_bytes_keep_every_byte(reference_ledger):
     entries = [entry for _, entry in reference_ledger.entries()]
     assert len(entries) > 100
+    # A sealed block's bytes are the one copy of its entries' payload bytes.
+    assert not [entry for entry in entries if "payload_bytes" in vars(entry)]
     for entry in entries:
         kind, author, payload, signature = (
             entry.kind.value, entry.author, entry.payload, entry.signature)
@@ -319,6 +321,30 @@ def test_loaded_payload_bytes_are_slices_of_the_dump(reference_ledger):
             wire = encode([entry.kind.value, entry.author, stored, entry.signature])
             at = data.index(wire, at) + len(wire)
     assert at > len(data) // 2
+
+
+def test_a_loaded_dump_holds_one_object_per_distinct_string(reference_ledger):
+    strings = []
+
+    def collect(value):
+        if isinstance(value, str):
+            strings.append(value)
+        elif isinstance(value, dict):
+            strings.extend(value)
+            for item in value.values():
+                collect(item)
+        elif isinstance(value, list):
+            for item in value:
+                collect(item)
+
+    for block in load_blocks(reference_ledger.dump()):
+        for entry in block.entries:
+            strings.append(entry.author)
+            collect(entry.payload)
+    first: dict[str, str] = {}
+    for text in strings:
+        assert first.setdefault(text, text) is text
+    assert len(strings) > 5 * len(first)
 
 
 @pytest.mark.parametrize("forge", forged_dumps.FORGERIES)

@@ -88,6 +88,15 @@ def test_token_amounts_reject_floats():
     data["jobs"][0]["reward"] = 9.5
     expect_error(data, "jobs[0].reward: token amounts must be integers or 'p/q'")
     data = base_scenario()
+    data["jobs"][0]["reward"] = True
+    expect_error(data, "jobs[0].reward: token amounts must be integers or 'p/q'")
+    data = base_scenario()
+    data["nodes"][0]["balance"] = True
+    expect_error(data, "nodes[0].balance: token amounts must be integers or 'p/q'")
+    data = base_scenario()
+    data["bond_fraction"] = True
+    expect_error(data, "bond_fraction: token amounts must be integers or 'p/q'")
+    data = base_scenario()
     data["nodes"][0]["balance"] = "3/4"
     assert parse_scenario(data).nodes[0].balance == Fraction(3, 4)
 

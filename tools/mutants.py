@@ -111,6 +111,49 @@ MUTANTS = (
             "tests/test_ledger.py::test_node_spec_must_self_certify",
         ),
     ),
+    Mutant(
+        "the heartbeat stops one tick before the horizon",
+        "src/computepool/simnet.py",
+        "range(self.heartbeat_ms, self.horizon_ms + 1, self.heartbeat_ms)",
+        "range(self.heartbeat_ms, self.horizon_ms, self.heartbeat_ms)",
+        ("tests/test_simnet.py::test_downtime_shrinks_alive_fraction_and_share",),
+    ),
+    Mutant(
+        "an invalid review refunds without marking the job REFUNDED",
+        "src/computepool/escrow.py",
+        "\n            job.advance(JobStatus.REFUNDED)\n",
+        "\n",
+        ("tests/test_escrow.py::test_review_valid_pays_pool_invalid_refunds_sender",),
+    ),
+    Mutant(
+        "a clawed-back settled job is not marked REFUNDED",
+        "src/computepool/escrow.py",
+        "\n                job.advance(JobStatus.REFUNDED)\n",
+        "\n",
+        ("tests/test_escrow.py::test_upheld_challenge_on_settled_job_claws_back_reward",),
+    ),
+    Mutant(
+        "a boolean passes as a token amount",
+        "src/computepool/scenario.py",
+        "if isinstance(value, (bool, float)):",
+        "if isinstance(value, float):",
+        ("tests/test_scenario.py::test_token_amounts_reject_floats",),
+    ),
+    Mutant(
+        "decoded strings are not interned",
+        "src/computepool/encoding.py",
+        "_intern = sys.intern\n",
+        "_intern = str\n",
+        ("tests/test_ledger.py::test_a_loaded_dump_holds_one_object_per_distinct_string",),
+    ),
+    Mutant(
+        "sealed entries keep a second copy of their payload bytes",
+        "src/computepool/ledger.py",
+        "    for entry in entries:\n"
+        '        entry.__dict__.pop("payload_bytes", None)\n',
+        "",
+        ("tests/test_ledger.py::test_stored_payload_bytes_keep_every_byte",),
+    ),
 )
 
 
