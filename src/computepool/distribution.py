@@ -65,21 +65,14 @@ def rank_candidates(
     return fit
 
 
-@dataclass(frozen=True)
-class Assignment:
-    job: str
-    worker: str
-    worker_index: int
-
-
-def assign_workers(job: str, ranked: list[str], n: int) -> list[Assignment]:
-    """Fill `n` worker slots from a `rank_candidates` list, best first, one
-    per slot."""
+def assign_workers(job: str, ranked: list[str], n: int) -> list[str]:
+    """Fill `n` worker slots from a `rank_candidates` list, best first: slot
+    i goes to the worker at list position i."""
     if len(ranked) < n:
         raise InsufficientWorkersError(
             f"job {job}: need {n} eligible workers, found {len(ranked)}"
         )
-    return [Assignment(job=job, worker=ranked[i], worker_index=i) for i in range(n)]
+    return ranked[:n]
 
 
 # -- progress proofs -------------------------------------------------------------
@@ -183,11 +176,12 @@ def make_result_shard(
 
 def reduce_gather(
     job: str,
-    assignments: list[Assignment],
+    workers: list[str],
     shards: list[ResultShard],
     verify_keys: dict[str, bytes],
 ) -> tuple[bytes, bytes]:
-    """Fold verified result shards into one aggregate, in worker-index order.
+    """Fold verified result shards into one aggregate, in worker-index order;
+    `workers[i]` is the worker assigned slot i.
 
     Returns (aggregate_bytes, aggregate_digest). Any missing shard, digest
     mismatch, or bad signature aborts the whole gather.
@@ -199,7 +193,7 @@ def reduce_gather(
         if shard.worker_index in by_index:
             raise GatherError(f"duplicate shard for worker index {shard.worker_index}")
         by_index[shard.worker_index] = shard
-    expected = {a.worker_index: a.worker for a in assignments}
+    expected = dict(enumerate(workers))
     missing = sorted(set(expected) - set(by_index))
     if missing:
         raise GatherError(f"job {job}: missing result shards for indexes {missing}")

@@ -18,15 +18,13 @@ Every string it decodes, map keys included, is interned (`sys.intern`), so a
 loaded ledger holds one object per distinct string however often it occurs;
 an interned string that nothing references any more is freed.
 
-An `Encoded` value is a piece that is already encoded: `encode` emits it as
-it stands, so a caller can frame stored bytes into a larger value without
-encoding them again. `list_of` frames a list around items that are all
-already encoded.
+`list_of` frames a list around items that are all already encoded, so a
+caller can frame stored bytes into a larger value without encoding them
+again.
 
 `encode` looks up each value's exact type in one dispatch table. A value of
 a subclass takes the encoder of the nearest base in its MRO that the table
-holds. So a subclass of `Encoded` is emitted as it stands rather than framed
-as `bytes`, an `IntEnum` encodes as its integer (while `bool` keeps its own
+holds. So an `IntEnum` encodes as its integer (while `bool` keeps its own
 tags), a namedtuple as a list and a str subclass, also as a map key, as a
 string. A type with no such base is rejected with `EncodingError`.
 """
@@ -42,10 +40,6 @@ from typing import Any, Callable
 
 class EncodingError(ValueError):
     pass
-
-
-class Encoded(bytes):
-    """The canonical encoding of some value; `encode` emits it unchanged."""
 
 
 _U32 = struct.Struct(">I")
@@ -101,7 +95,6 @@ _ENCODERS: dict[type, Callable[[Any], bytes]] = {
     int: _int,
     float: lambda value: b"D" + _F64.pack(value),
     str: _str,
-    Encoded: lambda value: value,
     bytes: _bytes,
     bytearray: _bytes,
     Fraction: lambda value: b"Q" + _int(value.numerator) + _int(value.denominator),

@@ -9,6 +9,11 @@ jury decides: an upheld verdict returns the bond and refunds the job's sender
 once, whether the job is still locked or settled in the running epoch; a
 rejected verdict forfeits the bond to the reward pool.
 
+A job holds one of five statuses: PENDING once funded, IN_PROGRESS once its
+workers are assigned, then LOCKED_FOR_REVIEW (cancelled) or SETTLED (done or
+reviewed valid), and REFUNDED when its reward goes back to the sender. Each
+bank method checks the status it starts from and sets the one it ends in.
+
 A recorded ledger fact moves funds through `EscrowBank.apply`, which reads
 the entry's payload and calls the one method that kind of fact stands for.
 The simulator calls it on each entry it records, and a replay of a dump can
@@ -58,22 +63,9 @@ class ChallengeError(EscrowError):
 class JobStatus(Enum):
     PENDING = "PENDING"
     IN_PROGRESS = "IN_PROGRESS"
-    DONE = "DONE"
-    CANCELLED = "CANCELLED"
     LOCKED_FOR_REVIEW = "LOCKED_FOR_REVIEW"
     SETTLED = "SETTLED"
     REFUNDED = "REFUNDED"
-
-
-_TRANSITIONS: dict[JobStatus, set[JobStatus]] = {
-    JobStatus.PENDING: {JobStatus.IN_PROGRESS},
-    JobStatus.IN_PROGRESS: {JobStatus.DONE, JobStatus.CANCELLED},
-    JobStatus.DONE: {JobStatus.SETTLED},
-    JobStatus.CANCELLED: {JobStatus.LOCKED_FOR_REVIEW},
-    JobStatus.LOCKED_FOR_REVIEW: {JobStatus.SETTLED, JobStatus.REFUNDED},
-    JobStatus.SETTLED: {JobStatus.REFUNDED},
-    JobStatus.REFUNDED: set(),
-}
 
 
 class ReviewVerdict(Enum):
@@ -98,14 +90,6 @@ class Job:
     workers: list[str] = field(default_factory=list)
     settled_epoch: int | None = None
     unlock_time: int | None = None  # set when a cancellation locks the reward
-
-    def advance(self, new_status: JobStatus) -> None:
-        if new_status not in _TRANSITIONS[self.status]:
-            raise JobLifecycleError(
-                f"job {self.job_id}: illegal transition "
-                f"{self.status.value} -> {new_status.value}"
-            )
-        self.status = new_status
 
 
 @dataclass
@@ -181,32 +165,36 @@ class EscrowBank:
     def activate(self, job_id: str, workers: list[str]) -> Job:
         """Mark a funded job as running once its workers are assigned."""
         job = self.job(job_id)
-        job.advance(JobStatus.IN_PROGRESS)
+        if job.status != JobStatus.PENDING:
+            raise JobLifecycleError(
+                f"job {job_id} cannot start (status {job.status.value})"
+            )
+        job.status = JobStatus.IN_PROGRESS
         job.workers = list(workers)
         return job
 
-    def settle_job(self, job_id: str, final_status: JobStatus, now: int, epoch: int = 0) -> Job:
-        """Release a running job's escrowed reward.
+    def settle_job(self, job_id: str, outcome: str, now: int, epoch: int = 0) -> Job:
+        """Release a running job's escrowed reward, as its `JOB_STATUS`
+        outcome says.
 
-        DONE moves the reward straight to the reward pool. CANCELLED locks it
-        on the job for review until `now + review_lock_seconds`.
+        "DONE" moves the reward straight to the reward pool. "CANCELLED"
+        locks it on the job for review until `now + review_lock_seconds`.
         """
         job = self.job(job_id)
-        if final_status not in (JobStatus.DONE, JobStatus.CANCELLED):
-            raise JobLifecycleError(f"cannot settle to {final_status.value}")
+        if outcome not in ("DONE", "CANCELLED"):
+            raise JobLifecycleError(f"cannot settle to {outcome}")
         if job.status != JobStatus.IN_PROGRESS:
             raise JobLifecycleError(
-                f"job {job_id} already settled (status {job.status.value})"
+                f"job {job_id} is not in progress (status {job.status.value})"
             )
-        job.advance(final_status)
         self.escrow_pool -= job.reward
-        if final_status == JobStatus.DONE:
+        if outcome == "DONE":
             self.reward_pool += job.reward
-            job.advance(JobStatus.SETTLED)
+            job.status = JobStatus.SETTLED
             job.settled_epoch = epoch
         else:
             job.unlock_time = now + self.review_lock_seconds
-            job.advance(JobStatus.LOCKED_FOR_REVIEW)
+            job.status = JobStatus.LOCKED_FOR_REVIEW
         return job
 
     def resolve_review(self, job_id: str, verdict: ReviewVerdict, now: int, epoch: int = 0) -> None:
@@ -226,11 +214,11 @@ class EscrowBank:
             )
         if verdict == ReviewVerdict.WORK_VALID:
             self.reward_pool += job.reward
-            job.advance(JobStatus.SETTLED)
+            job.status = JobStatus.SETTLED
             job.settled_epoch = epoch
         else:
             self.registry.credit(job.sender, job.reward)
-            job.advance(JobStatus.REFUNDED)
+            job.status = JobStatus.REFUNDED
 
     # -- challenges ----------------------------------------------------------
 
@@ -317,7 +305,7 @@ class EscrowBank:
                 # resolves a challenge before its epoch closes; claw it back.
                 self.reward_pool -= job.reward
                 self.registry.credit(job.sender, job.reward)
-                job.advance(JobStatus.REFUNDED)
+                job.status = JobStatus.REFUNDED
         else:
             self.reward_pool += challenge.bond
         return challenge
@@ -341,7 +329,7 @@ class EscrowBank:
         if entry.kind == EntryKind.JOB_ASSIGN:
             return self.activate(p["job"], [worker for worker, _index in p["workers"]])
         if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):
-            return self.settle_job(p["job"], JobStatus(p["status"]), p["at"], epoch=p["epoch"])
+            return self.settle_job(p["job"], p["status"], p["at"], epoch=p["epoch"])
         if entry.kind == EntryKind.REWARD_RECORD:
             rows = [(deed_id, Fraction(amount)) for deed_id, amount, _share in p["entries"]]
             pool = Fraction(p["pool"])

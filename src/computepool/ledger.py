@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .crypto import DIGEST_SIZE, ZERO_DIGEST, Signer, digest, verify
 # `decode` is not called here; perfbench/tracing.py patches it by this name.
-from .encoding import Encoded, EncodingError, decode, decode_at, encode, list_of  # noqa: F401
+from .encoding import EncodingError, decode, decode_at, encode, list_of  # noqa: F401
 
 DUMP_MAGIC = b"CPOOL-LEDGER\x01"
 _U32 = struct.Struct(">I")
@@ -44,14 +44,15 @@ class EntryKind(Enum):
 class LedgerEntry:
     """One signed ledger fact.
 
-    An entry's payload is never mutated after construction. Its canonical
-    encoding is built at first use, when it is signed, and cached as
-    `payload_bytes` until its block is sealed: from then on the block's bytes
-    are the one copy, and a later `frames()` encodes the payload again. An
-    entry read from a dump keeps the bytes it was read from, its only copy.
-    The signing bytes, the digest input and the entry's part of a dump are
-    framed around the cached bytes instead of encoding the payload again, and
-    are not kept: a sealed block keeps its own bytes instead.
+    An entry's payload is never mutated after construction. An entry may
+    store its payload's canonical encoding as `payload_bytes` (in its
+    `__dict__`): `sign_entry` stores the bytes it signed until the entry's
+    block is sealed, when the block's bytes become the one copy; an entry
+    read from a dump keeps the slice it was read from, its only copy. The
+    signing bytes, the digest input and the entry's part of a dump are framed
+    around the stored bytes, and are not kept: a sealed block keeps its own
+    bytes instead. An entry that stores none is encoded again by each
+    `frames()`, which stores nothing.
     """
 
     kind: EntryKind
@@ -59,16 +60,15 @@ class LedgerEntry:
     payload: dict
     signature: bytes
 
-    @cached_property
-    def payload_bytes(self) -> Encoded:
-        return Encoded(encode(self.payload))
-
     def frames(self) -> tuple[bytes, bytes]:
         """The signing bytes `[kind, author, payload]` and the wire bytes
         `[kind, author, payload, signature]`, framed around one encoding of
         the kind and author. The wire bytes are the digest input and the
         entry's part of a dump block."""
-        items = [encode(self.kind.value), encode(self.author), self.payload_bytes]
+        payload_bytes = self.__dict__.get("payload_bytes")
+        if payload_bytes is None:
+            payload_bytes = encode(self.payload)
+        items = [encode(self.kind.value), encode(self.author), payload_bytes]
         signing = list_of(items)
         items.append(encode(self.signature))
         return signing, list_of(items)
@@ -78,10 +78,11 @@ class LedgerEntry:
 
 
 def sign_entry(kind: EntryKind, author: str, payload: dict, signer: Signer) -> LedgerEntry:
-    """An entry signed by `signer`. It caches the payload bytes the signature
+    """An entry signed by `signer`. It stores the payload bytes the signature
     was made over until its block is sealed."""
     entry = LedgerEntry(kind, author, payload, b"")
     # No one else holds the entry yet, so this completes its construction.
+    entry.__dict__["payload_bytes"] = encode(payload)
     object.__setattr__(entry, "signature", signer.sign(entry.signing_bytes()))
     return entry
 
@@ -267,7 +268,7 @@ def _read_block(blob: bytes) -> LedgerBlock:
     The wire form is `[height, prev_hash, root, timestamp, digest, entries]`
     with each entry `[kind, author, payload, signature]`. Every field must
     have its type, and every payload is fully decoded under the canonical
-    rules. Each entry keeps the slice its payload was read from as its
+    rules. Each entry stores the slice its payload was read from as its
     `payload_bytes`: canonical decoding makes those the bytes `encode` would
     write, so verification hashes and sign-checks exactly the bytes read.
     """
@@ -287,10 +288,9 @@ def _read_block(blob: bytes) -> LedgerBlock:
         author, at = _field(blob, at, str, "entry author")
         start = at
         payload, at = _field(blob, at, dict, "entry payload")
-        payload_bytes = Encoded(blob[start:at])
+        payload_bytes = blob[start:at]
         signature, at = _field(blob, at, bytes, "entry signature")
         entry = LedgerEntry(_KINDS[kind], author, payload, signature)
-        # Fills the `payload_bytes` cache, as its first use would.
         entry.__dict__["payload_bytes"] = payload_bytes
         entries.append(entry)
     if at != len(blob):

@@ -145,9 +145,7 @@ class JobSpec:
     sender: str
     at: int
     reward: Fraction
-    pipeline_name: str
-    pipeline: PipelineSpec
-    n_workers: int
+    pipeline: PipelineSpec  # its name and worker count are the job's
     steps: int
     requirement: Capability
     cancel_at: int | None
@@ -362,9 +360,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 sender=sender,
                 at=at,
                 reward=_fraction(cfg["reward"], f"{path}.reward", positive=True),
-                pipeline_name=pipeline_name,
                 pipeline=pipeline,
-                n_workers=n_workers,
                 steps=steps,
                 requirement=_capability(cfg.get("requirement", {}), f"{path}.requirement"),
                 cancel_at=cancel_at,

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .crypto import Signer, derive_signer, digest
 from .distribution import (
-    Assignment,
     GatherError,
     InsufficientWorkersError,
     ProgressProof,
@@ -119,22 +118,12 @@ class _WorkerTask:
 
     job: str
     worker: str
-    worker_index: int
-    run: PipelineRun
+    run: PipelineRun  # its steps done are the links of the worker's chain
     head: bytes  # worker's own chain head
-    link: int = 0
     pending_proofs: list[ProgressProof] = field(default_factory=list)
     last_sent: ProgressProof | None = None
     cancelled: bool = False
     result_sent: bool = False
-
-
-@dataclass
-class _JobRuntime:
-    """Coordinator's view of a job's workers and the shards they returned."""
-
-    assignments: list[Assignment]
-    shards: dict[int, ResultShard] = field(default_factory=dict)
 
 
 @dataclass
@@ -189,7 +178,8 @@ class Simulation:
 
         self._tracker = ProgressTracker()
         self._proof_buffer: dict[tuple[str, str], dict[int, ProgressProof]] = {}
-        self._jobs: dict[str, _JobRuntime] = {}
+        # The result shards each assigned job's workers returned, by slot.
+        self._shards: dict[str, dict[int, ResultShard]] = {}
         self._tasks: dict[tuple[str, str], _WorkerTask] = {}
         self._job_specs: dict[str, JobSpec] = {job.job_id: job for job in scenario.jobs}
 
@@ -377,7 +367,7 @@ class Simulation:
                             "event": "plugin_rejected",
                             "job": spec.job_id,
                             "sender": spec.sender,
-                            "pipeline": spec.pipeline_name,
+                            "pipeline": spec.pipeline.name,
                             "reasons": list(verdict.reasons),
                         },
                     )
@@ -389,7 +379,7 @@ class Simulation:
 
         try:
             self.bank.submit_job(
-                spec.job_id, spec.sender, spec.reward, spec.pipeline_name, spec.n_workers
+                spec.job_id, spec.sender, spec.reward, spec.pipeline.name, spec.pipeline.n_workers
             )
         except InsufficientFundsError:
             self._record(
@@ -414,40 +404,40 @@ class Simulation:
             if self._up[node_id] and node_id != spec.sender
         ]
         try:
-            assignments = assign_workers(job_id, ranked, spec.n_workers)
+            workers = assign_workers(job_id, ranked, spec.pipeline.n_workers)
         except InsufficientWorkersError:
             # Job stays PENDING; try again next tick if the horizon allows.
             self._retry_later(self._on_assign_retry, job_id)
             return
 
         commitments = {}
-        for a in assignments:
-            cap = self._node_specs[a.worker].capability
-            commitments[a.worker] = make_capability_commitment(
-                a.job, a.worker, cap, self._signer(a.worker)
+        for worker in workers:
+            cap = self._node_specs[worker].capability
+            commitments[worker] = make_capability_commitment(
+                job_id, worker, cap, self._signer(worker)
             ).hex()
         entry = self._record(
             EntryKind.JOB_ASSIGN,
             COORDINATOR_ID,
             {
                 "job": job_id,
-                "pipeline": spec.pipeline_name,
+                "pipeline": spec.pipeline.name,
                 "steps": spec.steps,
                 "epoch": self._epoch_of(self._now),
-                "workers": [[a.worker, a.worker_index] for a in assignments],
+                "workers": [[worker, index] for index, worker in enumerate(workers)],
                 "commitments": commitments,
             },
         )
         self.bank.apply(entry)  # moves no funds, so no conservation check
-        self._jobs[job_id] = _JobRuntime(assignments)
+        self._shards[job_id] = {}
         user_code = spec.pipeline.user_code
-        for a in assignments:
-            self._tracker.start(a.job, a.worker)
+        for index, worker in enumerate(workers):
+            self._tracker.start(job_id, worker)
             code = None
             if user_code is not None:
-                source = user_code[a.worker_index]
+                source = user_code[index]
                 code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
-            self._publish(a.worker, self._on_assign_delivered, (a, code), COORDINATOR_ID)
+            self._publish(worker, self._on_assign_delivered, (job_id, index, code), COORDINATOR_ID)
 
     def _on_assign_retry(self, job_id: str) -> None:
         if self.bank.job(job_id).status == JobStatus.PENDING:
@@ -455,9 +445,9 @@ class Simulation:
 
     # -- worker side -----------------------------------------------------------
 
-    def _on_assign_delivered(self, to: str, msg: tuple[Assignment, PluginCode | None]) -> None:
-        a, code = msg
-        task_key = (a.job, to)
+    def _on_assign_delivered(self, to: str, msg: tuple[str, int, PluginCode | None]) -> None:
+        job_id, index, code = msg
+        task_key = (job_id, to)
         if task_key in self._tasks:
             return  # duplicate delivery after a retransmit
         if code is not None:
@@ -467,16 +457,15 @@ class Simulation:
                 self._record(
                     EntryKind.POOL_EVENT,
                     COORDINATOR_ID,
-                    {"event": "code_recheck_failed", "job": a.job, "reason": reason},
+                    {"event": "code_recheck_failed", "job": job_id, "reason": reason},
                 )
                 return
-        spec = self._job_specs[a.job]
+        spec = self._job_specs[job_id]
         task = self._tasks[task_key] = _WorkerTask(
-            job=a.job,
+            job=job_id,
             worker=to,
-            worker_index=a.worker_index,
-            run=PipelineRun(spec.pipeline, a.worker_index),
-            head=chain_genesis(a.job, to),
+            run=PipelineRun(spec.pipeline, index),
+            head=chain_genesis(job_id, to),
         )
         self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, self._on_worker_step, task)
 
@@ -492,12 +481,11 @@ class Simulation:
             raise SimulationError(
                 f"job {task.job}: worker {task.worker} failed at step {task.run.steps_done}: {exc}"
             ) from None
-        task.link += 1
         commitment = next_commitment(task.head, step.nonce)
         proof = ProgressProof(
             job=task.job,
             worker=task.worker,
-            link_index=task.link,
+            link_index=step.step,
             commitment=commitment,
             nonce=step.nonce,
         )
@@ -509,7 +497,7 @@ class Simulation:
             (
                 f
                 for f in spec.faults
-                if f.worker_index == task.worker_index and f.step == step.step
+                if f.worker_index == task.run.worker_index and f.step == step.step
             ),
             None,
         )
@@ -528,7 +516,7 @@ class Simulation:
             shard = make_result_shard(
                 task.job,
                 task.worker,
-                task.worker_index,
+                task.run.worker_index,
                 task.run.result_payload(),
                 self._signer(task.worker),
             )
@@ -553,26 +541,24 @@ class Simulation:
                 commitment=task.head,
                 nonce=b"\x00" * 32,
             )
-        forged_nonce = digest(encode(["forged", job, task.worker, task.link]))
+        link = task.run.steps_done
+        forged_nonce = digest(encode(["forged", job, task.worker, link]))
         return ProgressProof(
             job=job,
             worker=task.worker,
-            link_index=task.link,
+            link_index=link,
             commitment=digest(b"forged" + forged_nonce),
             nonce=forged_nonce,
         )
 
     # -- coordinator side ----------------------------------------------------------
 
-    def _running(self, job_id: str) -> _JobRuntime | None:
-        """The runtime of an assigned job that has not settled yet, else None."""
-        runtime = self._jobs.get(job_id)
-        if runtime is None or self.bank.jobs[job_id].status != JobStatus.IN_PROGRESS:
-            return None
-        return runtime
+    def _running(self, job_id: str) -> bool:
+        """Whether an assigned job has not settled yet."""
+        return self.bank.jobs[job_id].status == JobStatus.IN_PROGRESS
 
     def _on_proof_delivered(self, _to: str, proof: ProgressProof) -> None:
-        if self._running(proof.job) is None:
+        if not self._running(proof.job):
             return
         key = (proof.job, proof.worker)
         _, prior = self._tracker.head(proof.job, proof.worker)
@@ -619,18 +605,19 @@ class Simulation:
             )
 
     def _on_result_delivered(self, _to: str, shard: ResultShard) -> None:
-        runtime = self._running(shard.job)
-        if runtime is None:
+        if not self._running(shard.job):
             return
-        runtime.shards[shard.worker_index] = shard
-        if len(runtime.shards) < len(runtime.assignments):
+        shards = self._shards[shard.job]
+        shards[shard.worker_index] = shard
+        workers = self.bank.jobs[shard.job].workers
+        if len(shards) < len(workers):
             return
         try:
             aggregate, agg_digest = reduce_gather(
                 shard.job,
-                runtime.assignments,
-                list(runtime.shards.values()),
-                {a.worker: self._signer(a.worker).verify_key for a in runtime.assignments},
+                workers,
+                list(shards.values()),
+                {worker: self._signer(worker).verify_key for worker in workers},
             )
         except GatherError as exc:
             self._record(
@@ -679,8 +666,8 @@ class Simulation:
         )
         job = self._apply_entry(entry)
         self._schedule(job.unlock_time * 1000, PRI_REVIEW, self._on_review_unlock, job_id)
-        for a in self._jobs[job_id].assignments:
-            self._publish(a.worker, self._on_cancel_delivered, job_id, COORDINATOR_ID)
+        for worker in job.workers:
+            self._publish(worker, self._on_cancel_delivered, job_id, COORDINATOR_ID)
 
     def _on_cancel_delivered(self, to: str, job_id: str) -> None:
         task = self._tasks.get((job_id, to))

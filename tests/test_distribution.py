@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from computepool.crypto import derive_signer, digest
 from computepool.distribution import (
-    Assignment,
     DistributionError,
     GatherError,
     InsufficientWorkersError,
@@ -62,10 +61,7 @@ def test_assign_workers_fills_slots_in_rank_order():
     }
     ranked = rank_candidates(Capability(cpu=1), candidates)
     out = assign_workers("job:1", ranked, 2)
-    assert out == [
-        Assignment("job:1", "w2", 0),
-        Assignment("job:1", "w3", 1),
-    ]
+    assert out == ["w2", "w3"]  # slot i is list position i
     with pytest.raises(InsufficientWorkersError, match="need 4"):
         assign_workers("job:1", ranked, 4)
 
@@ -199,54 +195,54 @@ def test_chain_never_accepts_wrong_position(n, claim):
 
 def gather_fixture(n=3):
     signers = {f"w{i}": derive_signer("g", f"w{i}") for i in range(n)}
-    assignments = [Assignment("j:1", f"w{i}", i) for i in range(n)]
+    workers = [f"w{i}" for i in range(n)]
     shards = [
         make_result_shard("j:1", f"w{i}", i, f"payload-{i}".encode(), signers[f"w{i}"])
         for i in range(n)
     ]
     keys = {w: s.verify_key for w, s in signers.items()}
-    return assignments, shards, keys
+    return workers, shards, keys
 
 
 def test_gather_is_order_insensitive_and_deterministic():
-    assignments, shards, keys = gather_fixture()
-    agg1, dig1 = reduce_gather("j:1", assignments, shards, keys)
-    agg2, dig2 = reduce_gather("j:1", assignments, list(reversed(shards)), keys)
+    workers, shards, keys = gather_fixture()
+    agg1, dig1 = reduce_gather("j:1", workers, shards, keys)
+    agg2, dig2 = reduce_gather("j:1", workers, list(reversed(shards)), keys)
     assert (agg1, dig1) == (agg2, dig2)
     assert dig1 == digest(agg1)
 
 
 def test_gather_rejects_missing_duplicate_extra_and_foreign():
-    assignments, shards, keys = gather_fixture()
+    workers, shards, keys = gather_fixture()
     with pytest.raises(GatherError, match="missing result shards"):
-        reduce_gather("j:1", assignments, shards[:2], keys)
+        reduce_gather("j:1", workers, shards[:2], keys)
     with pytest.raises(GatherError, match="duplicate shard"):
-        reduce_gather("j:1", assignments, shards + [shards[0]], keys)
+        reduce_gather("j:1", workers, shards + [shards[0]], keys)
     with pytest.raises(GatherError, match="unexpected shard"):
-        reduce_gather("j:1", assignments[:2], shards, keys)
+        reduce_gather("j:1", workers[:2], shards, keys)
     foreign = make_result_shard("j:2", "w0", 0, b"x", derive_signer("g", "w0"))
     with pytest.raises(GatherError, match="mixed into gather"):
-        reduce_gather("j:1", assignments, [foreign] + shards[1:], keys)
+        reduce_gather("j:1", workers, [foreign] + shards[1:], keys)
 
 
 def test_gather_rejects_wrong_worker_and_bad_signature():
-    assignments, shards, keys = gather_fixture()
+    workers, shards, keys = gather_fixture()
     imposter = make_result_shard("j:1", "w9", 0, b"x", derive_signer("g", "w9"))
     with pytest.raises(GatherError, match="signed by w9"):
-        reduce_gather("j:1", assignments, [imposter] + shards[1:], keys)
+        reduce_gather("j:1", workers, [imposter] + shards[1:], keys)
     wrong_key = make_result_shard("j:1", "w0", 0, b"x", derive_signer("g", "other"))
     with pytest.raises(GatherError, match="signature invalid"):
-        reduce_gather("j:1", assignments, [wrong_key] + shards[1:], keys)
+        reduce_gather("j:1", workers, [wrong_key] + shards[1:], keys)
 
 
 def test_gather_rejects_tampered_payload():
     import dataclasses
 
-    assignments, shards, keys = gather_fixture()
+    workers, shards, keys = gather_fixture()
     tampered = dataclasses.replace(shards[1], payload=b"swapped bytes")
     with pytest.raises(GatherError, match="digest mismatch"):
-        reduce_gather("j:1", assignments, [shards[0], tampered, shards[2]], keys)
+        reduce_gather("j:1", workers, [shards[0], tampered, shards[2]], keys)
     # fixing up the digest without re-signing still fails
     refit = dataclasses.replace(tampered, payload_digest=digest(b"swapped bytes"))
     with pytest.raises(GatherError, match="signature invalid"):
-        reduce_gather("j:1", assignments, [shards[0], refit, shards[2]], keys)
+        reduce_gather("j:1", workers, [shards[0], refit, shards[2]], keys)

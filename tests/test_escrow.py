@@ -65,7 +65,8 @@ def test_lifecycle_graph_is_enforced():
     bank = make_bank()
     job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
     with pytest.raises(JobLifecycleError):
-        job.advance(JobStatus.DONE)  # must go through IN_PROGRESS
+        bank.settle_job(job.job_id, "DONE", now=0)  # must go through IN_PROGRESS
+    assert job.status == JobStatus.PENDING
     bank.activate(job.job_id, ["n2"])
     assert job.status == JobStatus.IN_PROGRESS
     assert job.workers == ["n2"]
@@ -79,15 +80,15 @@ def test_settle_done_feeds_reward_pool():
     bank = make_bank()
     job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
     bank.activate(job.job_id, ["n2"])
-    bank.settle_job(job.job_id, JobStatus.DONE, now=500, epoch=2)
+    bank.settle_job(job.job_id, "DONE", now=500, epoch=2)
     assert job.status == JobStatus.SETTLED
     assert job.settled_epoch == 2
     assert bank.escrow_pool == 0
     assert bank.reward_pool == 100
     assert bank.registry.deed("n1").balance == 900
     assert bank.conservation_total() == 8000
-    with pytest.raises(JobLifecycleError, match="already settled"):
-        bank.settle_job(job.job_id, JobStatus.DONE, now=501)
+    with pytest.raises(JobLifecycleError, match="not in progress"):
+        bank.settle_job(job.job_id, "DONE", now=501)
 
 
 def test_settle_rejects_non_final_status():
@@ -95,14 +96,14 @@ def test_settle_rejects_non_final_status():
     job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
     bank.activate(job.job_id, ["n2"])
     with pytest.raises(JobLifecycleError):
-        bank.settle_job(job.job_id, JobStatus.SETTLED, now=0)
+        bank.settle_job(job.job_id, "SETTLED", now=0)
 
 
 def test_cancel_locks_for_review_and_early_resolve_fails():
     bank = make_bank()
     job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
     bank.activate(job.job_id, ["n2"])
-    bank.settle_job(job.job_id, JobStatus.CANCELLED, now=1000)
+    bank.settle_job(job.job_id, "CANCELLED", now=1000)
     assert job.status == JobStatus.LOCKED_FOR_REVIEW
     assert job.unlock_time == 1000 + REVIEW_LOCK_SECONDS
     assert bank.pool_payload()["locked"] == [[job.job_id, "100", job.unlock_time]]
@@ -119,7 +120,7 @@ def test_review_valid_pays_pool_invalid_refunds_sender():
     j2 = bank.submit_job("n1:2", "n1", Fraction(40), "p", 1)
     for j in (j1, j2):
         bank.activate(j.job_id, ["n2"])
-        bank.settle_job(j.job_id, JobStatus.CANCELLED, now=0)
+        bank.settle_job(j.job_id, "CANCELLED", now=0)
     unlock = REVIEW_LOCK_SECONDS
     bank.resolve_review(j1.job_id, ReviewVerdict.WORK_VALID, now=unlock, epoch=3)
     assert j1.status == JobStatus.SETTLED
@@ -136,7 +137,7 @@ def locked_job(bank, sender="n1", reward=90, workers=("n2",)):
     job_id = f"{sender}:{len(bank.jobs) + 1}"
     job = bank.submit_job(job_id, sender, Fraction(reward), "p", len(workers))
     bank.activate(job.job_id, list(workers))
-    bank.settle_job(job.job_id, JobStatus.CANCELLED, now=0)
+    bank.settle_job(job.job_id, "CANCELLED", now=0)
     return job
 
 
@@ -179,7 +180,7 @@ def test_challenge_rejections():
     with pytest.raises(ChallengeError, match="not challengeable"):
         bank.open_challenge("n4", job.job_id, Fraction(9), b"s", active)
     bank.activate(job.job_id, ["n2"])
-    bank.settle_job(job.job_id, JobStatus.CANCELLED, now=0)
+    bank.settle_job(job.job_id, "CANCELLED", now=0)
     with pytest.raises(ChallengeError, match="bond must be positive"):
         bank.open_challenge("n4", job.job_id, Fraction(0), b"s", active)
     with pytest.raises(InsufficientFundsError):
@@ -193,7 +194,7 @@ def test_challenge_window_closes_after_settlement_epoch():
     bank = make_bank()
     job = bank.submit_job("n1:1", "n1", Fraction(90), "p", 1)
     bank.activate(job.job_id, ["n2"])
-    bank.settle_job(job.job_id, JobStatus.DONE, now=0, epoch=2)
+    bank.settle_job(job.job_id, "DONE", now=0, epoch=2)
     active = [f"n{i}" for i in range(1, 9)]
     with pytest.raises(ChallengeError, match="window closed"):
         bank.open_challenge("n4", job.job_id, Fraction(9), b"s", active, epoch=3)
@@ -250,7 +251,7 @@ def test_upheld_challenge_on_settled_job_claws_back_reward():
     bank = make_bank()
     job = bank.submit_job("n1:1", "n1", Fraction(90), "p", 1)
     bank.activate(job.job_id, ["n2"])
-    bank.settle_job(job.job_id, JobStatus.DONE, now=0, epoch=1)
+    bank.settle_job(job.job_id, "DONE", now=0, epoch=1)
     active = [f"n{i}" for i in range(1, 9)]
     ch = bank.open_challenge("n4", job.job_id, Fraction(9), b"s", active, epoch=1)
     resolved = bank.resolve_challenge(ch.challenge_id, {j: True for j in ch.jury})
@@ -287,7 +288,7 @@ def test_pay_reward_guards_pool():
     bank = make_bank()
     job = bank.submit_job("n1:1", "n1", Fraction(50), "p", 1)
     bank.activate(job.job_id, ["n2"])
-    bank.settle_job(job.job_id, JobStatus.DONE, now=0)
+    bank.settle_job(job.job_id, "DONE", now=0)
     bank.pay_rewards([("n3", Fraction(20))])
     assert bank.registry.deed("n3").balance == 1020
     assert bank.distributed_total == 20
@@ -324,12 +325,12 @@ def running(bank):
 
 def settled(bank):
     running(bank)
-    bank.settle_job("n1:1", JobStatus.DONE, now=100, epoch=1)
+    bank.settle_job("n1:1", "DONE", now=100, epoch=1)
 
 
 def locked(bank):
     running(bank)
-    bank.settle_job("n1:1", JobStatus.CANCELLED, now=100, epoch=1)
+    bank.settle_job("n1:1", "CANCELLED", now=100, epoch=1)
 
 
 def challenged(bank):
@@ -354,13 +355,13 @@ APPLY_CASES = {
         running,
         entry(EntryKind.JOB_STATUS,
               {"job": "n1:1", "status": "DONE", "at": 100, "epoch": 2, "aggregate": "00"}),
-        lambda bank: bank.settle_job("n1:1", JobStatus.DONE, now=100, epoch=2),
+        lambda bank: bank.settle_job("n1:1", "DONE", now=100, epoch=2),
     ),
     "cancelled": (
         running,
         entry(EntryKind.JOB_STATUS,
               {"job": "n1:1", "status": "CANCELLED", "at": 100, "epoch": 2}),
-        lambda bank: bank.settle_job("n1:1", JobStatus.CANCELLED, now=100, epoch=2),
+        lambda bank: bank.settle_job("n1:1", "CANCELLED", now=100, epoch=2),
     ),
     "reward": (
         settled,
@@ -504,10 +505,10 @@ def test_conservation_holds_across_any_job_history(steps):
         check()
         bank.activate(job_id, ["w"])
         if outcome == "done":
-            bank.settle_job(job_id, JobStatus.DONE, now=now, epoch=1)
+            bank.settle_job(job_id, "DONE", now=now, epoch=1)
             pool += rewards[job_id]
         else:
-            bank.settle_job(job_id, JobStatus.CANCELLED, now=now)
+            bank.settle_job(job_id, "CANCELLED", now=now)
             locks[job_id] = now + REVIEW_LOCK_SECONDS
             verdict = (ReviewVerdict.WORK_VALID if outcome == "valid"
                        else ReviewVerdict.WORK_INVALID)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import forged_dumps
 from computepool import encoding, ledger
 from computepool.crypto import ZERO_DIGEST, derive_signer, digest
-from computepool.encoding import Encoded, encode
+from computepool.encoding import encode
 from computepool.ledger import (
     DUMP_MAGIC,
     EntryKind,
@@ -222,6 +222,9 @@ def test_stored_payload_bytes_keep_every_byte(reference_ledger):
             entry.kind.value, entry.author, entry.payload, entry.signature)
         assert entry.signing_bytes() == encode([kind, author, payload])
         assert digest(entry.frames()[1]) == digest(encode([kind, author, payload, signature]))
+    # Framing or verifying a sealed entry does not store its bytes again.
+    assert verify_blocks(reference_ledger.blocks).ok
+    assert not [entry for entry in entries if "payload_bytes" in vars(entry)]
     # A dump built straight from the format: one `encode` of each block's whole
     # nested wire value, with every payload encoded in place.
     wires = forged_dumps.wires(reference_ledger.blocks)
@@ -316,9 +319,11 @@ def test_loaded_payload_bytes_are_slices_of_the_dump(reference_ledger):
     for block in load_blocks(data):
         for entry in block.entries:
             stored = vars(entry)["payload_bytes"]  # filled by the load itself
-            assert type(stored) is Encoded
+            assert type(stored) is bytes
             assert stored == encode(entry.payload)
-            wire = encode([entry.kind.value, entry.author, stored, entry.signature])
+            wire = encoding.list_of([
+                encode(entry.kind.value), encode(entry.author), stored, encode(entry.signature)
+            ])
             at = data.index(wire, at) + len(wire)
     assert at > len(data) // 2
 

@@ -121,16 +121,34 @@ MUTANTS = (
     Mutant(
         "an invalid review refunds without marking the job REFUNDED",
         "src/computepool/escrow.py",
-        "\n            job.advance(JobStatus.REFUNDED)\n",
+        "\n            job.status = JobStatus.REFUNDED\n",
         "\n",
         ("tests/test_escrow.py::test_review_valid_pays_pool_invalid_refunds_sender",),
     ),
     Mutant(
         "a clawed-back settled job is not marked REFUNDED",
         "src/computepool/escrow.py",
-        "\n                job.advance(JobStatus.REFUNDED)\n",
+        "\n                job.status = JobStatus.REFUNDED\n",
         "\n",
         ("tests/test_escrow.py::test_upheld_challenge_on_settled_job_claws_back_reward",),
+    ),
+    Mutant(
+        "a job that is not PENDING can be activated again",
+        "src/computepool/escrow.py",
+        "        if job.status != JobStatus.PENDING:\n"
+        "            raise JobLifecycleError(\n"
+        '                f"job {job_id} cannot start (status {job.status.value})"\n'
+        "            )\n",
+        "",
+        ("tests/test_escrow.py::test_lifecycle_graph_is_enforced",),
+    ),
+    Mutant(
+        "settle_job takes any outcome string",
+        "src/computepool/escrow.py",
+        '        if outcome not in ("DONE", "CANCELLED"):\n'
+        '            raise JobLifecycleError(f"cannot settle to {outcome}")\n',
+        "",
+        ("tests/test_escrow.py::test_settle_rejects_non_final_status",),
     ),
     Mutant(
         "a boolean passes as a token amount",
@@ -152,6 +170,13 @@ MUTANTS = (
         "    for entry in entries:\n"
         '        entry.__dict__.pop("payload_bytes", None)\n',
         "",
+        ("tests/test_ledger.py::test_stored_payload_bytes_keep_every_byte",),
+    ),
+    Mutant(
+        "framing a sealed entry stores its payload bytes again",
+        "src/computepool/ledger.py",
+        "            payload_bytes = encode(self.payload)\n",
+        '            payload_bytes = self.__dict__["payload_bytes"] = encode(self.payload)\n',
         ("tests/test_ledger.py::test_stored_payload_bytes_keep_every_byte",),
     ),
 )
