@@ -15,7 +15,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -33,9 +32,7 @@ class Signer:
         if len(seed) != 32:
             raise ValueError("signer seed must be exactly 32 bytes")
         self._key = Ed25519PrivateKey.from_private_bytes(seed)
-        self.verify_key: bytes = self._key.public_key().public_bytes(
-            Encoding.Raw, PublicFormat.Raw
-        )
+        self.verify_key: bytes = self._key.public_key().public_bytes_raw()
 
     def sign(self, payload: bytes) -> bytes:
         return self._key.sign(payload)

@@ -7,6 +7,7 @@ points at itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -52,7 +53,13 @@ def _int(value, path: str, minimum: int | None = None) -> int:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        _fail(path, "expected a finite number, got an integer too large for a float")
+    if not math.isfinite(number):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _fraction(value, path: str, positive: bool = False) -> Fraction:

@@ -8,7 +8,8 @@ ledger bytes and the same reports.
 
 Ordering at equal timestamps is fixed by an explicit priority tier per event
 kind, with epoch closes last, so a close sees the tick's heartbeat (one event
-for every node that is up) and every same-tick delivery and unlock.
+per tick, which credits every node that is up and schedules the next tick)
+and every same-tick delivery and unlock.
 """
 
 from __future__ import annotations
@@ -328,8 +329,8 @@ class Simulation:
                 self._schedule(window.start * 1000, PRI_NODE_FLIP, flip, node.node_id, False)
                 self._schedule(window.end * 1000, PRI_NODE_FLIP, flip, node.node_id, True)
 
-        for t in range(self.heartbeat_ms, self.horizon_ms + 1, self.heartbeat_ms):
-            self._schedule(t, PRI_HEARTBEAT, self._on_heartbeat)
+        if self.heartbeat_ms <= self.horizon_ms:
+            self._schedule(self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)
         for epoch in range(1, scenario.epochs + 1):
             self._schedule(epoch * self.epoch_ms, PRI_EPOCH_CLOSE, self._on_epoch_close, epoch)
 
@@ -350,6 +351,8 @@ class Simulation:
         for node in self.scenario.nodes:
             if self._up[node.node_id]:
                 self.registry.accrue_alive(node.node_id, self.scenario.heartbeat_seconds)
+        if self._now + self.heartbeat_ms <= self.horizon_ms:
+            self._schedule(self._now + self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)
 
     def _on_job_arrival(self, spec: JobSpec) -> None:
         # User code is vetted before any funds move, so a rejected plugin

@@ -78,6 +78,11 @@ def test_run_rejects_bad_scenario_with_usage_exit(tmp_path, capsys):
     assert main(["run", "--scenario", str(path)]) == 2
     assert "token amounts" in capsys.readouterr().err
 
+    huge = dict(MINI, nodes=[dict(MINI["nodes"][0], power=10**400), *MINI["nodes"][1:]])
+    path.write_text(yaml.safe_dump(huge))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "nodes[0].power: expected a finite number" in capsys.readouterr().err
+
 
 def test_verify_accepts_fresh_ledger(run_dir, capsys):
     assert main(["verify", str(run_dir / "ledger.bin")]) == 0

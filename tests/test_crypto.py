@@ -1,6 +1,13 @@
 """Digest and signature primitives."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +57,24 @@ def test_verify_rejects_garbage_key_without_raising():
     sig = s.sign(b"p")
     assert verify(b"\x00" * 32, b"p", sig) is False
     assert verify(b"short", b"p", sig) is False
+
+
+@pytest.mark.parametrize("seed", [bytes(32), b"\xff" * 32, bytes(range(32)), digest(b"k")])
+def test_verify_key_is_the_raw_ed25519_public_key(seed):
+    public = Ed25519PrivateKey.from_private_bytes(seed).public_key()
+    assert Signer(seed).verify_key == public.public_bytes(Encoding.Raw, PublicFormat.Raw)
+
+
+def test_the_package_loads_no_key_serialization_modules():
+    # cryptography's serialization package pulls in the RSA, DSA, EC, SSH and
+    # cipher modules; the package only signs and verifies Ed25519.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, computepool.cli; "
+             "print('cryptography.hazmat.primitives.serialization' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_signer_rejects_bad_seed_length():

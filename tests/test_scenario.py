@@ -101,6 +101,25 @@ def test_token_amounts_reject_floats():
     assert parse_scenario(data).nodes[0].balance == Fraction(3, 4)
 
 
+NUMBER_FIELDS = {
+    "nodes[0].power": lambda data, v: data["nodes"][0].update(power=v),
+    "nodes[1].power[10]": lambda data, v: data["nodes"][1]["power"].update({10: v}),
+    "nodes[0].capability.cpu": lambda data, v: data["nodes"][0].update(capability={"cpu": v}),
+    "jobs[0].requirement.memory": lambda data, v: data["jobs"][0].update(requirement={"memory": v}),
+    "capability_weights.gpu": lambda data, v: data.update(capability_weights={"gpu": v}),
+    "regions.eu.drop_rate": lambda data, v: data["regions"]["eu"].update(drop_rate=v),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("path", list(NUMBER_FIELDS))
+def test_numbers_must_be_finite(path, value):
+    data = base_scenario()
+    NUMBER_FIELDS[path](data, value)
+    expect_error(data, f"{path}: expected a finite number")
+
+
 def test_region_validation():
     data = base_scenario()
     data["regions"]["eu"]["drop_rate"] = 1.0

@@ -228,11 +228,23 @@ def test_alive_time_counts_the_ticks_outside_every_window(data):
         assert result.bank.registry.deed(node["id"]).total_alive_seconds == heartbeat * len(up)
 
 
-def test_setup_schedules_one_heartbeat_per_tick():
+def test_each_heartbeat_schedules_the_next_and_the_heap_holds_one():
     sim = Simulation(two_region_scenario(heartbeat_seconds=7))  # 7 s does not divide 1200 s
-    sim._setup()
-    ticks = sorted(at for at, pri, *_ in sim._heap if pri == PRI_HEARTBEAT)
+    ticks, pending = [], []
+    beat = sim._on_heartbeat
+
+    def heartbeats_in_heap():
+        return sum(1 for _at, pri, *_ in sim._heap if pri == PRI_HEARTBEAT)
+
+    def on_heartbeat():
+        ticks.append(sim._now)
+        beat()
+        pending.append(heartbeats_in_heap())
+
+    sim._on_heartbeat = on_heartbeat  # `_setup` and every tick schedule this name
+    sim.run()
     assert ticks == list(range(7000, sim.horizon_ms + 1, 7000))
+    assert max(pending) == 1
 
 
 def test_unsafe_plugin_is_rejected_before_funding_and_keys_stay_aligned():

@@ -114,9 +114,20 @@ MUTANTS = (
     Mutant(
         "the heartbeat stops one tick before the horizon",
         "src/computepool/simnet.py",
-        "range(self.heartbeat_ms, self.horizon_ms + 1, self.heartbeat_ms)",
-        "range(self.heartbeat_ms, self.horizon_ms, self.heartbeat_ms)",
+        "if self._now + self.heartbeat_ms <= self.horizon_ms:",
+        "if self._now + self.heartbeat_ms < self.horizon_ms:",
         ("tests/test_simnet.py::test_downtime_shrinks_alive_fraction_and_share",),
+    ),
+    Mutant(
+        "the heartbeat is not rescheduled",
+        "src/computepool/simnet.py",
+        "        if self._now + self.heartbeat_ms <= self.horizon_ms:\n"
+        "            self._schedule(self._now + self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)\n",
+        "",
+        (
+            "tests/test_simnet.py::test_alive_time_counts_the_ticks_outside_every_window",
+            "tests/test_simnet.py::test_each_heartbeat_schedules_the_next_and_the_heap_holds_one",
+        ),
     ),
     Mutant(
         "an invalid review refunds without marking the job REFUNDED",
@@ -156,6 +167,14 @@ MUTANTS = (
         "if isinstance(value, (bool, float)):",
         "if isinstance(value, float):",
         ("tests/test_scenario.py::test_token_amounts_reject_floats",),
+    ),
+    Mutant(
+        "non-finite scenario numbers are accepted",
+        "src/computepool/scenario.py",
+        "    if not math.isfinite(number):\n"
+        '        _fail(path, f"expected a finite number, got {value!r}")\n',
+        "",
+        ("tests/test_scenario.py::test_numbers_must_be_finite",),
     ),
     Mutant(
         "decoded strings are not interned",
