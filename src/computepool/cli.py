@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .ledger import LedgerBlock, LedgerError, VerifyResult, load_blocks, verify_blocks
@@ -24,12 +23,9 @@ from .simnet import SimulationError, run_scenario
 
 
 def _json_value(value):
-    """JSON for the payload values JSON has no type for: bytes as hex, and a
-    fraction as its exact string, the form reports give token amounts."""
+    """JSON for the one payload type JSON has none for: bytes, as hex."""
     if isinstance(value, bytes):
         return value.hex()
-    if isinstance(value, Fraction):
-        return str(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 

@@ -5,15 +5,16 @@ string and distinct values encode to distinct byte strings, so digests over
 encodings are digests over values. Dict keys must be strings and are emitted
 in sorted order; insertion order never leaks into the bytes.
 
-Supported domain: None, bool, int, float, str, bytes, Fraction, and
-lists/dicts thereof. Floats are encoded as their 8-byte IEEE-754 big-endian
-image, so the encoding is byte-exact across platforms; NaN payload bits
-survive a decode and re-encode on CPython's struct module.
+Supported domain: the seven types the protocol writes, bool, int, float,
+str, bytes, and lists and string-keyed dicts of them. Floats are encoded as
+their 8-byte IEEE-754 big-endian image, so the encoding is byte-exact across
+platforms; NaN payload bits survive a decode and re-encode on CPython's
+struct module.
 
-`decode` accepts only canonical bytes: integer text as `str(int)` writes it,
-map keys in strictly ascending order and fractions in lowest terms with a
-positive denominator. So `encode(decode(b)) == b` for every `b` it accepts,
-and a digest over a decoded value is a digest over the bytes that were read.
+`decode` accepts only canonical bytes: integer text as `str(int)` writes it
+and map keys in strictly ascending order. So `encode(decode(b)) == b` for
+every `b` it accepts, and a digest over a decoded value is a digest over the
+bytes that were read.
 Every string it decodes, map keys included, is interned (`sys.intern`), so a
 loaded ledger holds one object per distinct string however often it occurs;
 an interned string that nothing references any more is freed.
@@ -22,19 +23,16 @@ an interned string that nothing references any more is freed.
 caller can frame stored bytes into a larger value without encoding them
 again.
 
-`encode` looks up each value's exact type in one dispatch table. A value of
-a subclass takes the encoder of the nearest base in its MRO that the table
-holds. So an `IntEnum` encodes as its integer (while `bool` keeps its own
-tags), a namedtuple as a list and a str subclass, also as a map key, as a
-string. A type with no such base is rejected with `EncodingError`.
+`encode` looks up each value's exact type in one dispatch table. Any other
+type is rejected with `EncodingError`: None, tuples, fractions, and
+subclasses of the seven too (an `IntEnum`, a namedtuple, a str subclass,
+also as a map key).
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import sys
-from fractions import Fraction
 from typing import Any, Callable
 
 
@@ -51,7 +49,7 @@ def encode(value: Any) -> bytes:
     try:
         encoder = _ENCODERS[type(value)]
     except KeyError:
-        encoder = _inherited_encoder(type(value))
+        raise EncodingError(f"cannot canonically encode {type(value).__name__}") from None
     return encoder(value)
 
 
@@ -72,7 +70,7 @@ def _str(value: str) -> bytes:
 
 def _dict(value: dict) -> bytes:
     for key in value:
-        if not isinstance(key, str):
+        if type(key) is not str:
             raise EncodingError("dict keys must be strings")
     out = [b"M", _U32.pack(len(value))]
     for key in sorted(value):
@@ -90,25 +88,14 @@ def _list(value: list) -> bytes:
 
 
 _ENCODERS: dict[type, Callable[[Any], bytes]] = {
-    type(None): lambda value: b"N",
     bool: lambda value: b"T" if value else b"F",
     int: _int,
     float: lambda value: b"D" + _F64.pack(value),
     str: _str,
     bytes: _bytes,
-    bytearray: _bytes,
-    Fraction: lambda value: b"Q" + _int(value.numerator) + _int(value.denominator),
     list: _list,
-    tuple: _list,
     dict: _dict,
 }
-
-
-def _inherited_encoder(cls: type) -> Callable[[Any], bytes]:
-    for base in cls.__mro__[1:]:
-        if base in _ENCODERS:
-            return _ENCODERS[base]
-    raise EncodingError(f"cannot canonically encode {cls.__name__}")
 
 
 def decode(data: bytes) -> Any:
@@ -134,7 +121,7 @@ def decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         raise EncodingError(f"malformed encoding: {exc}") from exc
 
 
-_N, _T, _F, _I, _D, _S, _B, _Q, _L, _M = b"NTFIDSBQLM"
+_T, _F, _I, _D, _S, _B, _L, _M = b"TFIDSBLM"
 # Tags followed by a 4-byte length (S, B, I) or item count (L, M).
 _SIZED = frozenset((_S, _I, _M, _L, _B))
 _TRUNCATED = "truncated encoding"
@@ -194,8 +181,6 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         if str(value) != text:
             raise EncodingError(f"non-canonical integer text {text!r}")
         return value, end
-    if tag == _N:
-        return None, offset
     if tag == _T:
         return True, offset
     if tag == _F:
@@ -204,10 +189,4 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         if offset + 8 > size:
             raise EncodingError(_TRUNCATED)
         return _F64.unpack_from(data, offset)[0], offset + 8
-    if tag == _Q:
-        num, offset = _decode_at(data, offset)
-        den, offset = _decode_at(data, offset)
-        if type(num) is not int or type(den) is not int or den <= 0 or math.gcd(num, den) != 1:
-            raise EncodingError(f"fraction {num!r}/{den!r} is not in lowest terms")
-        return Fraction(num, den), offset
     raise EncodingError(f"unknown tag byte {bytes([tag])!r} at offset {offset - 1}")

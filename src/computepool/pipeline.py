@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import io
+import math
 import operator
 import sys
 import tokenize
@@ -345,12 +346,20 @@ class Expression:
 
 
 def _number(params: dict, name: str, default: float | None = None) -> float:
+    """A number param. A scenario's value must be finite; a default need not
+    be (`max` starts from -inf)."""
     value = params.get(name, default)
     if value is None:
         raise PipelineError(f"needs a {name!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise PipelineError(f"param {name!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise PipelineError(f"param {name!r} is an integer too large for a float") from None
+    if not math.isfinite(number) and name in params:
+        raise PipelineError(f"param {name!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _counter(params: dict, worker: int):

@@ -42,11 +42,13 @@ def _sequence(value, path: str) -> list:
     return value
 
 
-def _int(value, path: str, minimum: int | None = None) -> int:
+def _int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(path, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -210,6 +212,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     seed = _int(root["seed"], "seed", minimum=0)
     epochs = _int(root["epochs"], "epochs", minimum=1)
     epoch_seconds = _int(root["epoch_seconds"], "epoch_seconds", minimum=1)
+    horizon = epochs * epoch_seconds  # nothing runs after it
     heartbeat = _int(
         root.get("heartbeat_seconds", max(1, epoch_seconds // 100)),
         "heartbeat_seconds",
@@ -318,7 +321,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         sender = _string(cfg["sender"], f"{path}.sender")
         if sender not in node_ids:
             _fail(f"{path}.sender", f"unknown node {sender!r}")
-        at = _int(cfg["at"], f"{path}.at", minimum=0)
+        at = _int(cfg["at"], f"{path}.at", minimum=0, maximum=horizon)
         # Job ids are sender:sequence and sequence follows submission time,
         # so the list must already be in time order.
         if at < last_at:
@@ -394,7 +397,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         bond = _fraction(cfg["bond"], f"{path}.bond", positive=True) if "bond" in cfg else None
         challenges.append(
             ChallengeSpec(
-                at=_int(cfg["at"], f"{path}.at", minimum=0),
+                at=_int(cfg["at"], f"{path}.at", minimum=0, maximum=horizon),
                 challenger=challenger,
                 job_id=job_id,
                 bond=bond,

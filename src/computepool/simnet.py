@@ -124,7 +124,6 @@ class _WorkerTask:
     pending_proofs: list[ProgressProof] = field(default_factory=list)
     last_sent: ProgressProof | None = None
     cancelled: bool = False
-    result_sent: bool = False
 
 
 @dataclass
@@ -202,20 +201,21 @@ class Simulation:
         return self._signers[node_id]
 
     def _schedule(self, at: int, priority: int, handler, *args) -> None:
-        """Queue `handler(*args)` to run at logical time `at` (ms).
+        """Queue `handler(*args)` to run at logical time `at` (ms), unless
+        `at` is past the horizon: nothing runs after it.
 
         Events run in (at, priority, seq) order: time first, then the PRI_*
         tier, then scheduling order, since `seq` grows by one per call. `seq`
         is unique, so the heap never compares handlers or arguments.
         """
+        if at > self.horizon_ms:
+            return
         self._seq += 1
         heapq.heappush(self._heap, (at, priority, self._seq, handler, args))
 
     def _retry_later(self, handler, *args) -> None:
-        """Run `handler(*args)` one heartbeat from now if the horizon allows."""
-        retry = self._now + self.heartbeat_ms
-        if retry <= self.horizon_ms:
-            self._schedule(retry, PRI_ACTION, handler, *args)
+        """Run `handler(*args)` one heartbeat from now."""
+        self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, handler, *args)
 
     def _epoch_of(self, at_ms: int) -> int:
         return max(1, -(-at_ms // self.epoch_ms))
@@ -329,8 +329,7 @@ class Simulation:
                 self._schedule(window.start * 1000, PRI_NODE_FLIP, flip, node.node_id, False)
                 self._schedule(window.end * 1000, PRI_NODE_FLIP, flip, node.node_id, True)
 
-        if self.heartbeat_ms <= self.horizon_ms:
-            self._schedule(self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)
+        self._schedule(self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)
         for epoch in range(1, scenario.epochs + 1):
             self._schedule(epoch * self.epoch_ms, PRI_EPOCH_CLOSE, self._on_epoch_close, epoch)
 
@@ -351,8 +350,7 @@ class Simulation:
         for node in self.scenario.nodes:
             if self._up[node.node_id]:
                 self.registry.accrue_alive(node.node_id, self.scenario.heartbeat_seconds)
-        if self._now + self.heartbeat_ms <= self.horizon_ms:
-            self._schedule(self._now + self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)
+        self._schedule(self._now + self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)
 
     def _on_job_arrival(self, spec: JobSpec) -> None:
         # User code is vetted before any funds move, so a rejected plugin
@@ -409,7 +407,7 @@ class Simulation:
         try:
             workers = assign_workers(job_id, ranked, spec.pipeline.n_workers)
         except InsufficientWorkersError:
-            # Job stays PENDING; try again next tick if the horizon allows.
+            # Job stays PENDING; try again next tick.
             self._retry_later(self._on_assign_retry, job_id)
             return
 
@@ -473,7 +471,7 @@ class Simulation:
         self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, self._on_worker_step, task)
 
     def _on_worker_step(self, task: _WorkerTask) -> None:
-        if task.cancelled or task.result_sent:
+        if task.cancelled:
             return
         if not self._up[task.worker]:
             self._retry_later(self._on_worker_step, task)
@@ -524,7 +522,6 @@ class Simulation:
                 self._signer(task.worker),
             )
             self._publish(COORDINATOR_ID, self._on_result_delivered, shard, task.worker)
-            task.result_sent = True
 
     def _flush_proofs(self, task: _WorkerTask) -> None:
         for pending in task.pending_proofs:

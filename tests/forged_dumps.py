@@ -1,17 +1,16 @@
 """Hostile ledger dumps and payloads, shared by the ledger and CLI tests.
 
-A forgery takes real blocks, gives one field a value of the wrong type, and
-re-derives every root, block digest and link from the edited values, so the
-wrong type is the dump's only fault. Each returns the dump and the height at
-which it must fail.
+A forgery takes real blocks, gives one field a value of the wrong type, or
+of a tag no encoder writes any more, and re-derives every root, block digest,
+link and signature it touches, so that value is the dump's only fault. Each
+returns the dump and the height at which it must fail.
 """
 
 import struct
-from fractions import Fraction
 
 from computepool.crypto import ZERO_DIGEST, derive_signer, digest
 from computepool.encoding import encode
-from computepool.ledger import DUMP_MAGIC, EntryKind, Ledger, sign_entry
+from computepool.ledger import DUMP_MAGIC, EntryKind, Ledger, LedgerEntry, sign_entry
 
 MALLORY = derive_signer("forged", "mallory")
 
@@ -94,15 +93,41 @@ def signed_list_payload(blocks):
     return frame(rechain(ws)), len(ws) - 1
 
 
+def _raw_map(pairs: list[tuple[str, bytes]]) -> bytes:
+    """A map's bytes from its keys and the bytes of its values."""
+    return b"M" + struct.pack(">I", len(pairs)) + b"".join(encode(k) + v for k, v in pairs)
+
+
+def _with_raw_payload(blocks, payload_bytes: bytes):
+    """A new block in which mallory registers and validly signs a POOL_EVENT
+    whose payload is these bytes, signed, hashed and dumped as they stand."""
+    event = LedgerEntry(EntryKind.POOL_EVENT, "mallory", {}, b"")
+    event.__dict__["payload_bytes"] = payload_bytes
+    object.__setattr__(event, "signature", MALLORY.sign(event.signing_bytes()))
+    led = Ledger()
+    led.blocks = list(blocks)
+    led.append_entries([mallory_spec(), event], blocks[-1].timestamp)
+    return led.dump(), len(blocks)
+
+
+# Payload values of the tags no encoder writes any more: `Q` (a fraction,
+# then its numerator and denominator) and `N` (None).
+def fraction_payload(blocks):
+    return _with_raw_payload(
+        blocks, _raw_map([("amount", b"Q" + encode(1) + encode(3)), ("event", encode("x"))]))
+
+
+def null_payload(blocks):
+    return _with_raw_payload(blocks, _raw_map([("event", encode("x")), ("note", b"N")]))
+
+
 FORGERIES = [bool_header, int_digest, str_timestamp, list_node_spec_payload,
-             signed_list_payload]
+             signed_list_payload, fraction_payload, null_payload]
 
 # Validly signed payloads whose values reports never hold, each with the JSON
 # form `verify --format RECORDS` prints for it.
 ODD_PAYLOADS = {
     "bytes": ({"event": "x", "raw": b"\x00\xff"}, {"event": "x", "raw": "00ff"}),
-    "fraction": ({"event": "x", "amount": Fraction(1, 3)},
-                 {"event": "x", "amount": "1/3"}),
     "int entries": ({"entries": 5}, {"entries": 5}),
     "int rows": ({"entries": [1, 2]}, {"entries": [1, 2]}),
     "empty row": ({"entries": [[]]}, {"entries": [[]]}),

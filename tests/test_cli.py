@@ -83,6 +83,15 @@ def test_run_rejects_bad_scenario_with_usage_exit(tmp_path, capsys):
     assert main(["run", "--scenario", str(path)]) == 2
     assert "nodes[0].power: expected a finite number" in capsys.readouterr().err
 
+    for value in (10**400, float("nan")):
+        constant = {"source": {"kind": "constant", "params": {"value": value}},
+                    "business": {"kind": "sum"}}
+        path.write_text(yaml.safe_dump(dict(MINI, pipelines={"p": constant})))
+        assert main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "jobs[0].pipeline: source plugin 'constant' (worker 0): param 'value'" in err
+        assert "Traceback" not in err
+
 
 def test_verify_accepts_fresh_ledger(run_dir, capsys):
     assert main(["verify", str(run_dir / "ledger.bin")]) == 0

@@ -3,7 +3,6 @@
 import dataclasses
 import random
 import struct
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -363,13 +362,11 @@ def test_wrongly_typed_dump_field_fails_at_its_height(reference_ledger, forge):
 
 
 other_typed_values = st.one_of(
-    st.none(),
     st.booleans(),
     st.integers(),
     st.floats(),
     st.text(max_size=8),
     st.binary(max_size=8),
-    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
     st.lists(st.integers(), max_size=3),
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
 )

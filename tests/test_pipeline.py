@@ -399,6 +399,32 @@ def test_parse_pipeline_diagnostics():
             plan(cfg, n_workers=2)
 
 
+NUMBER_PARAMS = {
+    "value": lambda v: {"source": {"kind": "constant", "params": {"value": v}}},
+    "start": lambda v: {"source": {"kind": "counter", "params": {"start": v}}},
+    "limit": lambda v: {"serving": [{"kind": "threshold", "params": {"limit": v}}]},
+    "init": lambda v: {"business": {"kind": "max", "params": {"init": v}}},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("param", list(NUMBER_PARAMS))
+def test_number_params_must_be_finite(param, value):
+    cfg = {"source": {"kind": "counter"}, "business": {"kind": "sum"}, **NUMBER_PARAMS[param](value)}
+    with pytest.raises(PipelineError,
+                       match=rf"param '{param}' (must be a finite number|is an integer too large)"):
+        plan(cfg)
+
+
+def test_max_starts_from_minus_infinity():
+    spec = plan({"source": {"kind": "counter", "params": {"start": -5, "stride": -1}},
+                 "business": {"kind": "max"}})
+    run = PipelineRun(spec, 0)
+    assert run.acc == -math.inf
+    assert [run.step().acc for _ in range(2)] == [-5.0, -5.0]
+
+
 def test_worker_index_bounds():
     spec = plan({"source": {"kind": "counter"}, "business": {"kind": "sum"}},
                 n_workers=2)

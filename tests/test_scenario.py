@@ -178,6 +178,20 @@ def test_jobs_must_be_time_ordered():
     expect_error(data, "jobs[1].at: jobs must be listed in non-decreasing time order")
 
 
+def test_jobs_and_challenges_must_fall_inside_the_horizon():
+    data = base_scenario()  # 2 epochs of 600 s
+    data["jobs"].append(dict(data["jobs"][0], at=1200))
+    data["challenges"] = [{"at": 1200, "challenger": "b", "job": "a:2", "votes": [True]}]
+    sc = parse_scenario(data)
+    assert sc.jobs[1].at == sc.challenges[0].at == sc.horizon
+    late_job = copy.deepcopy(data)
+    late_job["jobs"][1]["at"] = 1201
+    expect_error(late_job, "jobs[1].at: must be <= 1200, got 1201")
+    late_challenge = copy.deepcopy(data)
+    late_challenge["challenges"][0]["at"] = 9000
+    expect_error(late_challenge, "challenges[0].at: must be <= 1200, got 9000")
+
+
 def test_pipeline_errors_carry_job_path():
     data = base_scenario()
     data["pipelines"]["p"]["source"]["params"] = [{"start": 0}, {"start": 1}]

@@ -381,6 +381,23 @@ def test_review_unlocks_after_the_scenario_lock_length():
     assert result.conservation_ok
 
 
+def test_nothing_runs_after_the_horizon():
+    raw = copy.deepcopy(load_scenario(SCENARIOS / "demo_trio.yaml").raw)
+    # 4 steps one 36 s heartbeat apart cannot finish in the 100 s left
+    raw["jobs"].append(dict(raw["jobs"][0], at=7100, reward=100))
+    sc = parse_scenario(raw)
+    sim = Simulation(sc)
+    result = sim.run()
+    assert sim.horizon_ms == 7_200_000
+    assert all(block.timestamp <= sim.horizon_ms for block in result.ledger.blocks)
+    epochs = [e.payload["epoch"] for _, e in result.ledger.entries() if "epoch" in e.payload]
+    assert max(epochs) == sc.epochs
+    assert result.bank.job("alpha:2").status == JobStatus.IN_PROGRESS
+    assert result.bank.escrow_pool == 100 and result.bank.reward_pool == 0
+    assert result.pool_timeline[-1]["escrow_pool"] == "100"
+    assert result.conservation_ok
+
+
 def demo_with_challenges(*challenges):
     """demo_trio plus five idle jurors j0-j4, who challenge alpha:1 at the given times."""
     raw = copy.deepcopy(load_scenario(SCENARIOS / "demo_trio.yaml").raw)

@@ -112,17 +112,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the heartbeat stops one tick before the horizon",
+        "nothing runs at the horizon itself: no last tick, no last close",
         "src/computepool/simnet.py",
-        "if self._now + self.heartbeat_ms <= self.horizon_ms:",
-        "if self._now + self.heartbeat_ms < self.horizon_ms:",
+        "        if at > self.horizon_ms:\n",
+        "        if at >= self.horizon_ms:\n",
         ("tests/test_simnet.py::test_downtime_shrinks_alive_fraction_and_share",),
+    ),
+    Mutant(
+        # The guard cannot simply go: the heartbeat would reschedule forever.
+        "every event but the heartbeat runs after the horizon",
+        "src/computepool/simnet.py",
+        "        if at > self.horizon_ms:\n",
+        "        if at > self.horizon_ms and priority == PRI_HEARTBEAT:\n",
+        ("tests/test_simnet.py::test_nothing_runs_after_the_horizon",),
     ),
     Mutant(
         "the heartbeat is not rescheduled",
         "src/computepool/simnet.py",
-        "        if self._now + self.heartbeat_ms <= self.horizon_ms:\n"
-        "            self._schedule(self._now + self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)\n",
+        "        self._schedule(self._now + self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)\n",
         "",
         (
             "tests/test_simnet.py::test_alive_time_counts_the_ticks_outside_every_window",
@@ -175,6 +182,29 @@ MUTANTS = (
         '        _fail(path, f"expected a finite number, got {value!r}")\n',
         "",
         ("tests/test_scenario.py::test_numbers_must_be_finite",),
+    ),
+    Mutant(
+        "non-finite pipeline params are accepted",
+        "src/computepool/pipeline.py",
+        "    if not math.isfinite(number) and name in params:\n"
+        '        raise PipelineError(f"param {name!r} must be a finite number, got {value!r}")\n',
+        "",
+        ("tests/test_pipeline.py::test_number_params_must_be_finite",),
+    ),
+    Mutant(
+        "decode takes the fraction tag again",
+        "src/computepool/encoding.py",
+        '    raise EncodingError(f"unknown tag byte',
+        '    if tag == ord("Q"):\n'
+        "        from fractions import Fraction\n"
+        "        num, offset = _decode_at(data, offset)\n"
+        "        den, offset = _decode_at(data, offset)\n"
+        "        return Fraction(num, den), offset\n"
+        '    raise EncodingError(f"unknown tag byte',
+        (
+            "tests/test_encoding.py::test_decode_rejects_the_retired_null_and_fraction_tags",
+            "tests/test_cli.py::test_wrongly_typed_dump_field_exits_one_at_its_height",
+        ),
     ),
     Mutant(
         "decoded strings are not interned",
