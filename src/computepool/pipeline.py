@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import io
-import math
 import operator
 import sys
 import tokenize
@@ -24,11 +23,7 @@ from .crypto import Signer, digest, verify
 from .encoding import encode
 
 
-class PipelineError(Exception):
-    pass
-
-
-class ExpressionError(PipelineError):
+class ExpressionError(Exception):
     pass
 
 
@@ -77,25 +72,6 @@ class SafetyPolicy:
     max_source_bytes: int = 4096
     max_tokens: int = 512
     import_allowlist: tuple[str, ...] = ("math",)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SafetyPolicy":
-        unknown = set(cfg) - {"max_source_bytes", "max_tokens", "import_allowlist"}
-        if unknown:
-            raise PipelineError(f"unknown safety policy keys: {sorted(unknown, key=str)}")
-        fields = dict(cfg)
-        for key in ("max_source_bytes", "max_tokens"):
-            value = fields.get(key, getattr(cls, key))
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise PipelineError(f"{key}: expected an integer >= 1, got {value!r}")
-        if "import_allowlist" in fields:
-            allow = fields["import_allowlist"]
-            if not isinstance(allow, list) or not all(isinstance(m, str) for m in allow):
-                raise PipelineError(
-                    f"import_allowlist: expected a list of module names, got {allow!r}"
-                )
-            fields["import_allowlist"] = tuple(allow)
-        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -338,42 +314,28 @@ class Expression:
 
 # -- plugins ------------------------------------------------------------------------
 #
-# One table per stage maps a plugin kind to its factory. A factory takes one
-# worker's params and index, checks the params and converts them once, and
+# One table per stage maps a plugin kind to its factory and its param rules.
+# A rule is a param's default, or the type of a param the kind requires: a
+# float is a finite number, an int a count >= 1, a str a non-empty string and
+# an Expression a formula, compiled once when the scenario is read. The
+# scenario reader checks every param against these rules and fills in the
+# defaults, so a factory takes one worker's complete params and its index and
 # returns that worker's fresh plugin: a source `step -> value`, a serving stub
 # `value -> value`, or a business fold `(init, (acc, value, step) -> acc)`.
-# A bad param raises PipelineError naming the param.
-
-
-def _number(params: dict, name: str, default: float | None = None) -> float:
-    """A number param. A scenario's value must be finite; a default need not
-    be (`max` starts from -inf)."""
-    value = params.get(name, default)
-    if value is None:
-        raise PipelineError(f"needs a {name!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PipelineError(f"param {name!r} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise PipelineError(f"param {name!r} is an integer too large for a float") from None
-    if not math.isfinite(number) and name in params:
-        raise PipelineError(f"param {name!r} must be a finite number, got {value!r}")
-    return number
 
 
 def _counter(params: dict, worker: int):
-    start, stride = _number(params, "start", 0), _number(params, "stride", 1)
+    start, stride = params["start"], params["stride"]
     return lambda step: start + (step - 1) * stride
 
 
 def _hashnoise(params: dict, worker: int):
-    label = str(params.get("label", "noise"))
+    label = params["label"]
     return lambda step: int.from_bytes(digest(encode([label, worker, step]))[:8], "big") / 2**64
 
 
 def _constant(params: dict, worker: int):
-    value = _number(params, "value")
+    value = params["value"]
     return lambda step: value
 
 
@@ -393,10 +355,7 @@ def _running_sum(params: dict, worker: int):
 
 
 def _moving_average(params: dict, worker: int):
-    size = params.get("window")
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-        raise PipelineError(f"needs an integer window >= 1, got {size!r}")
-    window: deque[float] = deque(maxlen=size)
+    window: deque[float] = deque(maxlen=params["window"])
 
     def apply(value):
         window.append(value)
@@ -406,23 +365,20 @@ def _moving_average(params: dict, worker: int):
 
 
 def _threshold(params: dict, worker: int):
-    limit = _number(params, "limit")
+    limit = params["limit"]
     return lambda value: 1.0 if value >= limit else 0.0
 
 
 def _sum(params: dict, worker: int):
-    return _number(params, "init", 0.0), lambda acc, value, step: acc + value
+    return params["init"], lambda acc, value, step: acc + value
 
 
 def _max(params: dict, worker: int):
-    return _number(params, "init", float("-inf")), lambda acc, value, step: max(acc, value)
+    return params["init"], lambda acc, value, step: max(acc, value)
 
 
 def _expr(params: dict, worker: int):
-    source = params.get("expr")
-    if not isinstance(source, str) or not source.strip():
-        raise PipelineError("needs an 'expr' string")
-    expression = Expression(source)
+    expression = params["expr"]
 
     def fold(acc, value, step):
         result = expression.evaluate({"x": value, "acc": acc, "step": step, "worker": worker})
@@ -431,25 +387,25 @@ def _expr(params: dict, worker: int):
         except (OverflowError, TypeError) as exc:  # an int past the float range, a complex
             raise ExpressionError(f"expression failed: {exc}") from None
 
-    return _number(params, "init", 0.0), fold
+    return params["init"], fold
 
 
-# kind -> (factory, the params it reads); any other param is refused
+# kind -> (factory, param rules); any other param is refused
 SOURCES = {
-    "counter": (_counter, {"start", "stride"}),
-    "hashnoise": (_hashnoise, {"label"}),
-    "constant": (_constant, {"value"}),
+    "counter": (_counter, {"start": 0.0, "stride": 1.0}),
+    "hashnoise": (_hashnoise, {"label": "noise"}),
+    "constant": (_constant, {"value": float}),
 }
 SERVING = {
-    "identity": (_identity, set()),
-    "running_sum": (_running_sum, set()),
-    "moving_average": (_moving_average, {"window"}),
-    "threshold": (_threshold, {"limit"}),
+    "identity": (_identity, {}),
+    "running_sum": (_running_sum, {}),
+    "moving_average": (_moving_average, {"window": int}),
+    "threshold": (_threshold, {"limit": float}),
 }
 BUSINESS = {
-    "sum": (_sum, {"init"}),
-    "max": (_max, {"init"}),
-    "expr": (_expr, {"expr", "init"}),
+    "sum": (_sum, {"init": 0.0}),
+    "max": (_max, {"init": float("-inf")}),
+    "expr": (_expr, {"expr": Expression, "init": 0.0}),
 }
 
 
@@ -460,79 +416,30 @@ BUSINESS = {
 class StagePlan:
     kind: str
     factory: Callable
-    per_worker_params: tuple[dict, ...]
+    params: dict | tuple[dict, ...]  # one set for every worker, or one per worker
+
+    def params_for(self, worker_index: int) -> dict:
+        if isinstance(self.params, tuple):
+            return self.params[worker_index]
+        return self.params
 
     def make(self, worker_index: int):
         """A fresh plugin for one worker."""
-        return self.factory(self.per_worker_params[worker_index], worker_index)
+        return self.factory(self.params_for(worker_index), worker_index)
 
 
 @dataclass(frozen=True)
 class PipelineSpec:
     name: str
-    n_workers: int
     source: StagePlan
     serving: tuple[StagePlan, ...]
     business: StagePlan
 
-    @property
-    def user_code(self) -> tuple[str, ...] | None:
+    def user_code(self, n_workers: int) -> tuple[str, ...] | None:
         """Each worker's user-supplied formula, or None if the pipeline runs no user code."""
         if self.business.kind != "expr":
             return None
-        return tuple(params["expr"] for params in self.business.per_worker_params)
-
-
-def _resolve_stage(stage: str, cfg: dict, n_workers: int, table: dict) -> StagePlan:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise PipelineError(f"{stage} stage needs a mapping with a 'kind'")
-    kind = cfg["kind"]
-    plugin = table.get(kind) if isinstance(kind, str) else None
-    if plugin is None:
-        raise PipelineError(f"unknown {stage} plugin {kind!r}")
-    factory, accepted = plugin
-    stray = set(cfg) - {"kind", "params"}
-    if stray:
-        raise PipelineError(f"{stage} plugin {kind!r} has unknown keys: {sorted(stray, key=str)}")
-    params = cfg.get("params", {})
-    if isinstance(params, dict):
-        params = [params] * n_workers
-    elif not isinstance(params, list) or not all(isinstance(p, dict) for p in params):
-        raise PipelineError(f"{stage} params must be a mapping or a per-worker list of mappings")
-    elif len(params) != n_workers:
-        raise PipelineError(
-            f"{stage} plugin {kind!r} has {len(params)} parameter sets for {n_workers} workers"
-        )
-    plan = StagePlan(kind=kind, factory=factory, per_worker_params=tuple(dict(p) for p in params))
-    for worker_index in range(n_workers):
-        try:
-            unknown = set(plan.per_worker_params[worker_index]) - accepted
-            if unknown:
-                raise PipelineError(f"unknown params: {sorted(unknown, key=str)}")
-            plan.make(worker_index)
-        except PipelineError as exc:
-            raise PipelineError(f"{stage} plugin {kind!r} (worker {worker_index}): {exc}") from None
-    return plan
-
-
-def parse_pipeline(name: str, cfg: dict, n_workers: int) -> PipelineSpec:
-    if n_workers < 1:
-        raise PipelineError("pipeline needs at least one worker")
-    unknown = set(cfg) - {"source", "serving", "business"}
-    if unknown:
-        raise PipelineError(f"pipeline {name!r} has unknown stages: {sorted(unknown, key=str)}")
-    if "source" not in cfg or "business" not in cfg:
-        raise PipelineError(f"pipeline {name!r} needs 'source' and 'business' stages")
-    serving_cfg = cfg.get("serving", [])
-    if not isinstance(serving_cfg, list):
-        raise PipelineError("serving must be a list of stubs")
-    return PipelineSpec(
-        name=name,
-        n_workers=n_workers,
-        source=_resolve_stage("source", cfg["source"], n_workers, SOURCES),
-        serving=tuple(_resolve_stage("serving", s, n_workers, SERVING) for s in serving_cfg),
-        business=_resolve_stage("business", cfg["business"], n_workers, BUSINESS),
-    )
+        return tuple(self.business.params_for(w)["expr"].source for w in range(n_workers))
 
 
 # -- execution ----------------------------------------------------------------------
@@ -550,8 +457,6 @@ class PipelineRun:
     """One worker's live pipeline: deterministic state machine over steps."""
 
     def __init__(self, spec: PipelineSpec, worker_index: int):
-        if not 0 <= worker_index < spec.n_workers:
-            raise PipelineError(f"worker index {worker_index} outside 0..{spec.n_workers - 1}")
         self.worker_index = worker_index
         self.steps_done = 0
         self._source = spec.source.make(worker_index)

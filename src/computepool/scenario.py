@@ -7,6 +7,7 @@ points at itself.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,7 +15,16 @@ from pathlib import Path
 
 import yaml
 
-from .pipeline import PipelineError, PipelineSpec, SafetyPolicy, parse_pipeline
+from .pipeline import (
+    BUSINESS,
+    SERVING,
+    SOURCES,
+    Expression,
+    ExpressionError,
+    PipelineSpec,
+    SafetyPolicy,
+    StagePlan,
+)
 from .tokenomics import Capability, CapabilityWeights
 
 
@@ -100,18 +110,82 @@ def _check_keys(value: dict, path: str, required: set[str], optional: set[str]) 
         _fail(path, f"unknown keys: {sorted(unknown, key=str)}")
 
 
-def _capability(value, path: str) -> Capability:
+def _expression(value, path: str) -> Expression:
+    try:
+        return Expression(_string(value, path))
+    except ExpressionError as exc:
+        _fail(path, str(exc))
+
+
+def _names(value, path: str) -> tuple[str, ...]:
+    return tuple(_string(name, f"{path}[{i}]") for i, name in enumerate(_sequence(value, path)))
+
+
+# How `_fields` reads a value, by the type of its rule; an int is a count >= 1.
+_READERS = {
+    bool: _bool,
+    int: lambda value, path: _int(value, path, minimum=1),
+    float: _number,
+    str: _string,
+    tuple: _names,
+    Expression: _expression,
+}
+
+
+def _fields(value, path: str, rules: dict) -> dict:
+    """Read a mapping by its rules: each rule is the field's default, or the
+    type of a value the field requires. Defaults are filled in unread."""
     cfg = _mapping(value, path)
-    _check_keys(cfg, path, set(), {"cpu", "gpu", "gpu_units", "memory"})
-    cap = Capability(
-        cpu=_number(cfg.get("cpu", 1.0), f"{path}.cpu"),
-        gpu=_bool(cfg.get("gpu", False), f"{path}.gpu"),
-        gpu_units=_number(cfg.get("gpu_units", 0.0), f"{path}.gpu_units"),
-        memory=_number(cfg.get("memory", 0.0), f"{path}.memory"),
-    )
+    required = {key for key, rule in rules.items() if isinstance(rule, type)}
+    _check_keys(cfg, path, required, set(rules) - required)
+    fields = dict(rules)
+    for key in cfg:
+        rule = rules[key]
+        read = _READERS[rule if key in required else type(rule)]
+        fields[key] = read(cfg[key], f"{path}.{key}")
+    return fields
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+_CAPABILITY = _defaults(Capability)
+
+
+def _capability(value, path: str) -> Capability:
+    cap = Capability(**_fields(value, path, _CAPABILITY))
     if cap.cpu < 0 or cap.gpu_units < 0 or cap.memory < 0:
         _fail(path, "capability components must be non-negative")
     return cap
+
+
+def _stage(value, path: str, table: dict) -> StagePlan:
+    cfg = _mapping(value, path)
+    _check_keys(cfg, path, {"kind"}, {"params"})
+    kind = cfg["kind"]
+    plugin = table.get(kind) if isinstance(kind, str) else None
+    if plugin is None:
+        _fail(f"{path}.kind", f"unknown plugin {kind!r}")
+    factory, rules = plugin
+    params = cfg.get("params", {})
+    if isinstance(params, list):  # one set per worker
+        params = tuple(_fields(p, f"{path}.params[{i}]", rules) for i, p in enumerate(params))
+    else:
+        params = _fields(params, f"{path}.params", rules)
+    return StagePlan(kind=kind, factory=factory, params=params)
+
+
+def _pipeline(name: str, value, path: str) -> PipelineSpec:
+    cfg = _mapping(value, path)
+    _check_keys(cfg, path, {"source", "business"}, {"serving"})
+    serving = _sequence(cfg.get("serving", []), f"{path}.serving")
+    return PipelineSpec(
+        name=name,
+        source=_stage(cfg["source"], f"{path}.source", SOURCES),
+        serving=tuple(_stage(s, f"{path}.serving[{i}]", SERVING) for i, s in enumerate(serving)),
+        business=_stage(cfg["business"], f"{path}.business", BUSINESS),
+    )
 
 
 @dataclass(frozen=True)
@@ -154,7 +228,8 @@ class JobSpec:
     sender: str
     at: int
     reward: Fraction
-    pipeline: PipelineSpec  # its name and worker count are the job's
+    pipeline: PipelineSpec  # shared by every job that names it
+    n_workers: int
     steps: int
     requirement: Capability
     cancel_at: int | None
@@ -221,17 +296,12 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     review_lock = _int(root.get("review_lock_seconds", 86400), "review_lock_seconds", minimum=1)
     bond_fraction = _fraction(root.get("bond_fraction", "1/10"), "bond_fraction", positive=True)
 
-    weights_cfg = _mapping(root.get("capability_weights", {}), "capability_weights")
-    _check_keys(weights_cfg, "capability_weights", set(), {"cpu", "gpu", "memory"})
-    weights = CapabilityWeights(
-        cpu=_number(weights_cfg.get("cpu", 1.0), "capability_weights.cpu"),
-        gpu=_number(weights_cfg.get("gpu", 4.0), "capability_weights.gpu"),
-        memory=_number(weights_cfg.get("memory", 0.25), "capability_weights.memory"),
-    )
-    try:
-        policy = SafetyPolicy.from_config(_mapping(root.get("safety_policy", {}), "safety_policy"))
-    except PipelineError as exc:
-        _fail("safety_policy", str(exc))
+    weights = CapabilityWeights(**_fields(
+        root.get("capability_weights", {}), "capability_weights", _defaults(CapabilityWeights)
+    ))
+    policy = SafetyPolicy(**_fields(
+        root.get("safety_policy", {}), "safety_policy", _defaults(SafetyPolicy)
+    ))
 
     regions: dict[str, RegionSpec] = {}
     for rname, rcfg in _mapping(root["regions"], "regions").items():
@@ -302,9 +372,10 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         _fail("nodes", "at least one node is required")
     node_ids = {n.node_id for n in nodes}
 
-    pipelines_cfg = _mapping(root["pipelines"], "pipelines")
-    for pname in pipelines_cfg:
-        _string(pname, "pipelines (key)")
+    pipelines = {
+        _string(pname, "pipelines (key)"): _pipeline(pname, pcfg, f"pipelines.{pname}")
+        for pname, pcfg in _mapping(root["pipelines"], "pipelines").items()
+    }
 
     jobs: list[JobSpec] = []
     job_seq: dict[str, int] = {}
@@ -330,19 +401,19 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         n_workers = _int(cfg["n_workers"], f"{path}.n_workers", minimum=1)
         steps = _int(cfg["steps"], f"{path}.steps", minimum=1)
         pipeline_name = _string(cfg["pipeline"], f"{path}.pipeline")
-        if pipeline_name not in pipelines_cfg:
+        pipeline = pipelines.get(pipeline_name)
+        if pipeline is None:
             _fail(f"{path}.pipeline", f"unknown pipeline {pipeline_name!r}")
-        try:
-            pipeline = parse_pipeline(
-                pipeline_name,
-                _mapping(pipelines_cfg[pipeline_name], f"pipelines.{pipeline_name}"),
-                n_workers,
-            )
-        except PipelineError as exc:
-            _fail(f"{path}.pipeline", str(exc))
+        for stage in (pipeline.source, *pipeline.serving, pipeline.business):
+            if isinstance(stage.params, tuple) and len(stage.params) != n_workers:
+                _fail(
+                    f"{path}.pipeline",
+                    f"plugin {stage.kind!r} has {len(stage.params)} parameter sets "
+                    f"for {n_workers} workers",
+                )
         cancel_at = None
         if "cancel_at" in cfg:
-            cancel_at = _int(cfg["cancel_at"], f"{path}.cancel_at", minimum=0)
+            cancel_at = _int(cfg["cancel_at"], f"{path}.cancel_at", minimum=0, maximum=horizon)
             if cancel_at <= at:
                 _fail(f"{path}.cancel_at", f"must be after submission time {at}")
         review_verdict = cfg.get("review_verdict", "valid")
@@ -371,6 +442,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 at=at,
                 reward=_fraction(cfg["reward"], f"{path}.reward", positive=True),
                 pipeline=pipeline,
+                n_workers=n_workers,
                 steps=steps,
                 requirement=_capability(cfg.get("requirement", {}), f"{path}.requirement"),
                 cancel_at=cancel_at,

@@ -355,7 +355,7 @@ class Simulation:
     def _on_job_arrival(self, spec: JobSpec) -> None:
         # User code is vetted before any funds move, so a rejected plugin
         # never strands tokens in escrow.
-        user_code = spec.pipeline.user_code
+        user_code = spec.pipeline.user_code(spec.n_workers)
         if user_code is not None:
             for source in user_code:
                 code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
@@ -380,7 +380,7 @@ class Simulation:
 
         try:
             self.bank.submit_job(
-                spec.job_id, spec.sender, spec.reward, spec.pipeline.name, spec.pipeline.n_workers
+                spec.job_id, spec.sender, spec.reward, spec.pipeline.name, spec.n_workers
             )
         except InsufficientFundsError:
             self._record(
@@ -405,7 +405,7 @@ class Simulation:
             if self._up[node_id] and node_id != spec.sender
         ]
         try:
-            workers = assign_workers(job_id, ranked, spec.pipeline.n_workers)
+            workers = assign_workers(job_id, ranked, spec.n_workers)
         except InsufficientWorkersError:
             # Job stays PENDING; try again next tick.
             self._retry_later(self._on_assign_retry, job_id)
@@ -431,7 +431,7 @@ class Simulation:
         )
         self.bank.apply(entry)  # moves no funds, so no conservation check
         self._shards[job_id] = {}
-        user_code = spec.pipeline.user_code
+        user_code = spec.pipeline.user_code(spec.n_workers)
         for index, worker in enumerate(workers):
             self._tracker.start(job_id, worker)
             code = None
@@ -864,7 +864,9 @@ def audit_counters(scenario: Scenario, ledger: Ledger, code_rechecks: int) -> di
         "challenges_opened": counts["jury_drawn"],
         "challenges_failed": len(scenario.challenges) - counts["jury_drawn"],
         "code_rechecks": code_rechecks,
-        "plugins_vetted": sum(job.pipeline.user_code is not None for job in scenario.jobs),
+        "plugins_vetted": sum(
+            job.pipeline.user_code(job.n_workers) is not None for job in scenario.jobs
+        ),
         "closes_skipped": scenario.epochs - counts[EntryKind.REWARD_RECORD],
     }
 

@@ -13,14 +13,13 @@ from computepool.encoding import encode
 from computepool.pipeline import (
     Expression,
     ExpressionError,
-    PipelineError,
     PipelineRun,
     SafetyPolicy,
     hash_sign_recheck,
     make_plugin_code,
-    parse_pipeline,
     safety_check,
 )
+from computepool.scenario import ScenarioError, parse_scenario
 from plugin_corpus import SAFE_SNIPPETS, UNSAFE_SNIPPETS
 
 
@@ -57,12 +56,14 @@ def test_safety_policy_caps():
 
 
 def test_safety_policy_from_config():
-    policy = SafetyPolicy.from_config({"max_tokens": 9, "import_allowlist": []})
-    assert policy.max_tokens == 9
-    assert policy.import_allowlist == ()
+    data = scenario({"source": {"kind": "counter"}, "business": {"kind": "sum"}})
+    data["safety_policy"] = {"max_tokens": 9, "import_allowlist": []}
+    policy = parse_scenario(data).safety_policy
+    assert policy == SafetyPolicy(max_tokens=9, import_allowlist=())
     assert not safety_check("import math\n", policy).safe
-    with pytest.raises(PipelineError, match="unknown safety policy keys"):
-        SafetyPolicy.from_config({"max_size": 1})
+    data["safety_policy"] = {"max_size": 1}
+    with pytest.raises(ScenarioError, match=re.escape("safety_policy: unknown keys: ['max_size']")):
+        parse_scenario(data)
 
 
 def test_plugin_code_recheck_accepts_honest_code():
@@ -235,8 +236,20 @@ def test_expression_matches_python_evaluation(source, env):
     assert _same(ours[1], python[1]), (source, env, ours, python)
 
 
+def scenario(cfg, n_workers=1, name="p"):
+    """A one-job scenario that runs pipeline `cfg` on `n_workers` workers."""
+    return {
+        "name": "pipeline", "seed": 1, "epochs": 1, "epoch_seconds": 60,
+        "regions": {"r": {}},
+        "nodes": [{"id": "s", "region": "r"}],
+        "pipelines": {name: cfg},
+        "jobs": [{"sender": "s", "at": 0, "reward": 1, "pipeline": name,
+                  "n_workers": n_workers, "steps": 1}],
+    }
+
+
 def plan(cfg, n_workers=1, name="p"):
-    return parse_pipeline(name, cfg, n_workers)
+    return parse_scenario(scenario(cfg, n_workers, name)).jobs[0].pipeline
 
 
 def test_counter_running_sum_fold():
@@ -328,74 +341,78 @@ def test_runs_are_deterministic():
 
 
 def test_parse_pipeline_diagnostics():
-    with pytest.raises(PipelineError, match="unknown stages"):
-        plan({"source": {"kind": "counter"}, "business": {"kind": "sum"}, "extra": {}})
-    with pytest.raises(PipelineError, match="needs 'source' and 'business'"):
-        plan({"source": {"kind": "counter"}})
-    with pytest.raises(PipelineError, match="unknown source plugin 'uniform'"):
-        plan({"source": {"kind": "uniform"}, "business": {"kind": "sum"}})
-    with pytest.raises(PipelineError, match="2 parameter sets"):
-        plan({"source": {"kind": "counter", "params": [{}, {}]},
-              "business": {"kind": "sum"}}, n_workers=3)
-    with pytest.raises(PipelineError, match="needs a 'value'"):
-        plan({"source": {"kind": "constant"}, "business": {"kind": "sum"}})
-    with pytest.raises(PipelineError, match="integer window"):
-        plan({"source": {"kind": "counter"},
-              "serving": [{"kind": "moving_average", "params": {"window": 0}}],
-              "business": {"kind": "sum"}})
-    with pytest.raises(PipelineError, match="needs a 'limit'"):
-        plan({"source": {"kind": "counter"},
-              "serving": [{"kind": "threshold"}],
-              "business": {"kind": "sum"}})
-    with pytest.raises(PipelineError, match="needs an 'expr'"):
-        plan({"source": {"kind": "counter"},
-              "business": {"kind": "expr", "params": {"expr": "  "}}})
-    with pytest.raises(PipelineError, match="must be a list"):
-        plan({"source": {"kind": "counter"}, "serving": {"kind": "identity"},
-              "business": {"kind": "sum"}})
-    with pytest.raises(PipelineError, match=r"unknown source plugin \['counter'\]"):
-        plan({"source": {"kind": ["counter"]}, "business": {"kind": "sum"}})
-    with pytest.raises(PipelineError, match="per-worker list of mappings"):
-        plan({"source": {"kind": "counter", "params": [1, 2]},
-              "business": {"kind": "sum"}}, n_workers=2)
-    with pytest.raises(PipelineError, match=re.escape("unknown stages: [1, 'extra']")):
-        plan({"source": {"kind": "counter"}, "business": {"kind": "sum"}, "extra": {}, 1: {}})
+    for cfg, n_workers, message in [
+        ({"source": {"kind": "counter"}, "business": {"kind": "sum"}, "extra": {}}, 1,
+         "pipelines.p: unknown keys: ['extra']"),
+        ({"source": {"kind": "counter"}}, 1,
+         "pipelines.p: missing required keys: ['business']"),
+        ({"source": {"kind": "uniform"}, "business": {"kind": "sum"}}, 1,
+         "pipelines.p.source.kind: unknown plugin 'uniform'"),
+        ({"source": {"kind": "counter", "params": [{}, {}]}, "business": {"kind": "sum"}}, 3,
+         "jobs[0].pipeline: plugin 'counter' has 2 parameter sets for 3 workers"),
+        ({"source": {"kind": "constant"}, "business": {"kind": "sum"}}, 1,
+         "pipelines.p.source.params: missing required keys: ['value']"),
+        ({"source": {"kind": "counter"},
+          "serving": [{"kind": "moving_average", "params": {"window": 0}}],
+          "business": {"kind": "sum"}}, 1,
+         "pipelines.p.serving[0].params.window: must be >= 1, got 0"),
+        ({"source": {"kind": "counter"}, "serving": [{"kind": "threshold"}],
+          "business": {"kind": "sum"}}, 1,
+         "pipelines.p.serving[0].params: missing required keys: ['limit']"),
+        ({"source": {"kind": "counter"}, "business": {"kind": "expr", "params": {"expr": "  "}}}, 1,
+         "pipelines.p.business.params.expr: expression does not parse"),
+        ({"source": {"kind": "counter"}, "serving": {"kind": "identity"},
+          "business": {"kind": "sum"}}, 1,
+         "pipelines.p.serving: expected a list, got dict"),
+        ({"source": {"kind": ["counter"]}, "business": {"kind": "sum"}}, 1,
+         "pipelines.p.source.kind: unknown plugin ['counter']"),
+        ({"source": {"kind": "counter", "params": [1, 2]}, "business": {"kind": "sum"}}, 2,
+         "pipelines.p.source.params[0]: expected a mapping, got int"),
+        ({"source": {"kind": "counter"}, "business": {"kind": "sum"}, "extra": {}, 1: {}}, 1,
+         "pipelines.p: unknown keys: [1, 'extra']"),
+    ]:
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            plan(cfg, n_workers)
     # every numeric param must be a number, not a string, list or bool
     for stage_cfg, message in [
         ({"source": {"kind": "counter", "params": {"start": "abc"}}},
-         "source plugin 'counter' (worker 0): param 'start' must be a number, got 'abc'"),
+         "pipelines.p.source.params.start: expected a number, got 'abc'"),
         ({"source": {"kind": "counter", "params": [{}, {"stride": True}]}},
-         "source plugin 'counter' (worker 1): param 'stride' must be a number, got True"),
+         "pipelines.p.source.params[1].stride: expected a number, got True"),
         ({"source": {"kind": "constant", "params": {"value": [1]}}},
-         "source plugin 'constant' (worker 0): param 'value' must be a number, got [1]"),
+         "pipelines.p.source.params.value: expected a number, got [1]"),
+        ({"source": {"kind": "hashnoise", "params": {"label": 7}}},
+         "pipelines.p.source.params.label: expected a non-empty string, got 7"),
         ({"serving": [{"kind": "threshold", "params": {"limit": "high"}}]},
-         "serving plugin 'threshold' (worker 0): param 'limit' must be a number, got 'high'"),
+         "pipelines.p.serving[0].params.limit: expected a number, got 'high'"),
         ({"serving": [{"kind": "moving_average", "params": {"window": True}}]},
-         "serving plugin 'moving_average' (worker 0): needs an integer window >= 1, got True"),
+         "pipelines.p.serving[0].params.window: expected an integer, got True"),
         ({"business": {"kind": "sum", "params": {"init": "oops"}}},
-         "business plugin 'sum' (worker 0): param 'init' must be a number, got 'oops'"),
+         "pipelines.p.business.params.init: expected a number, got 'oops'"),
         ({"business": {"kind": "max", "params": {"init": False}}},
-         "business plugin 'max' (worker 0): param 'init' must be a number, got False"),
+         "pipelines.p.business.params.init: expected a number, got False"),
         ({"business": {"kind": "expr", "params": {"expr": "acc + x", "init": "0"}}},
-         "business plugin 'expr' (worker 0): param 'init' must be a number, got '0'"),
+         "pipelines.p.business.params.init: expected a number, got '0'"),
+        ({"business": {"kind": "expr", "params": {"expr": 5}}},
+         "pipelines.p.business.params.expr: expected a non-empty string, got 5"),
         # a key or param no plugin reads is refused by name, not silently defaulted
         ({"source": {"kind": "counter", "params": {"strid": 5}}},
-         "source plugin 'counter' (worker 0): unknown params: ['strid']"),
+         "pipelines.p.source.params: unknown keys: ['strid']"),
         ({"source": {"kind": "counter", "params": [{}, {"start": 1, 2: 3}]}},
-         "source plugin 'counter' (worker 1): unknown params: [2]"),
+         "pipelines.p.source.params[1]: unknown keys: [2]"),
         ({"source": {"kind": "counter", "parms": {"stride": 5}}},
-         "source plugin 'counter' has unknown keys: ['parms']"),
+         "pipelines.p.source: unknown keys: ['parms']"),
         ({"serving": [{"kind": "identity", "params": {"window": 3}}]},
-         "serving plugin 'identity' (worker 0): unknown params: ['window']"),
+         "pipelines.p.serving[0].params: unknown keys: ['window']"),
         ({"serving": [{"kind": "threshold", "params": {"limit": 1}, "window": 3}]},
-         "serving plugin 'threshold' has unknown keys: ['window']"),
+         "pipelines.p.serving[0]: unknown keys: ['window']"),
         ({"business": {"kind": "sum", "params": {"expr": "acc + x"}}},
-         "business plugin 'sum' (worker 0): unknown params: ['expr']"),
+         "pipelines.p.business.params: unknown keys: ['expr']"),
         ({"business": {"kind": "expr", "params": {"expr": "acc + x", "int": 1}}},
-         "business plugin 'expr' (worker 0): unknown params: ['int']"),
+         "pipelines.p.business.params: unknown keys: ['int']"),
     ]:
         cfg = {"source": {"kind": "counter"}, "business": {"kind": "sum"}, **stage_cfg}
-        with pytest.raises(PipelineError, match=re.escape(message)):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             plan(cfg, n_workers=2)
 
 
@@ -412,8 +429,8 @@ NUMBER_PARAMS = {
 @pytest.mark.parametrize("param", list(NUMBER_PARAMS))
 def test_number_params_must_be_finite(param, value):
     cfg = {"source": {"kind": "counter"}, "business": {"kind": "sum"}, **NUMBER_PARAMS[param](value)}
-    with pytest.raises(PipelineError,
-                       match=rf"param '{param}' (must be a finite number|is an integer too large)"):
+    with pytest.raises(ScenarioError,
+                       match=rf"^pipelines\.p\..+\.params\.{param}: expected a finite number"):
         plan(cfg)
 
 
@@ -426,9 +443,9 @@ def test_max_starts_from_minus_infinity():
 
 
 def test_worker_index_bounds():
-    spec = plan({"source": {"kind": "counter"}, "business": {"kind": "sum"}},
-                n_workers=2)
-    with pytest.raises(PipelineError, match="outside"):
-        PipelineRun(spec, 2)
-    with pytest.raises(PipelineError, match="outside"):
-        PipelineRun(spec, -1)
+    data = scenario({"source": {"kind": "counter"}, "business": {"kind": "sum"}}, n_workers=2)
+    for index, message in [(2, "must be < n_workers (2)"), (-1, "must be >= 0, got -1")]:
+        data["jobs"][0]["faults"] = [{"worker_index": index, "step": 1, "kind": "forge"}]
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"jobs[0].faults[0].worker_index: {message}")):
+            parse_scenario(data)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from computepool.pipeline import Expression, PipelineRun
 from computepool.scenario import ScenarioError, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -77,7 +78,7 @@ def test_unknown_and_missing_top_keys():
     expect_error(data, "nodes[0]: unknown keys: [1, 'zz']")
     data = base_scenario()
     data["safety_policy"] = {1: "x", "zz": "y"}
-    expect_error(data, "safety_policy: unknown safety policy keys: [1, 'zz']")
+    expect_error(data, "safety_policy: unknown keys: [1, 'zz']")
     data = base_scenario()
     del data["regions"]
     expect_error(data, "missing required keys: ['regions']")
@@ -190,15 +191,51 @@ def test_jobs_and_challenges_must_fall_inside_the_horizon():
     late_challenge = copy.deepcopy(data)
     late_challenge["challenges"][0]["at"] = 9000
     expect_error(late_challenge, "challenges[0].at: must be <= 1200, got 9000")
+    cancelled = copy.deepcopy(data)  # a cancellation at the horizon still runs
+    cancelled["jobs"][0]["cancel_at"] = 1200
+    assert parse_scenario(cancelled).jobs[0].cancel_at == sc.horizon
+    cancelled["jobs"][0]["cancel_at"] = 9000
+    expect_error(cancelled, "jobs[0].cancel_at: must be <= 1200, got 9000")
 
 
 def test_pipeline_errors_carry_job_path():
     data = base_scenario()
     data["pipelines"]["p"]["source"]["params"] = [{"start": 0}, {"start": 1}]
-    expect_error(data, "jobs[0].pipeline: source plugin 'counter' has 2 parameter sets")
+    expect_error(data, "jobs[0].pipeline: plugin 'counter' has 2 parameter sets for 1 workers")
     data = base_scenario()
     data["pipelines"]["p"]["business"]["kind"] = "median"
-    expect_error(data, "unknown business plugin 'median'")
+    expect_error(data, "pipelines.p.business.kind: unknown plugin 'median'")
+
+
+def test_an_unused_pipeline_is_checked():
+    data = base_scenario()
+    data["pipelines"]["unused"] = {
+        "source": {"kind": "constant", "params": {"value": "abc"}},
+        "business": {"kind": "nope"},
+    }
+    expect_error(data, "pipelines.unused.source.params.value: expected a number, got 'abc'")
+
+
+def test_jobs_share_one_pipeline_and_compile_its_expr_once(monkeypatch):
+    compiled = []
+    original = Expression.__init__
+
+    def counting_init(self, source):
+        compiled.append(source)
+        original(self, source)
+
+    monkeypatch.setattr(Expression, "__init__", counting_init)
+    data = base_scenario()
+    data["pipelines"]["p"]["business"] = {"kind": "expr", "params": {"expr": "acc + x"}}
+    data["jobs"] = [dict(data["jobs"][0], n_workers=workers) for workers in (1, 2, 3)]
+    sc = parse_scenario(data)
+    assert sc.jobs[0].pipeline is sc.jobs[1].pipeline is sc.jobs[2].pipeline
+    assert [job.n_workers for job in sc.jobs] == [1, 2, 3]
+    for job in sc.jobs:
+        for worker in range(job.n_workers):
+            run = PipelineRun(job.pipeline, worker)
+            assert [run.step().acc for _ in range(3)] == [0.0, 1.0, 3.0]
+    assert compiled == ["acc + x"]
 
 
 def test_fault_validation():

@@ -181,15 +181,35 @@ MUTANTS = (
         "    if not math.isfinite(number):\n"
         '        _fail(path, f"expected a finite number, got {value!r}")\n',
         "",
-        ("tests/test_scenario.py::test_numbers_must_be_finite",),
+        (
+            "tests/test_scenario.py::test_numbers_must_be_finite",
+            "tests/test_pipeline.py::test_number_params_must_be_finite",
+        ),
     ),
     Mutant(
-        "non-finite pipeline params are accepted",
-        "src/computepool/pipeline.py",
-        "    if not math.isfinite(number) and name in params:\n"
-        '        raise PipelineError(f"param {name!r} must be a finite number, got {value!r}")\n',
-        "",
-        ("tests/test_pipeline.py::test_number_params_must_be_finite",),
+        "an unused pipeline is not checked",
+        "src/computepool/scenario.py",
+        '        for pname, pcfg in _mapping(root["pipelines"], "pipelines").items()\n',
+        '        for pname, pcfg in _mapping(root["pipelines"], "pipelines").items()\n'
+        '        if any(job.get("pipeline") == pname for job in root["jobs"])\n',
+        ("tests/test_scenario.py::test_an_unused_pipeline_is_checked",),
+    ),
+    Mutant(
+        "a params list of the wrong length is accepted",
+        "src/computepool/scenario.py",
+        "if isinstance(stage.params, tuple) and len(stage.params) != n_workers:",
+        "if False:",
+        (
+            "tests/test_scenario.py::test_pipeline_errors_carry_job_path",
+            "tests/test_pipeline.py::test_parse_pipeline_diagnostics",
+        ),
+    ),
+    Mutant(
+        "cancel_at past the horizon is accepted",
+        "src/computepool/scenario.py",
+        'f"{path}.cancel_at", minimum=0, maximum=horizon)',
+        'f"{path}.cancel_at", minimum=0)',
+        ("tests/test_scenario.py::test_jobs_and_challenges_must_fall_inside_the_horizon",),
     ),
     Mutant(
         "decode takes the fraction tag again",
