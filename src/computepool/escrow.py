@@ -36,7 +36,6 @@ from typing import Iterable
 from .ledger import EntryKind, LedgerEntry
 from .tokenomics import NodeRegistry, exact_sum
 
-REVIEW_LOCK_SECONDS = 86400  # 24 hours of simulation time
 JURY_SIZE = 3
 
 
@@ -84,8 +83,6 @@ class Job:
     job_id: str  # "sender:seq", the key every ledger payload and report uses
     sender: str
     reward: Fraction
-    spec_name: str
-    n_workers: int
     status: JobStatus = JobStatus.PENDING
     workers: list[str] = field(default_factory=list)
     settled_epoch: int | None = None
@@ -111,7 +108,7 @@ def _sender_then_seq(job_id: str) -> tuple[str, int]:
 class EscrowBank:
     """The public-chain pool machine: escrow, reward pool, locks, and bonds."""
 
-    def __init__(self, registry: NodeRegistry, review_lock_seconds: int = REVIEW_LOCK_SECONDS):
+    def __init__(self, registry: NodeRegistry, review_lock_seconds: int):
         self.registry = registry
         self.review_lock_seconds = review_lock_seconds
         self.jobs: dict[str, Job] = {}
@@ -123,9 +120,7 @@ class EscrowBank:
 
     # -- job lifecycle -----------------------------------------------------
 
-    def submit_job(
-        self, job_id: str, sender: str, reward: Fraction, spec_name: str, n_workers: int
-    ) -> Job:
+    def submit_job(self, job_id: str, sender: str, reward: Fraction) -> Job:
         """Fund a new job from its sender's balance into escrow.
 
         The id is the scenario's key "sender:seq". Rejection (duplicate id,
@@ -137,8 +132,6 @@ class EscrowBank:
             raise JobLifecycleError(f"job {job_id} already submitted")
         if reward <= 0:
             raise EscrowError("job reward must be positive")
-        if n_workers < 1:
-            raise EscrowError("n_workers must be at least 1")
         deed = self.registry.deed(sender)
         if deed.balance < reward:
             raise InsufficientFundsError(
@@ -146,13 +139,7 @@ class EscrowBank:
             )
         self.registry.debit(sender, reward)
         self.escrow_pool += reward
-        job = Job(
-            job_id=job_id,
-            sender=sender,
-            reward=reward,
-            spec_name=spec_name,
-            n_workers=n_workers,
-        )
+        job = Job(job_id=job_id, sender=sender, reward=reward)
         self.jobs[job_id] = job
         return job
 

@@ -72,15 +72,17 @@ def allocation_lines(result: RunResult) -> list[dict]:
 
 
 def job_lines(result: RunResult) -> list[dict]:
+    specs = {spec.job_id: spec for spec in result.scenario.jobs}
     lines = []
     for job in result.bank.jobs.values():
+        spec = specs[job.job_id]
         lines.append(
             {
                 "job": job.job_id,
                 "sender": job.sender,
                 "reward": str(job.reward),
-                "pipeline": job.spec_name,
-                "n_workers": job.n_workers,
+                "pipeline": spec.pipeline.name,
+                "n_workers": spec.n_workers,
                 "status": job.status.value,
                 "workers": list(job.workers),
                 "settled_epoch": job.settled_epoch,

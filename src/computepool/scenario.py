@@ -190,7 +190,6 @@ def _pipeline(name: str, value, path: str) -> PipelineSpec:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    name: str
     intra_latency_ms: int
     inter_latency_ms: int
     drop_rate: float
@@ -313,7 +312,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         if not 0.0 <= drop < 1.0:
             _fail(f"{path}.drop_rate", f"must be in [0, 1), got {drop}")
         regions[rname] = RegionSpec(
-            name=rname,
             intra_latency_ms=_int(cfg.get("intra_latency_ms", 1), f"{path}.intra_latency_ms", 0),
             inter_latency_ms=_int(cfg.get("inter_latency_ms", 10), f"{path}.inter_latency_ms", 0),
             drop_rate=drop,
@@ -495,15 +493,37 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     )
 
 
+# Deepest collection nesting a scenario may hold, an alias counted as what it
+# repeats; the shipped ones hold 6. PyYAML's composer recurses, in C or Python.
+MAX_DEPTH = 64
+
+
+def _check_depth(text: str, path: Path, loader) -> None:
+    heights: dict[str | None, int] = {}  # anchor -> levels its node nests
+    stack = [[None, 0]]  # per open collection: its anchor, its tallest child
+    for event in yaml.parse(text, Loader=loader):  # the event parser iterates
+        if isinstance(event, yaml.CollectionStartEvent):
+            stack.append([event.anchor, 0])
+        elif isinstance(event, yaml.CollectionEndEvent):
+            anchor, tallest = stack.pop()
+            heights[anchor] = tallest + 1
+            stack[-1][1] = max(stack[-1][1], tallest + 1)
+        elif isinstance(event, yaml.AliasEvent):
+            stack[-1][1] = max(stack[-1][1], heights.get(event.anchor, 0))
+        if len(stack) - 1 + stack[-1][1] > MAX_DEPTH:
+            raise ScenarioError(f"{path}: collections nest deeper than {MAX_DEPTH} levels")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     # libyaml's parser when PyYAML was built with it: same results, ~7x faster
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
+        _check_depth(text, path, loader)
         data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from None

@@ -57,7 +57,6 @@ from .pipeline import (
 from .scenario import COORDINATOR_ID, ChallengeSpec, JobSpec, NodeSpec, Scenario
 from .tokenomics import (
     Capability,
-    EpochConfig,
     NodeRegistry,
     NoEligibleNodesError,
     RewardAllocation,
@@ -105,7 +104,7 @@ class MessageAudit:
     delivered: int = 0
     dropped: int = 0
     rejected: int = 0
-    pending_at_end: int = 0
+    pending_at_end: int = 0  # deliveries scheduled that have not run (yet)
 
     def consistent(self) -> bool:
         return self.published == (
@@ -146,14 +145,11 @@ class Simulation:
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.epoch_ms = scenario.epoch_seconds * 1000
-        self.horizon_ms = scenario.epochs * self.epoch_ms
+        self.horizon_ms = scenario.horizon * 1000
         self.heartbeat_ms = scenario.heartbeat_seconds * 1000
 
         self.registry = NodeRegistry()
-        self.bank = EscrowBank(
-            self.registry,
-            review_lock_seconds=scenario.review_lock_seconds,
-        )
+        self.bank = EscrowBank(self.registry, scenario.review_lock_seconds)
         self.ledger = Ledger()
 
         self._heap: list[tuple] = []  # (at, priority, seq, handler, args)
@@ -187,7 +183,6 @@ class Simulation:
         self.pool_timeline: list[dict] = []
         self.code_rechecks = 0  # the one audit counter no entry records
         self.messages = MessageAudit()
-        self._in_flight = 0  # scheduled deliveries that have not run yet
         self._initial_total = Fraction(0)
 
     # -- plumbing ---------------------------------------------------------
@@ -263,12 +258,12 @@ class Simulation:
             self.messages.dropped += 1
             self._retry_later(self._publish, to, handler, msg, sender)
             return
-        self._in_flight += 1
+        self.messages.pending_at_end += 1
         latency = self._latency_ms(src, dst)
         self._schedule(self._now + latency, PRI_DELIVER, self._deliver, to, handler, msg, sender)
 
     def _deliver(self, to: str, handler, msg, sender: str) -> None:
-        self._in_flight -= 1
+        self.messages.pending_at_end -= 1
         if not self._up[to]:
             self.messages.rejected += 1
             self._retry_later(self._publish, to, handler, msg, sender)
@@ -379,9 +374,7 @@ class Simulation:
                     raise SimulationError(f"plugin recheck failed at submit: {reason}")
 
         try:
-            self.bank.submit_job(
-                spec.job_id, spec.sender, spec.reward, spec.pipeline.name, spec.n_workers
-            )
+            self.bank.submit_job(spec.job_id, spec.sender, spec.reward)
         except InsufficientFundsError:
             self._record(
                 EntryKind.POOL_EVENT,
@@ -586,9 +579,7 @@ class Simulation:
                 dict(proof.to_payload(), epoch=epoch, verdict="accepted"),
             )
         else:
-            new_power = self.registry.apply_penalty(
-                proof.worker, epoch, PENALTY_POWER, current_epoch=epoch
-            )
+            new_power = self.registry.apply_penalty(proof.worker, epoch, PENALTY_POWER)
             self._record(
                 EntryKind.POOL_EVENT,
                 COORDINATOR_ID,
@@ -776,13 +767,16 @@ class Simulation:
         )
 
     def _on_epoch_close(self, epoch: int) -> None:
-        cfg = EpochConfig(self.scenario.epoch_seconds, current_epoch=epoch)
         active = [self.registry.deed(n.node_id) for n in self.scenario.nodes]
         pool = self.bank.reward_pool
-        try:
-            allocation = distribute_epoch_rewards(pool, active, cfg) if pool > 0 else None
-        except NoEligibleNodesError:
-            allocation = None
+        allocation = None
+        if pool > 0:
+            try:
+                allocation = distribute_epoch_rewards(
+                    pool, active, epoch, self.scenario.epoch_seconds
+                )
+            except NoEligibleNodesError:
+                pass
         if allocation is not None:
             self.allocations.append(allocation)
             entry = self._record(
@@ -817,7 +811,6 @@ class Simulation:
                 self._seal_tick()
         self._seal_tick()
         final_total = self.bank.conservation_total()
-        self.messages.pending_at_end = self._in_flight
         return RunResult(
             scenario=self.scenario,
             seed=self.seed,

@@ -55,20 +55,6 @@ def clamp_power(power: float) -> float:
     return min(POWER_MAX, max(POWER_MIN, power))
 
 
-@dataclass
-class EpochConfig:
-    """Protocol clock: epoch length and the number of closed epochs."""
-
-    epoch_seconds: int
-    current_epoch: int = 0
-
-    def __post_init__(self):
-        if self.epoch_seconds <= 0:
-            raise ValueError("epoch_seconds must be positive")
-        if self.current_epoch < 0:
-            raise ValueError("current_epoch must be non-negative")
-
-
 @dataclass(frozen=True)
 class CapabilityWeights:
     cpu: float = 1.0
@@ -116,11 +102,6 @@ class NodeDeed:
     total_alive_seconds: int = 0
     power_by_epoch: dict[int, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.balance = Fraction(self.balance)
-        if self.balance < 0:
-            raise ValueError("deed balance must be non-negative")
-
     def power_at(self, epoch: int) -> float:
         return self.power_by_epoch.get(epoch, 0.0)
 
@@ -141,13 +122,6 @@ class RewardAllocation:
     epoch: int
     pool: Fraction
     entries: list[RewardShare]
-
-
-def total_protocol_time(cfg: EpochConfig) -> int:
-    """Seconds elapsed over all closed epochs (epoch length times epoch count)."""
-    if cfg.current_epoch < 1:
-        raise ValueError("genesis epoch has no protocol time")
-    return cfg.epoch_seconds * cfg.current_epoch
 
 
 def alive_fraction(total_alive_seconds: float, protocol_seconds: float) -> float:
@@ -175,24 +149,13 @@ def node_power_index(power: float, live_fraction: float) -> float:
     return math.exp(clamp_power(power)) * live_fraction
 
 
-def _power_indexes(
-    active: list[NodeDeed], cfg: EpochConfig
-) -> tuple[dict[str, float], dict[str, float]]:
-    t_p = total_protocol_time(cfg)
-    fractions = {
-        a.deed_id: alive_fraction(a.total_alive_seconds, t_p) for a in active
-    }
-    indexes = {
-        a.deed_id: node_power_index(a.power_at(cfg.current_epoch), fractions[a.deed_id])
-        for a in active
-    }
-    return indexes, fractions
-
-
 def distribute_epoch_rewards(
-    pool_snapshot: Fraction, active: list[NodeDeed], cfg: EpochConfig
+    pool_snapshot: Fraction, active: list[NodeDeed], epoch: int, epoch_seconds: int
 ) -> RewardAllocation:
-    """Split an epoch-close pool snapshot across the active set.
+    """Split the pool snapshot taken as `epoch` closes across the active set.
+
+    A node's alive fraction is its alive time over the `epoch * epoch_seconds`
+    seconds of protocol time since genesis.
 
     All shares are computed against the same snapshot and paid in one pass.
     Because shares are floats, the rational amounts cannot sum to the snapshot
@@ -205,7 +168,13 @@ def distribute_epoch_rewards(
         raise ValueError("pool snapshot must be non-negative")
     if not active:
         raise NoEligibleNodesError("no active nodes")
-    indexes, fractions = _power_indexes(active, cfg)
+    protocol_seconds = epoch * epoch_seconds
+    fractions = {
+        a.deed_id: alive_fraction(a.total_alive_seconds, protocol_seconds) for a in active
+    }
+    indexes = {
+        a.deed_id: node_power_index(a.power_at(epoch), fractions[a.deed_id]) for a in active
+    }
     total = sum(indexes.values())
     if total == 0.0:
         raise NoEligibleNodesError("no eligible nodes: all power indexes are zero")
@@ -225,12 +194,12 @@ def distribute_epoch_rewards(
             deed_id=a.deed_id,
             share=shares[a.deed_id],
             amount=amounts[a.deed_id],
-            power=a.power_at(cfg.current_epoch),
+            power=a.power_at(epoch),
             alive_fraction=fractions[a.deed_id],
         )
         for a in sorted(active, key=lambda a: a.deed_id)
     ]
-    return RewardAllocation(epoch=cfg.current_epoch, pool=pool_snapshot, entries=entries)
+    return RewardAllocation(epoch=epoch, pool=pool_snapshot, entries=entries)
 
 
 class NodeRegistry:
@@ -242,7 +211,7 @@ class NodeRegistry:
     def register(self, deed_id: str, balance: Fraction = Fraction(0)) -> NodeDeed:
         if deed_id in self.deeds:
             raise ValueError(f"deed id already registered: {deed_id}")
-        deed = NodeDeed(deed_id, Fraction(balance))
+        deed = NodeDeed(deed_id, balance)
         self.deeds[deed_id] = deed
         return deed
 
@@ -274,18 +243,12 @@ class NodeRegistry:
     def set_power(self, deed_id: str, epoch: int, power: float) -> None:
         self.deed(deed_id).power_by_epoch[epoch] = clamp_power(power)
 
-    def apply_penalty(
-        self, deed_id: str, epoch: int, delta: float, *, current_epoch: int
-    ) -> float:
-        """Lower a node's power score for the running epoch; returns the new score.
+    def apply_penalty(self, deed_id: str, epoch: int, delta: float) -> float:
+        """Lower a node's power score for `epoch`; returns the new score.
 
         The score floor is the clamp bound, so repeated penalties saturate
         instead of diverging.
         """
-        if epoch != current_epoch:
-            raise ValueError(
-                f"penalties apply only to the current epoch ({current_epoch}), got {epoch}"
-            )
         deed = self.deed(deed_id)
         new_power = clamp_power(deed.power_at(epoch) - delta)
         deed.power_by_epoch[epoch] = new_power

@@ -26,7 +26,7 @@ from computepool.escrow import ChallengeVerdict, JobStatus
 from computepool.pipeline import hash_sign_recheck, make_plugin_code, safety_check
 from computepool.scenario import load_scenario, parse_scenario
 from computepool.simnet import run_scenario
-from computepool.tokenomics import EpochConfig, NodeDeed, distribute_epoch_rewards, exact_sum
+from computepool.tokenomics import NodeDeed, distribute_epoch_rewards, exact_sum
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -76,10 +76,9 @@ def test_ac01_shares_normalize():
     rng = random.Random(99)
     for _ in range(200):
         epoch = rng.randint(1, 40)
-        cfg = EpochConfig(epoch_seconds=3600, current_epoch=epoch)
         active = random_active(rng, epoch, 3600)
         pool = Fraction(rng.randint(1, 10**6), rng.choice([1, 3, 7]))
-        alloc = distribute_epoch_rewards(pool, active, cfg)
+        alloc = distribute_epoch_rewards(pool, active, epoch, 3600)
         assert abs(sum(e.share for e in alloc.entries) - 1.0) <= 1e-9
         assert exact_sum(e.amount for e in alloc.entries) == pool
 
@@ -102,9 +101,8 @@ def test_ac02_oracle_equivalence():
     rng = random.Random(7)
     for _ in range(60):
         epoch = rng.randint(1, 30)
-        cfg = EpochConfig(epoch_seconds=7200, current_epoch=epoch)
         active = random_active(rng, epoch, 7200)
-        alloc = distribute_epoch_rewards(Fraction(977), active, cfg)
+        alloc = distribute_epoch_rewards(Fraction(977), active, epoch, 7200)
         oracle = decimal_shares(active, epoch, 7200)
         for entry in alloc.entries:
             assert abs(Decimal(entry.share) - oracle[entry.deed_id]) <= Decimal("1e-12")

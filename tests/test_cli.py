@@ -1,7 +1,11 @@
 """CLI behavior: exit codes, output shape, verify and inspect flows."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -91,6 +95,28 @@ def test_run_rejects_bad_scenario_with_usage_exit(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "pipelines.p.source.params.value: expected a finite number" in err
         assert "Traceback" not in err
+
+    path.write_bytes(b"\xff\xfe" + yaml.safe_dump(MINI).encode("utf-16-le"))
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read scenario {path}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_scenario_is_usage_error_not_a_crash(tmp_path):
+    # libyaml's composer recurses in C: 40,000 levels overflow its stack and
+    # kill the process, so the run happens in a child process.
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * 40_000)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "computepool.cli", "run", "--scenario", str(path),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert f"scenario error: {path}: collections nest deeper than 64 levels" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_accepts_fresh_ledger(run_dir, capsys):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from computepool.escrow import (
-    REVIEW_LOCK_SECONDS,
     ChallengeError,
     ChallengeVerdict,
     EscrowBank,
@@ -25,37 +24,38 @@ from computepool.ledger import EntryKind, LedgerEntry
 from computepool.tokenomics import NodeRegistry, UnknownDeedError
 
 
+REVIEW_LOCK_SECONDS = 86400  # the scenario default
+
+
 def make_bank(balances=None):
     reg = NodeRegistry()
     defaults = {f"n{i}": 1000 for i in range(1, 9)}
     for deed, bal in (balances or defaults).items():
         reg.register(deed, Fraction(bal))
-    return EscrowBank(reg)
+    return EscrowBank(reg, REVIEW_LOCK_SECONDS)
 
 
 def test_submit_funds_escrow_and_sequences_ids():
     bank = make_bank()
-    j1 = bank.submit_job("n1:1", "n1", Fraction(100), "p", 2)
-    j2 = bank.submit_job("n1:2", "n1", Fraction(50), "p", 1)
-    j3 = bank.submit_job("n2:1", "n2", Fraction(10), "p", 1)
+    j1 = bank.submit_job("n1:1", "n1", Fraction(100))
+    j2 = bank.submit_job("n1:2", "n1", Fraction(50))
+    j3 = bank.submit_job("n2:1", "n2", Fraction(10))
     assert (j1.job_id, j2.job_id, j3.job_id) == ("n1:1", "n1:2", "n2:1")
     assert (j1.sender, j3.sender) == ("n1", "n2")
     assert bank.registry.deed("n1").balance == 850
     assert bank.escrow_pool == 160
     assert j1.status == JobStatus.PENDING
     with pytest.raises(EscrowError, match="already submitted"):
-        bank.submit_job("n1:2", "n1", Fraction(5), "p", 1)
+        bank.submit_job("n1:2", "n1", Fraction(5))
     assert bank.registry.deed("n1").balance == 850
 
 
 def test_submit_rejections_leave_state_untouched():
     bank = make_bank({"poor": 30})
     with pytest.raises(InsufficientFundsError):
-        bank.submit_job("poor:1", "poor", Fraction(31), "p", 1)
+        bank.submit_job("poor:1", "poor", Fraction(31))
     with pytest.raises(EscrowError):
-        bank.submit_job("poor:1", "poor", Fraction(0), "p", 1)
-    with pytest.raises(EscrowError):
-        bank.submit_job("poor:1", "poor", Fraction(5), "p", 0)
+        bank.submit_job("poor:1", "poor", Fraction(0))
     assert bank.registry.deed("poor").balance == 30
     assert bank.escrow_pool == 0
     assert bank.jobs == {}
@@ -63,7 +63,7 @@ def test_submit_rejections_leave_state_untouched():
 
 def test_lifecycle_graph_is_enforced():
     bank = make_bank()
-    job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(100))
     with pytest.raises(JobLifecycleError):
         bank.settle_job(job.job_id, "DONE", now=0)  # must go through IN_PROGRESS
     assert job.status == JobStatus.PENDING
@@ -78,7 +78,7 @@ def test_lifecycle_graph_is_enforced():
 
 def test_settle_done_feeds_reward_pool():
     bank = make_bank()
-    job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(100))
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, "DONE", now=500, epoch=2)
     assert job.status == JobStatus.SETTLED
@@ -93,7 +93,7 @@ def test_settle_done_feeds_reward_pool():
 
 def test_settle_rejects_non_final_status():
     bank = make_bank()
-    job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(100))
     bank.activate(job.job_id, ["n2"])
     with pytest.raises(JobLifecycleError):
         bank.settle_job(job.job_id, "SETTLED", now=0)
@@ -101,7 +101,7 @@ def test_settle_rejects_non_final_status():
 
 def test_cancel_locks_for_review_and_early_resolve_fails():
     bank = make_bank()
-    job = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(100))
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, "CANCELLED", now=1000)
     assert job.status == JobStatus.LOCKED_FOR_REVIEW
@@ -116,8 +116,8 @@ def test_cancel_locks_for_review_and_early_resolve_fails():
 
 def test_review_valid_pays_pool_invalid_refunds_sender():
     bank = make_bank()
-    j1 = bank.submit_job("n1:1", "n1", Fraction(100), "p", 1)
-    j2 = bank.submit_job("n1:2", "n1", Fraction(40), "p", 1)
+    j1 = bank.submit_job("n1:1", "n1", Fraction(100))
+    j2 = bank.submit_job("n1:2", "n1", Fraction(40))
     for j in (j1, j2):
         bank.activate(j.job_id, ["n2"])
         bank.settle_job(j.job_id, "CANCELLED", now=0)
@@ -135,7 +135,7 @@ def test_review_valid_pays_pool_invalid_refunds_sender():
 
 def locked_job(bank, sender="n1", reward=90, workers=("n2",)):
     job_id = f"{sender}:{len(bank.jobs) + 1}"
-    job = bank.submit_job(job_id, sender, Fraction(reward), "p", len(workers))
+    job = bank.submit_job(job_id, sender, Fraction(reward))
     bank.activate(job.job_id, list(workers))
     bank.settle_job(job.job_id, "CANCELLED", now=0)
     return job
@@ -175,7 +175,7 @@ def test_jury_draw_matches_seeded_lottery_and_excludes_parties():
 
 def test_challenge_rejections():
     bank = make_bank()
-    job = bank.submit_job("n1:1", "n1", Fraction(90), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(90))
     active = [f"n{i}" for i in range(1, 9)]
     with pytest.raises(ChallengeError, match="not challengeable"):
         bank.open_challenge("n4", job.job_id, Fraction(9), b"s", active)
@@ -192,7 +192,7 @@ def test_challenge_rejections():
 
 def test_challenge_window_closes_after_settlement_epoch():
     bank = make_bank()
-    job = bank.submit_job("n1:1", "n1", Fraction(90), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(90))
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, "DONE", now=0, epoch=2)
     active = [f"n{i}" for i in range(1, 9)]
@@ -249,7 +249,7 @@ def test_rejected_verdict_allows_early_review_release():
 
 def test_upheld_challenge_on_settled_job_claws_back_reward():
     bank = make_bank()
-    job = bank.submit_job("n1:1", "n1", Fraction(90), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(90))
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, "DONE", now=0, epoch=1)
     active = [f"n{i}" for i in range(1, 9)]
@@ -286,7 +286,7 @@ def test_challenge_vote_bookkeeping():
 
 def test_pay_reward_guards_pool():
     bank = make_bank()
-    job = bank.submit_job("n1:1", "n1", Fraction(50), "p", 1)
+    job = bank.submit_job("n1:1", "n1", Fraction(50))
     bank.activate(job.job_id, ["n2"])
     bank.settle_job(job.job_id, "DONE", now=0)
     bank.pay_rewards([("n3", Fraction(20))])
@@ -319,7 +319,7 @@ def snapshot(bank):
 
 
 def running(bank):
-    bank.submit_job("n1:1", "n1", Fraction(5), "p", 2)
+    bank.submit_job("n1:1", "n1", Fraction(5))
     bank.activate("n1:1", ["n2", "n3"])
 
 
@@ -344,7 +344,7 @@ def pay_both(bank):
 
 APPLY_CASES = {
     "assign": (
-        lambda bank: bank.submit_job("n1:1", "n1", Fraction(5), "p", 2),
+        lambda bank: bank.submit_job("n1:1", "n1", Fraction(5)),
         entry(EntryKind.JOB_ASSIGN, {
             "job": "n1:1", "pipeline": "p", "steps": 3, "epoch": 1,
             "workers": [["n2", 0], ["n3", 1]], "commitments": {},
@@ -501,7 +501,7 @@ def test_conservation_holds_across_any_job_history(steps):
         verdicts, reviews = [], []
         job_id = f"s:{len(bank.jobs) + 1}"
         rewards[job_id] = Fraction(reward)
-        bank.submit_job(job_id, "s", rewards[job_id], "p", 1)
+        bank.submit_job(job_id, "s", rewards[job_id])
         check()
         bank.activate(job_id, ["w"])
         if outcome == "done":

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from computepool.pipeline import Expression, PipelineRun
-from computepool.scenario import ScenarioError, load_scenario, parse_scenario
+from computepool.scenario import MAX_DEPTH, ScenarioError, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -156,6 +156,9 @@ def test_node_validation():
     data = base_scenario()
     data["nodes"][0]["capability"] = {"cpu": -1}
     expect_error(data, "nodes[0].capability")
+    data = base_scenario()  # the one check on a deed's opening balance
+    data["nodes"][0]["balance"] = "-1/2"
+    expect_error(data, "nodes[0].balance: must be non-negative, got -1/2")
 
 
 def test_job_validation():
@@ -171,6 +174,21 @@ def test_job_validation():
     data = base_scenario()
     data["jobs"][0]["review_verdict"] = "maybe"
     expect_error(data, "jobs[0].review_verdict")
+
+
+COUNTS = {
+    "epochs": lambda data: data.update(epochs=0),
+    "epoch_seconds": lambda data: data.update(epoch_seconds=0),
+    "jobs[0].n_workers": lambda data: data["jobs"][0].update(n_workers=0),
+    "jobs[0].steps": lambda data: data["jobs"][0].update(steps=0),
+}
+
+
+@pytest.mark.parametrize("path", list(COUNTS))
+def test_counts_must_be_at_least_one(path):
+    data = base_scenario()
+    COUNTS[path](data)
+    expect_error(data, f"{path}: must be >= 1, got 0")
 
 
 def test_jobs_must_be_time_ordered():
@@ -296,6 +314,40 @@ def test_load_scenario_file_errors(tmp_path, monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)  # the pure-Python loader
     with pytest.raises(ScenarioError, match="not valid YAML"):
         load_scenario(bad)
+
+
+def nested(depth: int) -> str:
+    """A scenario whose `name` is a list nested `depth` levels deep."""
+    return yaml.safe_dump(dict(base_scenario(), name="@")).replace(
+        "name: '@'", "name: " + "[" * (depth - 1) + "]" * (depth - 1)
+    )
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_collections_may_nest_at_most_max_depth(tmp_path, monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "deep.yaml"
+    path.write_text(nested(MAX_DEPTH))  # the top mapping is the first level
+    with pytest.raises(ScenarioError, match=r"name: expected a non-empty string, got \[\[\["):
+        load_scenario(path)
+    for depth in (MAX_DEPTH + 1, 2_000):
+        path.write_text(nested(depth))
+        with pytest.raises(ScenarioError, match=f"deeper than {MAX_DEPTH} levels"):
+            load_scenario(path)
+
+
+def test_an_alias_counts_the_levels_it_repeats(tmp_path):
+    # Each list holds the one before it, so the last is 2,000 levels deep
+    # though no collection opens more than three levels down.
+    chain = ", ".join(["&a0 [1]", *(f"&a{i} [*a{i - 1}]" for i in range(1, 2_000))])
+    path = tmp_path / "alias.yaml"
+    path.write_text(nested(2).replace("name: []", f"name: [{chain}]"))
+    with pytest.raises(ScenarioError, match=f"deeper than {MAX_DEPTH} levels"):
+        load_scenario(path)
+    path.write_text(nested(2).replace("name: []", "name: [&a [[1]], *a, [*a]]"))
+    with pytest.raises(ScenarioError, match="name: expected a non-empty string"):
+        load_scenario(path)
 
 
 def test_shipped_scenarios_parse_alike_without_libyaml(monkeypatch):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from computepool.tokenomics import (
-    EpochConfig,
     NodeDeed,
     NodeRegistry,
     NoEligibleNodesError,
@@ -20,7 +19,6 @@ from computepool.tokenomics import (
     distribute_epoch_rewards,
     exact_sum,
     node_power_index,
-    total_protocol_time,
 )
 
 getcontext().prec = 50
@@ -41,10 +39,15 @@ def make_active(powers, alive_seconds, epoch=4):
 
 
 def test_protocol_time_is_epoch_length_times_count():
-    assert total_protocol_time(EpochConfig(86400, current_epoch=1)) == 86400
-    assert total_protocol_time(EpochConfig(100, current_epoch=7)) == 700
-    with pytest.raises(ValueError):
-        total_protocol_time(EpochConfig(100, current_epoch=0))
+    def fractions(epoch, epoch_seconds, alive_seconds):
+        active = make_active([0.0] * len(alive_seconds), alive_seconds, epoch=epoch)
+        alloc = distribute_epoch_rewards(Fraction(1), active, epoch, epoch_seconds)
+        return [e.alive_fraction for e in alloc.entries]
+
+    assert fractions(1, 86400, [43200, 86400]) == [0.5, 1.0]
+    assert fractions(7, 100, [350, 70, 700]) == [0.5, 0.1, 1.0]
+    with pytest.raises(ValueError, match="protocol time must be positive"):
+        fractions(0, 100, [50])
 
 
 def test_alive_fraction_clamps_to_unit_interval():
@@ -78,9 +81,8 @@ def test_clamp_power_bounds():
 
 
 def test_three_node_shares_pinned():
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([1.0, 0.0, -1.0], [400, 200, 100])
-    entries = distribute_epoch_rewards(Fraction(100), active, cfg).entries
+    entries = distribute_epoch_rewards(Fraction(100), active, 4, 100).entries
     assert [e.deed_id for e in entries] == ["n00", "n01", "n02"]
     assert entries[0].share == 0.8211707398853239
     assert entries[1].share == 0.15104591644767637
@@ -88,9 +90,8 @@ def test_three_node_shares_pinned():
 
 
 def test_three_node_distribution_exact_total():
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([1.0, 0.0, -1.0], [400, 200, 100])
-    alloc = distribute_epoch_rewards(Fraction(100), active, cfg)
+    alloc = distribute_epoch_rewards(Fraction(100), active, 4, 100)
     assert exact_sum(e.amount for e in alloc.entries) == Fraction(100)
     amounts = {e.deed_id: float(e.amount) for e in alloc.entries}
     assert amounts["n00"] == pytest.approx(82.11707398853238, abs=1e-9)
@@ -99,9 +100,8 @@ def test_three_node_distribution_exact_total():
 
 
 def test_zero_alive_node_gets_nothing_and_no_residue():
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=2)
     active = make_active([5.0, 0.0], [0, 200], epoch=2)
-    alloc = distribute_epoch_rewards(Fraction(60), active, cfg)
+    alloc = distribute_epoch_rewards(Fraction(60), active, 2, 100)
     by_id = {e.deed_id: e for e in alloc.entries}
     assert by_id["n00"].share == 0.0
     assert by_id["n00"].amount == 0
@@ -109,18 +109,16 @@ def test_zero_alive_node_gets_nothing_and_no_residue():
 
 
 def test_no_eligible_nodes_raises():
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=1)
     active = make_active([1.0, 2.0], [0, 0], epoch=1)
     with pytest.raises(NoEligibleNodesError):
-        distribute_epoch_rewards(Fraction(10), active, cfg)
+        distribute_epoch_rewards(Fraction(10), active, 1, 100)
     with pytest.raises(NoEligibleNodesError):
-        distribute_epoch_rewards(Fraction(10), [], cfg)
+        distribute_epoch_rewards(Fraction(10), [], 1, 100)
 
 
 def test_residue_goes_to_highest_share_lowest_id_on_tie():
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=1)
     active = make_active([0.0, 0.0, 0.0], [100, 100, 50], epoch=1)
-    alloc = distribute_epoch_rewards(Fraction(1), active, cfg)
+    alloc = distribute_epoch_rewards(Fraction(1), active, 1, 100)
     by_id = {e.deed_id: e.amount for e in alloc.entries}
     # n00 and n01 tie for highest share; the residue lands on n00.
     plain = {d: Fraction(alloc.pool) * Fraction(s.share) for d, s in
@@ -140,9 +138,8 @@ alive_secs = st.integers(min_value=0, max_value=400)
 def test_shares_normalize_to_one(rows):
     if not any(s > 0 for _, s in rows):
         rows = rows + [(0.0, 100)]
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([p for p, _ in rows], [s for _, s in rows])
-    alloc = distribute_epoch_rewards(Fraction(1000), active, cfg)
+    alloc = distribute_epoch_rewards(Fraction(1000), active, 4, 100)
     assert abs(sum(e.share for e in alloc.entries) - 1.0) <= 1e-9
     assert exact_sum(e.amount for e in alloc.entries) == Fraction(1000)
 
@@ -157,10 +154,9 @@ def test_share_shift_invariance(rows, shift):
     # exp(p + c) scales every index by exp(c), which cancels in the ratio.
     powers = [max(-40.0, min(40.0, p)) for p, _ in rows]  # keep p + c inside clamp
     alive = [s for _, s in rows]
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
-    base = distribute_epoch_rewards(Fraction(500), make_active(powers, alive), cfg)
+    base = distribute_epoch_rewards(Fraction(500), make_active(powers, alive), 4, 100)
     shifted = distribute_epoch_rewards(
-        Fraction(500), make_active([p + shift for p in powers], alive), cfg
+        Fraction(500), make_active([p + shift for p in powers], alive), 4, 100
     )
     for a, b in zip(base.entries, shifted.entries):
         assert abs(a.share - b.share) <= 1e-9
@@ -172,10 +168,9 @@ def test_share_shift_invariance(rows, shift):
 )
 @settings(max_examples=150, deadline=None)
 def test_shares_match_decimal_oracle(rows):
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([p for p, _ in rows], [s for _, s in rows])
-    impl = [e.share for e in distribute_epoch_rewards(Fraction(1), active, cfg).entries]
-    t_p = total_protocol_time(cfg)
+    impl = [e.share for e in distribute_epoch_rewards(Fraction(1), active, 4, 100).entries]
+    t_p = 4 * 100
     oracle = decimal_shares(
         [p for p, _ in rows], [min(1.0, s / t_p) for _, s in rows]
     )
@@ -192,9 +187,9 @@ def test_shares_match_decimal_oracle(rows):
 def test_more_power_never_means_smaller_share(p_low, p_high, secs):
     if p_low > p_high:
         p_low, p_high = p_high, p_low
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([p_low, p_high, 0.5], [secs, secs, 200])
-    low, high, _ = (e.share for e in distribute_epoch_rewards(Fraction(1), active, cfg).entries)
+    alloc = distribute_epoch_rewards(Fraction(1), active, 4, 100)
+    low, high, _ = (e.share for e in alloc.entries)
     assert high >= low
 
 
@@ -205,9 +200,8 @@ def test_distribution_conserves_any_pool(rows, pool_int):
     if not any(s > 0 for _, s in rows):
         rows = rows + [(1.0, 50)]
     pool = Fraction(pool_int, 7)
-    cfg = EpochConfig(epoch_seconds=100, current_epoch=4)
     active = make_active([p for p, _ in rows], [s for _, s in rows])
-    alloc = distribute_epoch_rewards(pool, active, cfg)
+    alloc = distribute_epoch_rewards(pool, active, 4, 100)
     assert exact_sum(e.amount for e in alloc.entries) == pool
 
 
@@ -242,12 +236,10 @@ def test_registry_balance_and_penalty_flow():
         reg.deed("ghost")
 
     reg.set_power("a", 3, 2.0)
-    assert reg.apply_penalty("a", 3, 0.5, current_epoch=3) == 1.5
+    assert reg.apply_penalty("a", 3, 0.5) == 1.5
     assert reg.deed("a").power_at(3) == 1.5
-    with pytest.raises(ValueError):
-        reg.apply_penalty("a", 2, 0.5, current_epoch=3)
     # penalties saturate at the clamp floor
-    assert reg.apply_penalty("a", 3, 1000.0, current_epoch=3) == -50.0
+    assert reg.apply_penalty("a", 3, 1000.0) == -50.0
 
 
 def test_accrue_alive_accumulates_across_epochs():

@@ -212,6 +212,45 @@ MUTANTS = (
         ("tests/test_scenario.py::test_jobs_and_challenges_must_fall_inside_the_horizon",),
     ),
     Mutant(
+        "a negative opening balance is accepted",
+        "src/computepool/scenario.py",
+        "    if not positive and amount < 0:\n",
+        "    if False:\n",
+        ("tests/test_scenario.py::test_node_validation",),
+    ),
+    Mutant(
+        "a scenario that is not UTF-8 raises out of load_scenario",
+        "src/computepool/scenario.py",
+        "    except (OSError, UnicodeDecodeError) as exc:\n",
+        "    except OSError as exc:\n",
+        ("tests/test_cli.py::test_run_rejects_bad_scenario_with_usage_exit",),
+    ),
+    Mutant(
+        "collections nest without bound",
+        "src/computepool/scenario.py",
+        "        if len(stack) - 1 + stack[-1][1] > MAX_DEPTH:\n",
+        "        if False:\n",
+        (
+            "tests/test_cli.py::test_deeply_nested_scenario_is_usage_error_not_a_crash",
+            "tests/test_scenario.py::test_collections_may_nest_at_most_max_depth",
+            "tests/test_scenario.py::test_an_alias_counts_the_levels_it_repeats",
+        ),
+    ),
+    Mutant(
+        "the nesting bound refuses MAX_DEPTH itself",
+        "src/computepool/scenario.py",
+        "        if len(stack) - 1 + stack[-1][1] > MAX_DEPTH:\n",
+        "        if len(stack) - 1 + stack[-1][1] >= MAX_DEPTH:\n",
+        ("tests/test_scenario.py::test_collections_may_nest_at_most_max_depth",),
+    ),
+    Mutant(
+        "an alias counts as one level",
+        "src/computepool/scenario.py",
+        "            stack[-1][1] = max(stack[-1][1], heights.get(event.anchor, 0))\n",
+        "            pass\n",
+        ("tests/test_scenario.py::test_an_alias_counts_the_levels_it_repeats",),
+    ),
+    Mutant(
         "decode takes the fraction tag again",
         "src/computepool/encoding.py",
         '    raise EncodingError(f"unknown tag byte',
