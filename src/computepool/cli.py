@@ -76,8 +76,9 @@ def _read_dump(path: str) -> bytes | None:
         return None
 
 
-def _load_verified(data: bytes) -> tuple[VerifyResult, list[LedgerBlock]]:
-    """Parse and verify a dump once; no blocks come back if parsing failed."""
+def load_verified(data: bytes) -> tuple[VerifyResult, list[LedgerBlock]]:
+    """Parse and verify a dump once, as `verify` and `inspect` do; no blocks
+    come back if parsing failed."""
     try:
         blocks = load_blocks(data)
     except LedgerError as exc:
@@ -89,7 +90,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     data = _read_dump(args.ledger)
     if data is None:
         return 2
-    result, blocks = _load_verified(data)
+    result, blocks = load_verified(data)
     if args.format == "RECORDS" and result.ok:
         for record in entry_records(blocks):
             print(_json_line(record))
@@ -109,7 +110,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     data = _read_dump(args.ledger)
     if data is None:
         return 2
-    verdict, blocks = _load_verified(data)
+    verdict, blocks = load_verified(data)
     if not verdict.ok:
         print(
             f"ledger fails verification at height {verdict.failing_height}: "

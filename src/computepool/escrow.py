@@ -4,21 +4,22 @@ Funds move along a fixed lifecycle: a sender's balance funds the escrow pool
 at submission; completion moves the job's reward from escrow to the reward
 pool; cancellation locks it on the job itself until `Job.unlock_time`, when a
 review releases it to the reward pool, or refunds the sender if the work is
-found invalid. A challenge holds the bond its challenger posted until the
-jury decides: an upheld verdict returns the bond and refunds the job's sender
-once, whether the job is still locked or settled in the running epoch; a
-rejected verdict forfeits the bond to the reward pool.
+found invalid (a job cancelled before assignment is refunded at once). A
+challenge holds the bond its challenger posted until the jury decides: an
+upheld verdict returns the bond and refunds the job's sender once, whether
+the job is still locked or settled in the running epoch; a rejected verdict
+forfeits the bond to the reward pool.
 
 A job holds one of five statuses: PENDING once funded, IN_PROGRESS once its
 workers are assigned, then LOCKED_FOR_REVIEW (cancelled) or SETTLED (done or
-reviewed valid), and REFUNDED when its reward goes back to the sender. Each
-bank method checks the status it starts from and sets the one it ends in.
+reviewed valid), and REFUNDED when its reward goes back to the sender.
 
-A recorded ledger fact moves funds through `EscrowBank.apply`, which reads
-the entry's payload and calls the one method that kind of fact stands for.
-The simulator calls it on each entry it records, and a replay of a dump can
-call it on the same entries. A `REWARD_RECORD` must pay out the whole reward
-pool, exactly, or nothing moves.
+Besides `submit_job` and `resolve_review`, funds move only on a recorded
+ledger fact, through `EscrowBank.apply`: each of its branches reads one kind
+of entry's payload, checks the status it starts from and sets the one it ends
+in. The simulator applies each entry it records, and a replay of a dump can
+apply the same entries. A `REWARD_RECORD` must pay out the whole reward pool,
+exactly, or nothing moves.
 
 Every mutation is atomic per call and the class never creates or destroys
 tokens: deed balances + escrow pool + reward pool + the rewards of jobs locked
@@ -149,56 +150,14 @@ class EscrowBank:
         except KeyError:
             raise UnknownJobError(f"unknown job {job_id}") from None
 
-    def activate(self, job_id: str, workers: list[str]) -> Job:
-        """Mark a funded job as running once its workers are assigned."""
-        job = self.job(job_id)
-        if job.status != JobStatus.PENDING:
-            raise JobLifecycleError(
-                f"job {job_id} cannot start (status {job.status.value})"
-            )
-        job.status = JobStatus.IN_PROGRESS
-        job.workers = list(workers)
-        return job
-
-    def settle_job(self, job_id: str, outcome: str, now: int, epoch: int = 0) -> Job:
-        """Release a running job's escrowed reward, as its `JOB_STATUS`
-        outcome says.
-
-        "DONE" moves the reward straight to the reward pool. "CANCELLED"
-        locks it on the job for review until `now + review_lock_seconds`.
-        """
-        job = self.job(job_id)
-        if outcome not in ("DONE", "CANCELLED"):
-            raise JobLifecycleError(f"cannot settle to {outcome}")
-        if job.status != JobStatus.IN_PROGRESS:
-            raise JobLifecycleError(
-                f"job {job_id} is not in progress (status {job.status.value})"
-            )
-        self.escrow_pool -= job.reward
-        if outcome == "DONE":
-            self.reward_pool += job.reward
-            job.status = JobStatus.SETTLED
-            job.settled_epoch = epoch
-        else:
-            job.unlock_time = now + self.review_lock_seconds
-            job.status = JobStatus.LOCKED_FOR_REVIEW
-        return job
-
-    def resolve_review(self, job_id: str, verdict: ReviewVerdict, now: int, epoch: int = 0) -> None:
-        """Release a review lock: valid work feeds the reward pool, invalid
-        work refunds the sender. Early release requires a challenge verdict."""
+    def resolve_review(self, job_id: str, verdict: ReviewVerdict, now: int, epoch: int) -> None:
+        """Release a review lock that has run out: valid work feeds the reward
+        pool, invalid work refunds the sender."""
         job = self.jobs.get(job_id)
         if job is None or job.status != JobStatus.LOCKED_FOR_REVIEW:
             raise UnknownJobError(f"no locked funds for job {job_id}")
-        decided = any(
-            c.job_id == job_id and c.verdict != ChallengeVerdict.PENDING
-            for c in self.challenges.values()
-        )
-        if now < job.unlock_time and not decided:
-            raise EscrowError(
-                f"review for {job_id} cannot resolve before "
-                f"t={job.unlock_time} without a challenge verdict"
-            )
+        if now < job.unlock_time:
+            raise EscrowError(f"review for {job_id} cannot resolve before t={job.unlock_time}")
         if verdict == ReviewVerdict.WORK_VALID:
             self.reward_pool += job.reward
             job.status = JobStatus.SETTLED
@@ -207,32 +166,91 @@ class EscrowBank:
             self.registry.credit(job.sender, job.reward)
             job.status = JobStatus.REFUNDED
 
-    # -- challenges ----------------------------------------------------------
+    # -- ledger facts ----------------------------------------------------------
 
-    def open_challenge(
-        self,
-        challenger: str,
-        job_id: str,
-        bond: Fraction,
-        rng_seed: bytes,
-        active_ids: Iterable[str],
-        epoch: int = 0,
-    ) -> Challenge:
+    def apply(self, entry: LedgerEntry, active_ids: Iterable[str] = ()) -> Job | Challenge | None:
+        """Move funds as one ledger entry says, and return the job or
+        challenge it changed.
+
+        `JOB_ASSIGN` starts a PENDING job. `JOB_STATUS` DONE moves a running
+        job's reward to the reward pool; CANCELLED locks it for review until
+        `at + review_lock_seconds`, or refunds the sender if the job never
+        started. `CHALLENGE` opens (jurors drawn from `active_ids`) or
+        resolves a challenge. `REWARD_RECORD` pays every row, or none if any
+        row is invalid or the rows do not sum exactly to the record's `pool`,
+        which must be the whole reward pool; it returns None. Any other entry
+        changes nothing and returns None.
+        """
+        p = entry.payload
+        if entry.kind == EntryKind.JOB_ASSIGN:
+            job = self.job(p["job"])
+            if job.status != JobStatus.PENDING:
+                raise JobLifecycleError(
+                    f"job {job.job_id} cannot start (status {job.status.value})"
+                )
+            job.status = JobStatus.IN_PROGRESS
+            job.workers = [worker for worker, _index in p["workers"]]
+            return job
+        if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):
+            job = self.job(p["job"])
+            if job.status == JobStatus.PENDING and p["status"] == "CANCELLED":
+                # No worker ever held it, so there is no work to review.
+                self.escrow_pool -= job.reward
+                self.registry.credit(job.sender, job.reward)
+                job.status = JobStatus.REFUNDED
+                return job
+            if job.status != JobStatus.IN_PROGRESS:
+                raise JobLifecycleError(
+                    f"job {job.job_id} is not in progress (status {job.status.value})"
+                )
+            self.escrow_pool -= job.reward
+            if p["status"] == "DONE":
+                self.reward_pool += job.reward
+                job.status = JobStatus.SETTLED
+                job.settled_epoch = p["epoch"]
+            else:
+                job.unlock_time = p["at"] + self.review_lock_seconds
+                job.status = JobStatus.LOCKED_FOR_REVIEW
+            return job
+        if entry.kind == EntryKind.REWARD_RECORD:
+            rows = [(deed_id, Fraction(amount)) for deed_id, amount, _share in p["entries"]]
+            pool = Fraction(p["pool"])
+            if pool != self.reward_pool or exact_sum(a for _deed_id, a in rows) != pool:
+                raise EscrowError(
+                    f"reward record for pool {pool} does not pay out the reward pool "
+                    f"{self.reward_pool} exactly"
+                )
+            for deed_id, amount in rows:
+                self.registry.deed(deed_id)
+                if amount < 0:
+                    raise EscrowError("reward amount must be non-negative")
+            for deed_id, amount in rows:
+                self.registry.credit(deed_id, amount)
+            self.reward_pool = Fraction(0)
+            self.distributed_total += pool
+            return None
+        if entry.kind == EntryKind.CHALLENGE and p["phase"] == "opened":
+            return self._open_challenge(p, active_ids)
+        if entry.kind == EntryKind.CHALLENGE and p["phase"] == "resolved":
+            return self._resolve_challenge(p)
+        return None
+
+    def _open_challenge(self, p: dict, active_ids: Iterable[str]) -> Challenge:
         """Escrow a challenger bond and draw a jury by seeded lottery.
 
         The jury excludes the challenger, the job sender, and the job's
         workers; the draw is a pure function of the seed, so replays pick the
         same jury.
         """
-        bond = Fraction(bond)
-        job = self.job(job_id)
+        job = self.job(p["job"])
+        challenger, bond = p["challenger"], Fraction(p["bond"])
         if job.status not in (JobStatus.LOCKED_FOR_REVIEW, JobStatus.SETTLED):
             raise ChallengeError(
-                f"job {job_id} is not challengeable (status {job.status.value})"
+                f"job {job.job_id} is not challengeable (status {job.status.value})"
             )
-        if job.status == JobStatus.SETTLED and job.settled_epoch != epoch:
+        if job.status == JobStatus.SETTLED and job.settled_epoch != p["epoch"]:
             raise ChallengeError(
-                f"job {job_id} settled in epoch {job.settled_epoch}; "
+                f"job {job.job_id} settled in epoch {job.settled_epoch}; "
                 f"challenge window closed"
             )
         if bond <= 0:
@@ -246,12 +264,12 @@ class EscrowBank:
         eligible = sorted(set(active_ids) - excluded)
         if len(eligible) < JURY_SIZE:
             raise ChallengeError(f"only {len(eligible)} eligible jurors, need {JURY_SIZE}")
-        jury = random.Random(rng_seed).sample(eligible, JURY_SIZE)
+        jury = random.Random(bytes.fromhex(p["seed"])).sample(eligible, JURY_SIZE)
 
         self.registry.debit(challenger, bond)
         challenge = Challenge(
             challenge_id=f"ch{len(self.challenges) + 1}",  # challenges are never removed
-            job_id=job_id,
+            job_id=job.job_id,
             challenger=challenger,
             bond=bond,
             jury=jury,
@@ -259,13 +277,12 @@ class EscrowBank:
         self.challenges[challenge.challenge_id] = challenge
         return challenge
 
-    def resolve_challenge(
-        self, challenge_id: str, votes: dict[str, bool], now: int = 0
-    ) -> Challenge:
+    def _resolve_challenge(self, p: dict) -> Challenge:
         """Apply jury votes (True = uphold). Majority uphold returns the bond
-        and refunds the challenged job's reward to its sender, unless an
-        earlier verdict already did; otherwise the bond is forfeited to the
-        reward pool."""
+        and refunds the challenged job's reward to its sender, whether it is
+        locked or settled, unless an earlier verdict already did; otherwise
+        the bond is forfeited to the reward pool."""
+        challenge_id, votes = p["challenge"], p["votes"]
         try:
             challenge = self.challenges[challenge_id]
         except KeyError:
@@ -278,86 +295,22 @@ class EscrowBank:
                 f"expected {sorted(challenge.jury)}, got {sorted(votes)}"
             )
         upheld = sum(1 for v in votes.values() if v) * 2 > len(challenge.jury)
-        challenge.verdict = (
-            ChallengeVerdict.UPHELD if upheld else ChallengeVerdict.REJECTED
-        )
-
-        job = self.job(challenge.job_id)
-        if upheld:
-            self.registry.credit(challenge.challenger, challenge.bond)
-            if job.status == JobStatus.LOCKED_FOR_REVIEW:
-                self.resolve_review(job.job_id, ReviewVerdict.WORK_INVALID, now)
-            elif job.status == JobStatus.SETTLED:
-                # The reward still sits in the reward pool, since the caller
+        challenge.verdict = ChallengeVerdict.UPHELD if upheld else ChallengeVerdict.REJECTED
+        if not upheld:
+            self.reward_pool += challenge.bond
+            return challenge
+        self.registry.credit(challenge.challenger, challenge.bond)
+        job = self.jobs[challenge.job_id]
+        if job.status != JobStatus.REFUNDED:
+            if job.status == JobStatus.SETTLED:
+                # The reward still sits in the reward pool, since the simulator
                 # resolves a challenge before its epoch closes; claw it back.
                 self.reward_pool -= job.reward
-                self.registry.credit(job.sender, job.reward)
-                job.status = JobStatus.REFUNDED
-        else:
-            self.reward_pool += challenge.bond
+            self.registry.credit(job.sender, job.reward)
+            job.status = JobStatus.REFUNDED
         return challenge
 
-    # -- ledger facts ----------------------------------------------------------
-
-    def apply(
-        self, entry: LedgerEntry, active_ids: Iterable[str] = ()
-    ) -> Job | Challenge | None:
-        """Move funds as one ledger entry says, and return the job or
-        challenge it changed.
-
-        `JOB_ASSIGN` activates its job, `JOB_STATUS` DONE or CANCELLED
-        settles it, and `CHALLENGE` opens (jurors drawn from `active_ids`)
-        or resolves a challenge. `REWARD_RECORD` pays every row, or none if
-        any row is invalid or the rows do not sum exactly to the record's
-        `pool`, which must be the whole reward pool; it returns None. Any
-        other entry changes nothing and returns None.
-        """
-        p = entry.payload
-        if entry.kind == EntryKind.JOB_ASSIGN:
-            return self.activate(p["job"], [worker for worker, _index in p["workers"]])
-        if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):
-            return self.settle_job(p["job"], p["status"], p["at"], epoch=p["epoch"])
-        if entry.kind == EntryKind.REWARD_RECORD:
-            rows = [(deed_id, Fraction(amount)) for deed_id, amount, _share in p["entries"]]
-            pool = Fraction(p["pool"])
-            if pool != self.reward_pool or exact_sum(a for _deed_id, a in rows) != pool:
-                raise EscrowError(
-                    f"reward record for pool {pool} does not pay out the reward pool "
-                    f"{self.reward_pool} exactly"
-                )
-            self.pay_rewards(rows)
-            return None
-        if entry.kind == EntryKind.CHALLENGE and p["phase"] == "opened":
-            return self.open_challenge(
-                p["challenger"],
-                p["job"],
-                Fraction(p["bond"]),
-                bytes.fromhex(p["seed"]),
-                active_ids,
-                epoch=p["epoch"],
-            )
-        if entry.kind == EntryKind.CHALLENGE and p["phase"] == "resolved":
-            return self.resolve_challenge(p["challenge"], p["votes"], p["at"])
-        return None
-
-    # -- epoch distribution and conservation --------------------------------
-
-    def pay_rewards(self, rows: list[tuple[str, Fraction]]) -> None:
-        """Pay every (deed, amount) row from the reward pool, or none of them.
-
-        Every deed must be known, no amount negative, and the rows together
-        must fit in the pool; otherwise nothing moves.
-        """
-        for deed_id, amount in rows:
-            self.registry.deed(deed_id)
-            if amount < 0:
-                raise EscrowError("reward amount must be non-negative")
-        if self.reward_pool < exact_sum(amount for _deed_id, amount in rows):
-            raise EscrowError("reward pool underflow")
-        for deed_id, amount in rows:
-            self.reward_pool -= amount
-            self.registry.credit(deed_id, amount)
-            self.distributed_total += amount
+    # -- conservation ----------------------------------------------------------
 
     def _locked_jobs(self) -> list[Job]:
         return [j for j in self.jobs.values() if j.status == JobStatus.LOCKED_FOR_REVIEW]

@@ -366,12 +366,3 @@ def verify_blocks(blocks: list[LedgerBlock]) -> VerifyResult:
             total_entries += 1
         prev = block
     return VerifyResult(True, None, None, len(blocks), total_entries)
-
-
-def verify_dump(data: bytes) -> VerifyResult:
-    try:
-        blocks = load_blocks(data)
-    except LedgerError as exc:
-        return VerifyResult(False, exc.height, str(exc))
-    return verify_blocks(blocks)
-

@@ -641,7 +641,7 @@ class Simulation:
                 {"event": "cancel_skipped", "job": job_id, "reason": "job rejected at submission"},
             )
             return
-        if job.status != JobStatus.IN_PROGRESS:
+        if job.status not in (JobStatus.PENDING, JobStatus.IN_PROGRESS):
             return  # finished before the scripted cancellation fired
         now_s = self._now // 1000
         entry = self._record(
@@ -656,6 +656,8 @@ class Simulation:
             },
         )
         job = self._apply_entry(entry)
+        if job.status == JobStatus.REFUNDED:
+            return  # cancelled before assignment: no review, no worker to tell
         self._schedule(job.unlock_time * 1000, PRI_REVIEW, self._on_review_unlock, job_id)
         for worker in job.workers:
             self._publish(worker, self._on_cancel_delivered, job_id, COORDINATOR_ID)

@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 
 import plugin_corpus
+from computepool.cli import load_verified
 from computepool.crypto import derive_signer, digest
 from computepool.encoding import encode
-from computepool.ledger import DUMP_MAGIC, EntryKind, verify_blocks, verify_dump
+from computepool.ledger import DUMP_MAGIC, EntryKind, verify_blocks
 from computepool.escrow import ChallengeVerdict, JobStatus
 from computepool.pipeline import hash_sign_recheck, make_plugin_code, safety_check
 from computepool.scenario import load_scenario, parse_scenario
@@ -216,7 +217,7 @@ def test_ac06_tamper_detection(reference_run):
         at = rng.randrange(len(dump))
         bad = bytearray(dump)
         bad[at] ^= rng.randrange(1, 256)
-        res = verify_dump(bytes(bad))
+        res = load_verified(bytes(bad))[0]
         assert not res.ok, f"flip at byte {at} went undetected"
         for height, start, end in spans:
             if start <= at < end:

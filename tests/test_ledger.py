@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import forged_dumps
 from computepool import encoding, ledger
+from computepool.cli import load_verified
 from computepool.crypto import ZERO_DIGEST, derive_signer, digest
 from computepool.encoding import encode
 from computepool.ledger import (
@@ -21,7 +22,6 @@ from computepool.ledger import (
     load_blocks,
     sign_entry,
     verify_blocks,
-    verify_dump,
 )
 from computepool.scenario import load_scenario
 from computepool.simnet import run_scenario
@@ -143,7 +143,7 @@ def test_dump_roundtrip():
     led = sample_ledger()
     data = led.dump()
     assert load_blocks(data) == led.blocks
-    result = verify_dump(data)
+    result = load_verified(data)[0]
     assert result.ok and result.blocks == 4
 
 
@@ -153,9 +153,9 @@ def test_dump_is_stable():
 
 def test_verify_dump_rejects_bad_magic_and_truncation():
     data = sample_ledger().dump()
-    assert not verify_dump(b"XYZ" + data[3:]).ok
-    assert not verify_dump(data[:-3]).ok
-    assert not verify_dump(data + b"\0").ok
+    assert not load_verified(b"XYZ" + data[3:])[0].ok
+    assert not load_verified(data[:-3])[0].ok
+    assert not load_verified(data + b"\0")[0].ok
 
 
 def test_single_byte_flips_are_detected():
@@ -165,7 +165,7 @@ def test_single_byte_flips_are_detected():
         pos = rng.randrange(len(data))
         flipped = bytearray(data)
         flipped[pos] ^= 1 << rng.randrange(8)
-        result = verify_dump(bytes(flipped))
+        result = load_verified(bytes(flipped))[0]
         assert not result.ok, f"flip at byte {pos} went unnoticed"
         assert result.failing_height is not None
 
@@ -286,8 +286,8 @@ def test_non_canonical_block_fails_at_its_height(reference_ledger):
     forged_blob = blob[:height] + b"I\x00\x00\x00\x0201" + blob[height + 6:]
     forged = (data[:at] + struct.pack(">I", len(forged_blob)) + forged_blob
               + data[at + 4 + size1:])
-    assert verify_dump(data).ok
-    result = verify_dump(forged)
+    assert load_verified(data)[0].ok
+    result = load_verified(forged)[0]
     assert not result.ok
     assert result.failing_height == 1
     assert "non-canonical integer text '01'" in result.reason
@@ -355,7 +355,7 @@ def test_a_loaded_dump_holds_one_object_per_distinct_string(reference_ledger):
 def test_wrongly_typed_dump_field_fails_at_its_height(reference_ledger, forge):
     data, height = forge(reference_ledger.blocks)
     assert data != reference_ledger.dump()
-    result = verify_dump(data)
+    result = load_verified(data)[0]
     assert not result.ok
     assert result.failing_height == height
     assert result.reason.startswith(f"malformed block {height}: ")
@@ -387,6 +387,6 @@ def test_any_field_of_another_type_fails_at_its_block(data):
     original = container[index]
     container[index] = data.draw(
         other_typed_values.filter(lambda v: type(v) is not type(original)))
-    result = verify_dump(forged_dumps.frame(block_wires))
+    result = load_verified(forged_dumps.frame(block_wires))[0]
     assert not result.ok
     assert result.failing_height == height

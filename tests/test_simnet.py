@@ -352,6 +352,33 @@ def test_cancel_and_review_refund_path():
     assert result.conservation_ok
 
 
+def test_cancel_before_assignment_refunds_the_sender():
+    # Two of the three workers are down until 1000 s, so the job waits PENDING.
+    sc = two_region_scenario(
+        nodes=[
+            {"id": "sender", "region": "eu", "balance": 400},
+            {"id": "w-eu", "region": "eu", "power": 0.5, "downtime": [{"from": 0, "to": 1000}]},
+            {"id": "w-us", "region": "us", "power": 0.5, "downtime": [{"from": 0, "to": 1000}]},
+            {"id": "w-idle", "region": "us", "power": 0.5},
+        ],
+        jobs=[
+            {"sender": "sender", "at": 10, "reward": 100, "pipeline": "count",
+             "n_workers": 2, "steps": 3, "cancel_at": 500},
+        ],
+    )
+    result = run_scenario(sc)
+    job = result.bank.job("sender:1")
+    assert (job.status, job.workers, job.unlock_time) == (JobStatus.REFUNDED, [], None)
+    assert result.bank.registry.deed("sender").balance == 400
+    assert result.bank.escrow_pool == 0
+    assert result.audit["jobs_cancelled"] == 1
+    assert result.audit["reviews_resolved"] == 0
+    kinds = [(e.kind, e.payload.get("status")) for _, e in result.ledger.entries()]
+    assert (EntryKind.JOB_STATUS, "CANCELLED") in kinds
+    assert (EntryKind.JOB_ASSIGN, None) not in kinds  # retries stopped at the cancel
+    assert result.conservation_ok
+
+
 def test_demo_scenario_runs_end_to_end():
     result = run_scenario(load_scenario(SCENARIOS / "demo_trio.yaml"))
     assert result.conservation_ok

@@ -139,34 +139,71 @@ MUTANTS = (
     Mutant(
         "an invalid review refunds without marking the job REFUNDED",
         "src/computepool/escrow.py",
-        "\n            job.status = JobStatus.REFUNDED\n",
-        "\n",
+        "        else:\n"
+        "            self.registry.credit(job.sender, job.reward)\n"
+        "            job.status = JobStatus.REFUNDED\n",
+        "        else:\n"
+        "            self.registry.credit(job.sender, job.reward)\n",
         ("tests/test_escrow.py::test_review_valid_pays_pool_invalid_refunds_sender",),
     ),
     Mutant(
-        "a clawed-back settled job is not marked REFUNDED",
+        "an upheld verdict refunds without marking the job REFUNDED",
         "src/computepool/escrow.py",
-        "\n                job.status = JobStatus.REFUNDED\n",
-        "\n",
-        ("tests/test_escrow.py::test_upheld_challenge_on_settled_job_claws_back_reward",),
+        "                self.reward_pool -= job.reward\n"
+        "            self.registry.credit(job.sender, job.reward)\n"
+        "            job.status = JobStatus.REFUNDED\n",
+        "                self.reward_pool -= job.reward\n"
+        "            self.registry.credit(job.sender, job.reward)\n",
+        (
+            "tests/test_escrow.py::test_upheld_challenge_on_settled_job_claws_back_reward",
+            "tests/test_escrow.py::test_upheld_challenge_on_locked_job_refunds_sender_and_bond",
+        ),
     ),
     Mutant(
         "a job that is not PENDING can be activated again",
         "src/computepool/escrow.py",
-        "        if job.status != JobStatus.PENDING:\n"
-        "            raise JobLifecycleError(\n"
-        '                f"job {job_id} cannot start (status {job.status.value})"\n'
-        "            )\n",
+        "            if job.status != JobStatus.PENDING:\n"
+        "                raise JobLifecycleError(\n"
+        '                    f"job {job.job_id} cannot start (status {job.status.value})"\n'
+        "                )\n",
         "",
         ("tests/test_escrow.py::test_lifecycle_graph_is_enforced",),
     ),
     Mutant(
-        "settle_job takes any outcome string",
+        "apply settles a JOB_STATUS that is not DONE/CANCELLED",
         "src/computepool/escrow.py",
-        '        if outcome not in ("DONE", "CANCELLED"):\n'
-        '            raise JobLifecycleError(f"cannot settle to {outcome}")\n',
-        "",
-        ("tests/test_escrow.py::test_settle_rejects_non_final_status",),
+        'if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):',
+        "if entry.kind == EntryKind.JOB_STATUS:",
+        ("tests/test_escrow.py::test_apply_ignores_entries_that_move_no_funds[in_progress]",),
+    ),
+    Mutant(
+        "apply does not refund a job cancelled before assignment",
+        "src/computepool/escrow.py",
+        '            if job.status == JobStatus.PENDING and p["status"] == "CANCELLED":\n',
+        "            if False:\n",
+        (
+            "tests/test_escrow.py::test_apply_moves_funds_as_its_entry_says"
+            "[cancelled_before_assignment]",
+            "tests/test_escrow.py::test_conservation_holds_across_any_job_history",
+            "tests/test_simnet.py::test_cancel_before_assignment_refunds_the_sender",
+        ),
+    ),
+    Mutant(
+        "a scripted cancel passes over a job that is still PENDING",
+        "src/computepool/simnet.py",
+        "        if job.status not in (JobStatus.PENDING, JobStatus.IN_PROGRESS):\n",
+        "        if job.status != JobStatus.IN_PROGRESS:\n",
+        ("tests/test_simnet.py::test_cancel_before_assignment_refunds_the_sender",),
+    ),
+    Mutant(
+        "a review resolves before its lock runs out",
+        "src/computepool/escrow.py",
+        "        if now < job.unlock_time:\n",
+        "        if False:\n",
+        (
+            "tests/test_escrow.py::test_cancel_locks_for_review_and_early_resolve_fails",
+            "tests/test_escrow.py::test_rejected_challenge_forfeits_bond_to_pool",
+        ),
     ),
     Mutant(
         "a boolean passes as a token amount",
