@@ -18,7 +18,7 @@ from .report import (
     summarize_records,
     write_reports,
 )
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, parse_seed
 from .simnet import SimulationError, run_scenario
 
 
@@ -36,11 +36,12 @@ def _json_line(obj) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
+        seed = scenario.seed if args.seed is None else parse_seed(args.seed, "--seed")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = run_scenario(scenario, seed=args.seed)
+        result = run_scenario(scenario, seed=seed)
     except SimulationError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -90,10 +91,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     data = _read_dump(args.ledger)
     if data is None:
         return 2
-    result, blocks = load_verified(data)
-    if args.format == "RECORDS" and result.ok:
-        for record in entry_records(blocks):
-            print(_json_line(record))
+    result, _ = load_verified(data)
     report = {
         "ok": result.ok,
         "blocks": result.blocks,
@@ -144,10 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify a ledger dump end to end")
     p_verify.add_argument("ledger", help="path to ledger.bin")
-    p_verify.add_argument(
-        "--format", choices=("SUMMARY", "RECORDS"), default="SUMMARY",
-        help="SUMMARY prints one result object; RECORDS also prints every entry",
-    )
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_inspect = sub.add_parser("inspect", help="query entries of a verified ledger dump")

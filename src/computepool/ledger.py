@@ -9,6 +9,8 @@ everything needed to check it.
 from __future__ import annotations
 
 import struct
+from collections import ChainMap
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -145,39 +147,36 @@ def _make_block(
     return block
 
 
-class _KeyTable:
-    """Deed id -> verify key, learned from NODE_SPEC entries in ledger order."""
-
-    def __init__(self) -> None:
-        self.keys: dict[str, bytes] = {}
-
-    def check(self, entry: LedgerEntry, signing_bytes: bytes) -> str | None:
-        """Return None if the entry's signature over its `signing_bytes` is
-        valid, else the reason."""
-        if entry.kind == EntryKind.NODE_SPEC:
-            declared = entry.payload.get("deed_id")
-            key_hex = entry.payload.get("verify_key")
-            if declared != entry.author:
-                return f"NODE_SPEC author {entry.author!r} != payload deed {declared!r}"
-            if not isinstance(key_hex, str):
-                return f"NODE_SPEC for {entry.author} lacks a verify_key"
-            try:
-                key = bytes.fromhex(key_hex)
-            except ValueError:
-                return f"NODE_SPEC for {entry.author} has a malformed verify_key"
-            if not verify(key, signing_bytes, entry.signature):
-                return f"NODE_SPEC self-signature for {entry.author} is invalid"
-            known = self.keys.get(entry.author)
-            if known is not None and known != key:
-                return f"NODE_SPEC rekeys {entry.author}"
-            self.keys[entry.author] = key
-            return None
-        key = self.keys.get(entry.author)
-        if key is None:
-            return f"entry author {entry.author!r} has no registered key"
+def _admit(
+    keys: MutableMapping[str, bytes], entry: LedgerEntry, signing_bytes: bytes
+) -> str | None:
+    """Return None if the entry's signature over its `signing_bytes` is
+    valid, else the reason. `keys` maps deed id -> verify key, learned from
+    NODE_SPEC entries in ledger order; an admitted NODE_SPEC adds its key."""
+    if entry.kind == EntryKind.NODE_SPEC:
+        declared = entry.payload.get("deed_id")
+        key_hex = entry.payload.get("verify_key")
+        if declared != entry.author:
+            return f"NODE_SPEC author {entry.author!r} != payload deed {declared!r}"
+        if not isinstance(key_hex, str):
+            return f"NODE_SPEC for {entry.author} lacks a verify_key"
+        try:
+            key = bytes.fromhex(key_hex)
+        except ValueError:
+            return f"NODE_SPEC for {entry.author} has a malformed verify_key"
         if not verify(key, signing_bytes, entry.signature):
-            return f"bad signature on {entry.kind.value} entry by {entry.author}"
+            return f"NODE_SPEC self-signature for {entry.author} is invalid"
+        known = keys.get(entry.author)
+        if known is not None and known != key:
+            return f"NODE_SPEC rekeys {entry.author}"
+        keys[entry.author] = key
         return None
+    key = keys.get(entry.author)
+    if key is None:
+        return f"entry author {entry.author!r} has no registered key"
+    if not verify(key, signing_bytes, entry.signature):
+        return f"bad signature on {entry.kind.value} entry by {entry.author}"
+    return None
 
 
 @dataclass
@@ -194,7 +193,7 @@ class Ledger:
 
     def __init__(self):
         self.blocks: list[LedgerBlock] = [_make_block(0, ZERO_DIGEST, 0, [], [])]
-        self._keys = _KeyTable()
+        self._keys: dict[str, bytes] = {}
 
     @property
     def head(self) -> LedgerBlock:
@@ -208,17 +207,18 @@ class Ledger:
             raise LedgerError(
                 f"block timestamp {timestamp} precedes head timestamp {self.head.timestamp}"
             )
-        # Validate against a scratch key table so a failing batch leaves no trace.
-        scratch = _KeyTable()
-        scratch.keys = dict(self._keys.keys)
+        # The batch's new keys are staged in `added`, so a failing batch
+        # leaves no trace.
+        added: dict[str, bytes] = {}
+        keys = ChainMap(added, self._keys)
         wires = []
         for entry in entries:
             signing, wire = entry.frames()
-            reason = scratch.check(entry, signing)
+            reason = _admit(keys, entry, signing)
             if reason is not None:
                 raise LedgerError(reason)
             wires.append(wire)
-        self._keys.keys = scratch.keys
+        self._keys.update(added)
         block = _make_block(len(self.blocks), self.head.digest, timestamp, entries, wires)
         self.blocks.append(block)
         return block
@@ -330,7 +330,7 @@ def verify_blocks(blocks: list[LedgerBlock]) -> VerifyResult:
     """Check the chain from genesis: structure, digests, links, signatures."""
     if not blocks:
         return VerifyResult(False, 0, "empty chain")
-    keys = _KeyTable()
+    keys: dict[str, bytes] = {}
     total_entries = 0
     prev: LedgerBlock | None = None
     for index, block in enumerate(blocks):
@@ -360,7 +360,7 @@ def verify_blocks(blocks: list[LedgerBlock]) -> VerifyResult:
         if block_digest(block.height, block.prev_hash, block.root, block.timestamp) != block.digest:
             return fail("block digest mismatch")
         for entry, (signing, _) in zip(block.entries, frames):
-            reason = keys.check(entry, signing)
+            reason = _admit(keys, entry, signing)
             if reason is not None:
                 return fail(reason)
             total_entries += 1

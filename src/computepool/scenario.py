@@ -62,6 +62,11 @@ def _int(value, path: str, minimum: int | None = None, maximum: int | None = Non
     return value
 
 
+def parse_seed(value, path: str) -> int:
+    """A run seed, from a scenario or the command line: an integer >= 0."""
+    return _int(value, path, minimum=0)
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
@@ -283,7 +288,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     _check_keys(root, source, _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
 
     name = _string(root["name"], "name")
-    seed = _int(root["seed"], "seed", minimum=0)
+    seed = parse_seed(root["seed"], "seed")
     epochs = _int(root["epochs"], "epochs", minimum=1)
     epoch_seconds = _int(root["epoch_seconds"], "epoch_seconds", minimum=1)
     horizon = epochs * epoch_seconds  # nothing runs after it

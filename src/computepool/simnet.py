@@ -220,6 +220,10 @@ class Simulation:
         self._pending_entries.append(entry)
         return entry
 
+    def _pool_event(self, event: str, **fields) -> None:
+        """Record the coordinator-signed POOL_EVENT `{"event": event, **fields}`."""
+        self._record(EntryKind.POOL_EVENT, COORDINATOR_ID, {"event": event, **fields})
+
     def _seal_tick(self) -> None:
         if self._pending_entries:
             self.ledger.append_entries(self._pending_entries, timestamp=self._now)
@@ -356,16 +360,12 @@ class Simulation:
                 code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
                 verdict = safety_check(code.source, self.scenario.safety_policy)
                 if not verdict.safe:
-                    self._record(
-                        EntryKind.POOL_EVENT,
-                        COORDINATOR_ID,
-                        {
-                            "event": "plugin_rejected",
-                            "job": spec.job_id,
-                            "sender": spec.sender,
-                            "pipeline": spec.pipeline.name,
-                            "reasons": list(verdict.reasons),
-                        },
+                    self._pool_event(
+                        "plugin_rejected",
+                        job=spec.job_id,
+                        sender=spec.sender,
+                        pipeline=spec.pipeline.name,
+                        reasons=list(verdict.reasons),
                     )
                     return
                 ok, reason = hash_sign_recheck(code, self._signer(spec.sender).verify_key)
@@ -376,15 +376,8 @@ class Simulation:
         try:
             self.bank.submit_job(spec.job_id, spec.sender, spec.reward)
         except InsufficientFundsError:
-            self._record(
-                EntryKind.POOL_EVENT,
-                COORDINATOR_ID,
-                {
-                    "event": "job_rejected",
-                    "job": spec.job_id,
-                    "sender": spec.sender,
-                    "reason": "insufficient funds",
-                },
+            self._pool_event(
+                "job_rejected", job=spec.job_id, sender=spec.sender, reason="insufficient funds"
             )
             return
         self._check_conservation()
@@ -448,11 +441,7 @@ class Simulation:
             ok, reason = hash_sign_recheck(code, self._signer(code.author).verify_key)
             self.code_rechecks += 1
             if not ok:
-                self._record(
-                    EntryKind.POOL_EVENT,
-                    COORDINATOR_ID,
-                    {"event": "code_recheck_failed", "job": job_id, "reason": reason},
-                )
+                self._pool_event("code_recheck_failed", job=job_id, reason=reason)
                 return
         spec = self._job_specs[job_id]
         task = self._tasks[task_key] = _WorkerTask(
@@ -580,19 +569,15 @@ class Simulation:
             )
         else:
             new_power = self.registry.apply_penalty(proof.worker, epoch, PENALTY_POWER)
-            self._record(
-                EntryKind.POOL_EVENT,
-                COORDINATOR_ID,
-                {
-                    "event": "proof_rejected",
-                    "job": proof.job,
-                    "worker": proof.worker,
-                    "link": proof.link_index,
-                    "reason": reason,
-                    "penalty": PENALTY_POWER,
-                    "power_after": new_power,
-                    "epoch": epoch,
-                },
+            self._pool_event(
+                "proof_rejected",
+                job=proof.job,
+                worker=proof.worker,
+                link=proof.link_index,
+                reason=reason,
+                penalty=PENALTY_POWER,
+                power_after=new_power,
+                epoch=epoch,
             )
 
     def _on_result_delivered(self, _to: str, shard: ResultShard) -> None:
@@ -611,11 +596,7 @@ class Simulation:
                 {worker: self._signer(worker).verify_key for worker in workers},
             )
         except GatherError as exc:
-            self._record(
-                EntryKind.POOL_EVENT,
-                COORDINATOR_ID,
-                {"event": "gather_failed", "job": shard.job, "reason": str(exc)},
-            )
+            self._pool_event("gather_failed", job=shard.job, reason=str(exc))
             return
         now_s = self._now // 1000
         entry = self._record(
@@ -635,11 +616,7 @@ class Simulation:
     def _on_job_cancel(self, job_id: str) -> None:
         job = self.bank.jobs.get(job_id)
         if job is None:
-            self._record(
-                EntryKind.POOL_EVENT,
-                COORDINATOR_ID,
-                {"event": "cancel_skipped", "job": job_id, "reason": "job rejected at submission"},
-            )
+            self._pool_event("cancel_skipped", job=job_id, reason="job rejected at submission")
             return
         if job.status not in (JobStatus.PENDING, JobStatus.IN_PROGRESS):
             return  # finished before the scripted cancellation fired
@@ -676,16 +653,7 @@ class Simulation:
         )
         now_s = self._now // 1000
         self.bank.resolve_review(job_id, verdict, now_s, epoch=self._epoch_of(self._now))
-        self._record(
-            EntryKind.POOL_EVENT,
-            COORDINATOR_ID,
-            {
-                "event": "review_resolved",
-                "job": job_id,
-                "verdict": verdict.value,
-                "at": now_s,
-            },
-        )
+        self._pool_event("review_resolved", job=job_id, verdict=verdict.value, at=now_s)
         self._check_conservation()
 
     def _on_challenge_open(self, spec: ChallengeSpec) -> None:
@@ -715,23 +683,15 @@ class Simulation:
             challenge = self.bank.apply(entry, active_ids)
         except (ChallengeError, InsufficientFundsError) as exc:
             challenge = None
-            self._record(
-                EntryKind.POOL_EVENT,
-                COORDINATOR_ID,
-                {"event": "challenge_rejected", "job": spec.job_id, "reason": str(exc)},
-            )
+            self._pool_event("challenge_rejected", job=spec.job_id, reason=str(exc))
         self._check_conservation()
         if challenge is None:
             return
-        self._record(
-            EntryKind.POOL_EVENT,
-            COORDINATOR_ID,
-            {
-                "event": "jury_drawn",
-                "challenge": challenge.challenge_id,
-                "job": spec.job_id,
-                "jury": list(challenge.jury),
-            },
+        self._pool_event(
+            "jury_drawn",
+            challenge=challenge.challenge_id,
+            job=spec.job_id,
+            jury=list(challenge.jury),
         )
         # Resolve inside the running epoch, before its close pays out the
         # reward pool that an upheld verdict on a settled job claws back from.
@@ -758,14 +718,8 @@ class Simulation:
             },
         )
         challenge = self._apply_entry(entry)
-        self._record(
-            EntryKind.POOL_EVENT,
-            COORDINATOR_ID,
-            {
-                "event": "challenge_settled",
-                "challenge": challenge.challenge_id,
-                "verdict": challenge.verdict.value,
-            },
+        self._pool_event(
+            "challenge_settled", challenge=challenge.challenge_id, verdict=challenge.verdict.value
         )
 
     def _on_epoch_close(self, epoch: int) -> None:

@@ -125,7 +125,7 @@ FORGERIES = [bool_header, int_digest, str_timestamp, list_node_spec_payload,
              signed_list_payload, fraction_payload, null_payload]
 
 # Validly signed payloads whose values reports never hold, each with the JSON
-# form `verify --format RECORDS` prints for it.
+# form `inspect` prints for it.
 ODD_PAYLOADS = {
     "bytes": ({"event": "x", "raw": b"\x00\xff"}, {"event": "x", "raw": "00ff"}),
     "int entries": ({"entries": 5}, {"entries": 5}),

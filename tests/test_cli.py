@@ -71,6 +71,19 @@ def test_run_seed_override_changes_ledger(tmp_path):
     assert json.loads((b / "manifest.json").read_text())["seed"] == 6
 
 
+def test_run_refuses_a_negative_seed_as_the_scenario_does(tmp_path, capsys):
+    scenario = tmp_path / "mini.yaml"
+    scenario.write_text(yaml.safe_dump(MINI))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--seed", "-5", "--out", str(out)]) == 2
+    assert "--seed: must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+    scenario.write_text(yaml.safe_dump(dict(MINI, seed=-1)))
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_run_rejects_bad_scenario_with_usage_exit(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["run", "--scenario", str(missing)]) == 2
@@ -127,11 +140,13 @@ def test_verify_accepts_fresh_ledger(run_dir, capsys):
     assert report["entries"] >= 4
 
 
-def test_verify_records_format_prints_entries(run_dir, capsys):
-    assert main(["verify", str(run_dir / "ledger.bin"), "--format", "RECORDS"]) == 0
+def test_inspect_without_a_filter_prints_every_entry(run_dir, capsys):
+    assert main(["verify", str(run_dir / "ledger.bin")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    records, verdict = lines[:-1], json.loads(lines[-1])
-    assert verdict["ok"] is True
+    assert len(lines) == 1  # verify prints only its verdict
+    verdict = json.loads(lines[0])
+    assert main(["inspect", str(run_dir / "ledger.bin")]) == 0
+    records = capsys.readouterr().out.strip().splitlines()
     assert len(records) == verdict["entries"]
     kinds = {json.loads(line)["kind"] for line in records}
     assert "NODE_SPEC" in kinds and "JOB_STATUS" in kinds
@@ -192,10 +207,9 @@ def test_cancel_of_rejected_job_is_recorded_not_fatal(tmp_path, capsys):
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out.strip())["conservation_ok"] is True
 
-    assert main(["verify", str(out / "ledger.bin"), "--format", "RECORDS"]) == 0
+    assert main(["inspect", str(out / "ledger.bin")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert json.loads(lines[-1])["ok"] is True
-    events = [json.loads(line)["payload"] for line in lines[:-1]
+    events = [json.loads(line)["payload"] for line in lines
               if json.loads(line)["kind"] == "POOL_EVENT"]
     assert [e["event"] for e in events] == ["job_rejected", "cancel_skipped"]
     assert events[1]["job"] == "a:1" and events[1]["reason"]
@@ -346,12 +360,12 @@ def test_odd_payload_values_print_without_traceback(tmp_path, capsys, payload, p
     path = tmp_path / "odd.bin"
     path.write_bytes(forged_dumps.signed_payload_dump(payload))
 
-    assert main(["verify", str(path), "--format", "RECORDS"]) == 0
+    assert main(["inspect", str(path)]) == 0
     out, err = capsys.readouterr()
-    assert json.loads(out.splitlines()[-2])["payload"] == printed
+    assert json.loads(out.splitlines()[-1])["payload"] == printed
     assert "Traceback" not in err
 
-    for query in ([], ["--deed", "mallory"], ["--deed", "nobody"], ["--format", "SUMMARY"]):
+    for query in (["--deed", "mallory"], ["--deed", "nobody"], ["--format", "SUMMARY"]):
         assert main(["inspect", str(path), *query]) == 0, query
         assert "Traceback" not in capsys.readouterr().err
 
@@ -371,4 +385,7 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing --scenario
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ledger.bin", "--format", "RECORDS"])  # only inspect prints entries
     assert exc.value.code == 2

@@ -18,7 +18,10 @@ from computepool.ledger import (
     DUMP_MAGIC,
     EntryKind,
     Ledger,
+    LedgerBlock,
     LedgerError,
+    block_digest,
+    entries_root,
     load_blocks,
     sign_entry,
     verify_blocks,
@@ -390,3 +393,61 @@ def test_any_field_of_another_type_fails_at_its_block(data):
     result = load_verified(forged_dumps.frame(block_wires))[0]
     assert not result.ok
     assert result.failing_height == height
+
+
+SIGNERS = {deed: derive_signer("test", deed) for deed in ("alice", "bob", "carol")}
+# How an entry by `author` is made; `other` is a second signer it may borrow.
+ENTRY_FAULTS = ("node_spec", "event", "wrong_key", "deed_mismatch", "rekey", "bad_key_hex")
+
+
+def planned_entry(fault, author, other):
+    signer = SIGNERS[author]
+    if fault == "event":  # an unknown author until its NODE_SPEC is admitted
+        return sign_entry(EntryKind.POOL_EVENT, author, {"event": "x"}, signer)
+    if fault == "wrong_key":
+        return sign_entry(EntryKind.POOL_EVENT, author, {"event": "x"}, SIGNERS[other])
+    payload = {"deed_id": author, "verify_key": signer.verify_key.hex()}
+    if fault == "deed_mismatch":
+        payload["deed_id"] = other
+    elif fault == "rekey":  # self-certified with another signer's key
+        signer = SIGNERS[other]
+        payload["verify_key"] = signer.verify_key.hex()
+    elif fault == "bad_key_hex":
+        payload["verify_key"] = "not hex"
+    return sign_entry(EntryKind.NODE_SPEC, author, payload, signer)
+
+
+def sealed_without_checks(blocks, entries, timestamp):
+    """The block `entries` would make on top of `blocks`, with no admission."""
+    height, prev_hash = len(blocks), blocks[-1].digest
+    root = entries_root([entry.frames()[1] for entry in entries])
+    return LedgerBlock(height, prev_hash, root, timestamp,
+                       block_digest(height, prev_hash, root, timestamp), tuple(entries))
+
+
+planned_batches = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(ENTRY_FAULTS), st.sampled_from(sorted(SIGNERS)),
+                  st.sampled_from(sorted(SIGNERS))),
+        min_size=1, max_size=3,
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@given(planned_batches)
+@settings(max_examples=60, deadline=None)
+def test_append_and_verify_admit_the_same_entries(batches):
+    led = Ledger()
+    for timestamp, plan in enumerate(batches, start=1):
+        batch = [planned_entry(*step) for step in plan]
+        candidate = sealed_without_checks(led.blocks, batch, timestamp)
+        read = verify_blocks([*led.blocks, candidate])
+        try:
+            led.append_entries(batch, timestamp)
+        except LedgerError as exc:
+            assert not read.ok
+            assert (read.failing_height, read.reason) == (candidate.height, str(exc))
+        else:
+            assert read.ok, read.reason
+            assert led.head.digest == candidate.digest

@@ -104,12 +104,27 @@ MUTANTS = (
     Mutant(
         "the ledger accepts any signature",
         "src/computepool/ledger.py",
-        '        valid, else the reason."""\n',
-        '        valid, else the reason."""\n        return None\n',
+        '    NODE_SPEC entries in ledger order; an admitted NODE_SPEC adds its key."""\n',
+        '    NODE_SPEC entries in ledger order; an admitted NODE_SPEC adds its key."""\n'
+        "    return None\n",
         (
             "tests/test_ledger.py::test_append_rejects_wrong_key_signature",
             "tests/test_ledger.py::test_node_spec_must_self_certify",
         ),
+    ),
+    Mutant(
+        "a batch's keys are committed before the batch is admitted",
+        "src/computepool/ledger.py",
+        "        keys = ChainMap(added, self._keys)\n",
+        "        keys = self._keys\n",
+        ("tests/test_ledger.py::test_failed_batch_leaves_no_trace",),
+    ),
+    Mutant(
+        "a pool event records only its name",
+        "src/computepool/simnet.py",
+        'COORDINATOR_ID, {"event": event, **fields})',
+        'COORDINATOR_ID, {"event": event})',
+        ("tests/test_golden.py::test_report_digests_are_pinned",),
     ),
     Mutant(
         "nothing runs at the horizon itself: no last tick, no last close",
@@ -204,6 +219,13 @@ MUTANTS = (
             "tests/test_escrow.py::test_cancel_locks_for_review_and_early_resolve_fails",
             "tests/test_escrow.py::test_rejected_challenge_forfeits_bond_to_pool",
         ),
+    ),
+    Mutant(
+        "run --seed passes over the scenario's seed rule",
+        "src/computepool/cli.py",
+        'else parse_seed(args.seed, "--seed")',
+        "else args.seed",
+        ("tests/test_cli.py::test_run_refuses_a_negative_seed_as_the_scenario_does",),
     ),
     Mutant(
         "a boolean passes as a token amount",
