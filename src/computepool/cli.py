@@ -22,15 +22,8 @@ from .scenario import ScenarioError, load_scenario, parse_seed
 from .simnet import SimulationError, run_scenario
 
 
-def _json_value(value):
-    """JSON for the one payload type JSON has none for: bytes, as hex."""
-    if isinstance(value, bytes):
-        return value.hex()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_value)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

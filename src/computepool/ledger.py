@@ -4,16 +4,25 @@ Entries are signed by their authoring node; blocks bind entries with a root
 digest and chain through prev_hash. Verification is self-certifying: the key
 table is rebuilt from NODE_SPEC entries in ledger order, so a dump carries
 everything needed to check it.
+
+Every payload must have one of the shapes in `SCHEMAS`: the exact keys its
+kind (and, where one kind writes several shapes, its variant) writes, each of
+its exact type. The check runs on every entry, both when a block is sealed
+and when a dump is verified, so an entry the protocol could not apply is
+never sealed, and a dump that holds one fails at that entry's block. Readers
+of admitted entries trust their shape.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from collections import ChainMap
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import gcd
 
 from .crypto import DIGEST_SIZE, ZERO_DIGEST, Signer, digest, verify
 # `decode` is not called here; perfbench/tracing.py patches it by this name.
@@ -147,23 +156,184 @@ def _make_block(
     return block
 
 
+# -- payload schemas ---------------------------------------------------------
+#
+# A rule is a type, which the value must be exactly (so no bool passes as an
+# int); a string leaf, a predicate over strings whose docstring names what it
+# accepts; a dict, a map with exactly these keys, each value fitting its rule;
+# `[rule]`, a list of any length; `(rule, ...)`, a list with one item per
+# rule; or `_MapOf(rule)`, a map from any keys to values of one rule.
+
+_AMOUNT_TEXT = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+
+
+def _amount(text: str) -> bool:
+    """a token amount in lowest terms"""
+    # Exactly the strings `str(Fraction)` writes: no sign on zero, no
+    # leading zeros, and a denominator other than 1 sharing no factor with
+    # the numerator.
+    match = _AMOUNT_TEXT.fullmatch(text)
+    if match is None:
+        return False
+    numerator, denominator = match.groups()
+    try:
+        return denominator is None or (
+            denominator != "1" and gcd(int(numerator), int(denominator)) == 1)
+    except ValueError:  # more digits than `int` converts
+        return False
+
+
+def _hex(text: str) -> bool:
+    """lowercase hex"""
+    try:
+        return bytes.fromhex(text).hex() == text  # `fromhex` also reads "AB" and spaces
+    except ValueError:
+        return False
+
+
+@dataclass(frozen=True)
+class _MapOf:
+    values: object
+
+
+def _mismatch(rule, value) -> str | None:
+    """None if `value` fits `rule`, else the path below `value` of the first
+    field that does not, and what is wrong with it."""
+    if isinstance(rule, type):
+        if type(value) is rule:
+            return None
+        return f": expected {rule.__name__}, got {type(value).__name__}"
+    if isinstance(rule, (dict, _MapOf)):
+        if type(value) is not dict:
+            return f": expected map, got {type(value).__name__}"
+        if isinstance(rule, _MapOf):
+            fields = [(key, rule.values) for key in value]
+        elif value.keys() != rule.keys():
+            missing = sorted(rule.keys() - value.keys())
+            return f": missing {missing}, unknown {sorted(value.keys() - rule.keys())}"
+        else:
+            fields = rule.items()
+        for key, field_rule in fields:
+            field = value[key]
+            # `type(field) is field_rule` is a type rule met without a call.
+            if type(field) is not field_rule:
+                reason = _mismatch(field_rule, field)
+                if reason is not None:
+                    return f".{key}{reason}"
+        return None
+    if isinstance(rule, (list, tuple)):
+        if type(value) is not list:
+            return f": expected list, got {type(value).__name__}"
+        if isinstance(rule, list):
+            rule = rule * len(value)
+        elif len(value) != len(rule):
+            return f": expected {len(rule)} items, got {len(value)}"
+        for index, (item_rule, item) in enumerate(zip(rule, value)):
+            if type(item) is not item_rule:
+                reason = _mismatch(item_rule, item)
+                if reason is not None:
+                    return f"[{index}]{reason}"
+        return None
+    if type(value) is str and rule(value):
+        return None
+    return f": expected {rule.__doc__}, got {value!r:.40}"
+
+
+_NODE = {"deed_id": str, "verify_key": _hex, "region": str}
+_CAPABILITY = {"cpu": float, "gpu": bool, "gpu_units": float, "memory": float}
+
+# The field whose value tells apart the shapes of a kind that writes several.
+# A node's NODE_SPEC has no `role`; the coordinator's has "coordinator".
+_VARIANT_FIELD = {
+    EntryKind.NODE_SPEC: "role",
+    EntryKind.JOB_STATUS: "status",
+    EntryKind.CHALLENGE: "phase",
+    EntryKind.POOL_EVENT: "event",
+}
+
+# (kind, variant) -> the payload's fields. The variant is the value of the
+# kind's `_VARIANT_FIELD`, or None where the payload has none. The POOL_EVENT
+# variants are the pool events the README lists.
+SCHEMAS = {
+    (EntryKind.NODE_SPEC, "coordinator"): dict(_NODE, role=str),
+    (EntryKind.NODE_SPEC, None): dict(_NODE, capability=_CAPABILITY, balance=_amount),
+    (EntryKind.JOB_ASSIGN, None): dict(
+        job=str, pipeline=str, steps=int, epoch=int, workers=[(str, int)],
+        commitments=_MapOf(_hex),
+    ),
+    (EntryKind.JOB_STATUS, "DONE"): dict(
+        job=str, status=str, at=int, epoch=int, aggregate=_hex, aggregate_size=int,
+    ),
+    (EntryKind.JOB_STATUS, "CANCELLED"): dict(
+        job=str, status=str, at=int, epoch=int, reason=str,
+    ),
+    (EntryKind.PROGRESS_PROOF, None): dict(
+        job=str, worker=str, link=int, commitment=_hex, nonce=_hex, epoch=int, verdict=str,
+    ),
+    (EntryKind.CHALLENGE, "opened"): dict(
+        phase=str, job=str, challenger=str, bond=_amount, seed=_hex, epoch=int, at=int,
+    ),
+    (EntryKind.CHALLENGE, "resolved"): dict(
+        phase=str, challenge=str, job=str, votes=_MapOf(bool), at=int,
+    ),
+    (EntryKind.REWARD_RECORD, None): dict(epoch=int, pool=_amount, entries=[(str, _amount, float)]),
+    (EntryKind.POOL_EVENT, "plugin_rejected"): dict(
+        event=str, job=str, sender=str, pipeline=str, reasons=[str],
+    ),
+    (EntryKind.POOL_EVENT, "job_rejected"): dict(event=str, job=str, sender=str, reason=str),
+    (EntryKind.POOL_EVENT, "code_recheck_failed"): dict(event=str, job=str, reason=str),
+    (EntryKind.POOL_EVENT, "proof_rejected"): dict(
+        event=str, job=str, worker=str, link=int, reason=str, penalty=float,
+        power_after=float, epoch=int,
+    ),
+    (EntryKind.POOL_EVENT, "gather_failed"): dict(event=str, job=str, reason=str),
+    (EntryKind.POOL_EVENT, "cancel_skipped"): dict(event=str, job=str, reason=str),
+    (EntryKind.POOL_EVENT, "review_resolved"): dict(event=str, job=str, verdict=str, at=int),
+    (EntryKind.POOL_EVENT, "challenge_rejected"): dict(event=str, job=str, reason=str),
+    (EntryKind.POOL_EVENT, "jury_drawn"): dict(event=str, challenge=str, job=str, jury=[str]),
+    (EntryKind.POOL_EVENT, "challenge_settled"): dict(event=str, challenge=str, verdict=str),
+}
+
+
+def payload_shape(kind: EntryKind, payload: dict) -> tuple[EntryKind, str | None]:
+    """The `SCHEMAS` key a payload of this kind is checked against."""
+    field = _VARIANT_FIELD.get(kind)
+    variant = payload.get(field) if field else None
+    return kind, variant if type(variant) is str else None
+
+
+def _shape_mismatch(kind: EntryKind, payload) -> str | None:
+    """None if the payload has its shape in `SCHEMAS`, else the reason,
+    which names the kind and the field."""
+    if type(payload) is not dict:
+        return f"{kind.value} payload is {type(payload).__name__}, not a map"
+    shape = payload_shape(kind, payload)
+    schema = SCHEMAS.get(shape)
+    if schema is None:
+        field = _VARIANT_FIELD[kind]
+        return f"{kind.value} payload.{field} {payload.get(field)!r:.40} is not a known variant"
+    reason = _mismatch(schema, payload)
+    if reason is None:
+        return None
+    name = kind.value if shape[1] is None else f"{kind.value} {shape[1]}"
+    return f"{name} payload{reason}"
+
+
 def _admit(
     keys: MutableMapping[str, bytes], entry: LedgerEntry, signing_bytes: bytes
 ) -> str | None:
-    """Return None if the entry's signature over its `signing_bytes` is
-    valid, else the reason. `keys` maps deed id -> verify key, learned from
-    NODE_SPEC entries in ledger order; an admitted NODE_SPEC adds its key."""
+    """Return None if the entry's payload has its shape in `SCHEMAS` and its
+    signature over its `signing_bytes` is valid, else the reason. `keys`
+    maps deed id -> verify key, learned from NODE_SPEC entries in ledger
+    order; an admitted NODE_SPEC adds its key."""
+    reason = _shape_mismatch(entry.kind, entry.payload)
+    if reason is not None:
+        return reason
     if entry.kind == EntryKind.NODE_SPEC:
-        declared = entry.payload.get("deed_id")
-        key_hex = entry.payload.get("verify_key")
+        declared = entry.payload["deed_id"]
         if declared != entry.author:
             return f"NODE_SPEC author {entry.author!r} != payload deed {declared!r}"
-        if not isinstance(key_hex, str):
-            return f"NODE_SPEC for {entry.author} lacks a verify_key"
-        try:
-            key = bytes.fromhex(key_hex)
-        except ValueError:
-            return f"NODE_SPEC for {entry.author} has a malformed verify_key"
+        key = bytes.fromhex(entry.payload["verify_key"])
         if not verify(key, signing_bytes, entry.signature):
             return f"NODE_SPEC self-signature for {entry.author} is invalid"
         known = keys.get(entry.author)

@@ -173,15 +173,12 @@ def entry_records(blocks) -> list[dict]:
 
 
 def _touches(record: dict, deed: str) -> bool:
-    """Whether a record names `deed` as author, deed, worker or the first item
-    of an `entries` row; rows of any other shape name no deed."""
+    """Whether a record names `deed` as author, deed, worker or payee of a
+    `REWARD_RECORD` row."""
     payload = record["payload"]
     if deed in (record["author"], payload.get("deed_id"), payload.get("worker")):
         return True
-    rows = payload.get("entries")
-    return isinstance(rows, list) and any(
-        isinstance(row, list) and row and row[0] == deed for row in rows
-    )
+    return any(row[0] == deed for row in payload.get("entries", ()))
 
 
 def filter_records(
@@ -193,10 +190,8 @@ def filter_records(
     out = []
     for record in records:
         payload = record["payload"]
-        if epoch is not None:
-            value = payload.get("epoch")
-            if type(value) is not int or value != epoch:  # True == 1, but no bool is an epoch
-                continue
+        if epoch is not None and payload.get("epoch") != epoch:
+            continue
         if deed is not None and not _touches(record, deed):
             continue
         if job is not None and payload.get("job") != job:

@@ -45,7 +45,7 @@ from .escrow import (
     ReviewVerdict,
     UnknownJobError,
 )
-from .ledger import EntryKind, Ledger, LedgerEntry, sign_entry
+from .ledger import EntryKind, Ledger, LedgerEntry, payload_shape, sign_entry
 from .pipeline import (
     ExpressionError,
     PipelineRun,
@@ -782,11 +782,6 @@ class Simulation:
         )
 
 
-# Entries of these kinds are counted by this payload field, the rest by kind.
-# No pool event shares a name with a job status.
-_COUNTED_FIELD = {EntryKind.POOL_EVENT: "event", EntryKind.JOB_STATUS: "status"}
-
-
 def audit_counters(scenario: Scenario, ledger: Ledger, code_rechecks: int) -> dict:
     """The run's audit counters, counted from its sealed ledger.
 
@@ -795,28 +790,30 @@ def audit_counters(scenario: Scenario, ledger: Ledger, code_rechecks: int) -> di
     exactly once: each job was submitted, and its user code vetted first;
     each challenge either drew a jury or failed; each close either recorded
     a `REWARD_RECORD` or was skipped. `code_rechecks` has no entry either,
-    so the simulation counts it as it runs.
+    so the simulation counts it as it runs. Entries are counted by their
+    `payload_shape`, so a pool event or a job status counts under its variant.
     """
-    counts: Counter = Counter()
-    for _block, entry in ledger.entries():
-        tag = _COUNTED_FIELD.get(entry.kind)
-        counts[entry.payload[tag] if tag else entry.kind] += 1
+    counts = Counter(payload_shape(entry.kind, entry.payload) for _, entry in ledger.entries())
+
+    def events(name: str) -> int:
+        return counts[EntryKind.POOL_EVENT, name]
+
     return {
-        "proofs_accepted": counts[EntryKind.PROGRESS_PROOF],
-        "proofs_rejected": counts["proof_rejected"],
-        "penalties": counts["proof_rejected"],
+        "proofs_accepted": counts[EntryKind.PROGRESS_PROOF, None],
+        "proofs_rejected": events("proof_rejected"),
+        "penalties": events("proof_rejected"),
         "jobs_submitted": len(scenario.jobs),
-        "jobs_rejected": counts["plugin_rejected"] + counts["job_rejected"],
-        "jobs_done": counts["DONE"],
-        "jobs_cancelled": counts["CANCELLED"],
-        "reviews_resolved": counts["review_resolved"],
-        "challenges_opened": counts["jury_drawn"],
-        "challenges_failed": len(scenario.challenges) - counts["jury_drawn"],
+        "jobs_rejected": events("plugin_rejected") + events("job_rejected"),
+        "jobs_done": counts[EntryKind.JOB_STATUS, "DONE"],
+        "jobs_cancelled": counts[EntryKind.JOB_STATUS, "CANCELLED"],
+        "reviews_resolved": events("review_resolved"),
+        "challenges_opened": events("jury_drawn"),
+        "challenges_failed": len(scenario.challenges) - events("jury_drawn"),
         "code_rechecks": code_rechecks,
         "plugins_vetted": sum(
             job.pipeline.user_code(job.n_workers) is not None for job in scenario.jobs
         ),
-        "closes_skipped": scenario.epochs - counts[EntryKind.REWARD_RECORD],
+        "closes_skipped": scenario.epochs - counts[EntryKind.REWARD_RECORD, None],
     }
 
 

@@ -12,7 +12,7 @@ import yaml
 
 import forged_dumps
 from computepool.cli import main
-from computepool.ledger import DUMP_MAGIC, load_blocks
+from computepool.ledger import DUMP_MAGIC, EntryKind, load_blocks
 
 MINI = {
     "name": "cli-mini",
@@ -354,29 +354,37 @@ def test_wrongly_typed_dump_field_exits_one_at_its_height(run_dir, capsys, forge
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("payload,printed", forged_dumps.ODD_PAYLOADS.values(),
-                         ids=forged_dumps.ODD_PAYLOADS.keys())
-def test_odd_payload_values_print_without_traceback(tmp_path, capsys, payload, printed):
-    path = tmp_path / "odd.bin"
-    path.write_bytes(forged_dumps.signed_payload_dump(payload))
-
-    assert main(["inspect", str(path)]) == 0
+def assert_fails_at(path, height: int, reason: str, capsys) -> None:
+    """`verify` and `inspect` of the dump at `path` exit 1 at `height`,
+    naming `reason`, with no traceback."""
+    assert main(["verify", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert json.loads(out.splitlines()[-1])["payload"] == printed
+    report = json.loads(out.strip())
+    assert report["ok"] is False and report["failing_height"] == height
+    assert reason in report["reason"]
     assert "Traceback" not in err
+    for query in ([], ["--deed", "mallory"], ["--epoch", "1"], ["--format", "SUMMARY"]):
+        assert main(["inspect", str(path), *query]) == 1, query
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"ledger fails verification at height {height}: {reason}" in err
+        assert "Traceback" not in err
 
-    for query in (["--deed", "mallory"], ["--deed", "nobody"], ["--format", "SUMMARY"]):
-        assert main(["inspect", str(path), *query]) == 0, query
-        assert "Traceback" not in capsys.readouterr().err
+
+@pytest.mark.parametrize("kind,payload,field", forged_dumps.ODD_PAYLOADS.values(),
+                         ids=forged_dumps.ODD_PAYLOADS.keys())
+def test_odd_payload_values_print_without_traceback(tmp_path, capsys, kind, payload, field):
+    path = tmp_path / "odd.bin"
+    path.write_bytes(forged_dumps.signed_payload_dump(kind, payload))
+    assert_fails_at(path, 2, field, capsys)
 
 
 def test_inspect_epoch_filter_skips_a_bool_epoch(tmp_path, capsys):
     path = tmp_path / "bool-epoch.bin"
-    path.write_bytes(forged_dumps.signed_payload_dump({"event": "x", "epoch": True}))
-    assert main(["inspect", str(path), "--epoch", "1"]) == 0
-    assert capsys.readouterr().out == ""
-    assert main(["inspect", str(path)]) == 0
-    assert '"epoch":true' in capsys.readouterr().out
+    payload = forged_dumps.example(EntryKind.POOL_EVENT, "proof_rejected", epoch=True)
+    path.write_bytes(forged_dumps.signed_payload_dump(EntryKind.POOL_EVENT, payload))
+    assert_fails_at(path, 2, "POOL_EVENT proof_rejected payload.epoch: expected int, got bool",
+                    capsys)
 
 
 def test_usage_errors_exit_two():

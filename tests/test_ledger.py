@@ -1,8 +1,11 @@
-"""Hash-chained ledger: appends, dumps, tamper detection."""
+"""Hash-chained ledger: appends, dumps, payload schemas, tamper detection."""
 
+import copy
 import dataclasses
 import random
+import re
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,13 +19,12 @@ from computepool.crypto import ZERO_DIGEST, derive_signer, digest
 from computepool.encoding import encode
 from computepool.ledger import (
     DUMP_MAGIC,
+    SCHEMAS,
     EntryKind,
     Ledger,
-    LedgerBlock,
     LedgerError,
-    block_digest,
-    entries_root,
     load_blocks,
+    payload_shape,
     sign_entry,
     verify_blocks,
 )
@@ -32,29 +34,26 @@ from computepool.simnet import run_scenario
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 ALICE = derive_signer("test", "alice")
 BOB = derive_signer("test", "bob")
+example = forged_dumps.example
 
 
 def node_spec(signer, deed):
-    return sign_entry(
-        EntryKind.NODE_SPEC,
-        deed,
-        {"deed_id": deed, "verify_key": signer.verify_key.hex()},
-        signer,
-    )
+    payload = example(EntryKind.NODE_SPEC, deed_id=deed, verify_key=signer.verify_key.hex())
+    return sign_entry(EntryKind.NODE_SPEC, deed, payload, signer)
+
+
+def pool_event(author, signer, event="gather_failed"):
+    return sign_entry(EntryKind.POOL_EVENT, author, example(EntryKind.POOL_EVENT, event), signer)
 
 
 def sample_ledger():
     led = Ledger()
     led.append_entries([node_spec(ALICE, "alice"), node_spec(BOB, "bob")], 10)
-    led.append_entries(
-        [sign_entry(EntryKind.POOL_EVENT, "alice", {"event": "x", "n": 1}, ALICE)], 20
-    )
+    led.append_entries([pool_event("alice", ALICE, "proof_rejected")], 20)
     led.append_entries(
         [
-            sign_entry(EntryKind.JOB_STATUS, "bob",
-                       {"job": "alice:1", "status": "DONE", "at": 25, "epoch": 1,
-                        "digest": "00"}, BOB),
-            sign_entry(EntryKind.POOL_EVENT, "bob", {"event": "y"}, BOB),
+            sign_entry(EntryKind.JOB_STATUS, "bob", example(EntryKind.JOB_STATUS, "DONE"), BOB),
+            pool_event("bob", BOB),
         ],
         25,
     )
@@ -86,32 +85,34 @@ def test_append_rejects_empty_and_backwards_time():
     with pytest.raises(LedgerError, match="empty block"):
         led.append_entries([], 30)
     with pytest.raises(LedgerError, match="precedes head"):
-        led.append_entries(
-            [sign_entry(EntryKind.POOL_EVENT, "alice", {"event": "z"}, ALICE)], 24
-        )
+        led.append_entries([pool_event("alice", ALICE)], 24)
 
 
 def test_failed_batch_leaves_no_trace():
     led = Ledger()
     ghost = derive_signer("test", "ghost")
-    batch = [
-        node_spec(ALICE, "alice"),
-        sign_entry(EntryKind.POOL_EVENT, "ghost", {"event": "z"}, ghost),
-    ]
+    batch = [node_spec(ALICE, "alice"), pool_event("ghost", ghost)]
     with pytest.raises(LedgerError, match="no registered key"):
         led.append_entries(batch, 5)
     assert len(led.blocks) == 1
     # alice's key from the failed batch must not have been learned
     with pytest.raises(LedgerError, match="no registered key"):
-        led.append_entries(
-            [sign_entry(EntryKind.POOL_EVENT, "alice", {"event": "z"}, ALICE)], 6
-        )
+        led.append_entries([pool_event("alice", ALICE)], 6)
+    # nor from a batch that one entry of the wrong shape rejects
+    malformed = sign_entry(
+        EntryKind.POOL_EVENT, "alice", example(EntryKind.POOL_EVENT, "gather_failed", job=1),
+        ALICE)
+    with pytest.raises(LedgerError, match=r"POOL_EVENT gather_failed payload\.job"):
+        led.append_entries([node_spec(ALICE, "alice"), malformed], 7)
+    assert len(led.blocks) == 1
+    with pytest.raises(LedgerError, match="no registered key"):
+        led.append_entries([pool_event("alice", ALICE)], 8)
 
 
 def test_append_rejects_wrong_key_signature():
     led = Ledger()
     led.append_entries([node_spec(ALICE, "alice")], 1)
-    forged = sign_entry(EntryKind.POOL_EVENT, "alice", {"event": "z"}, BOB)
+    forged = pool_event("alice", BOB)
     with pytest.raises(LedgerError, match="bad signature"):
         led.append_entries([forged], 2)
 
@@ -120,13 +121,13 @@ def test_node_spec_must_self_certify():
     led = Ledger()
     mismatch = sign_entry(
         EntryKind.NODE_SPEC, "alice",
-        {"deed_id": "bob", "verify_key": ALICE.verify_key.hex()}, ALICE,
+        example(EntryKind.NODE_SPEC, deed_id="bob", verify_key=ALICE.verify_key.hex()), ALICE,
     )
     with pytest.raises(LedgerError, match="!= payload deed"):
         led.append_entries([mismatch], 1)
     wrong_key = sign_entry(
         EntryKind.NODE_SPEC, "alice",
-        {"deed_id": "alice", "verify_key": BOB.verify_key.hex()}, ALICE,
+        example(EntryKind.NODE_SPEC, deed_id="alice", verify_key=BOB.verify_key.hex()), ALICE,
     )
     with pytest.raises(LedgerError, match="self-signature"):
         led.append_entries([wrong_key], 1)
@@ -190,7 +191,7 @@ def test_tampered_entry_payload_is_detected_at_its_block():
     victim = blocks[2]
     entry = victim.entries[0]
     forged_entry = dataclasses.replace(
-        entry, payload={**entry.payload, "n": 999}
+        entry, payload={**entry.payload, "link": 999}
     )
     forged_block = dataclasses.replace(victim, entries=(forged_entry,))
     result = verify_blocks(blocks[:2] + [forged_block] + blocks[3:])
@@ -375,24 +376,141 @@ other_typed_values = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def example_blocks():
+    return forged_dumps.example_ledger().blocks
+
+
+def test_every_schema_has_an_example_that_appends(example_blocks):
+    assert set(forged_dumps.EXAMPLES) == set(SCHEMAS)
+    shapes = [payload_shape(entry.kind, entry.payload)
+              for block in example_blocks for entry in block.entries]
+    assert shapes == list(forged_dumps.EXAMPLES)
+    assert load_verified(forged_dumps.frame(forged_dumps.wires(example_blocks)))[0].ok
+
+
+def forged_payload_verdict(example_blocks, height, position, edit):
+    """Verify the example dump after `edit(payload)` changed one entry's
+    payload in place and that entry was signed again, so the payload is the
+    dump's only fault."""
+    block_wires = copy.deepcopy(forged_dumps.wires(example_blocks))
+    entry = block_wires[height][5][position]
+    edit(entry[2])
+    forged_dumps.resign(entry)
+    return load_verified(forged_dumps.frame(forged_dumps.rechain(block_wires)))[0]
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_any_field_of_another_type_fails_at_its_block(data):
-    block_wires = forged_dumps.wires(sample_ledger().blocks)
+def test_any_field_of_another_type_fails_at_its_block(example_blocks, data):
+    block_wires = copy.deepcopy(forged_dumps.wires(example_blocks))
     height = data.draw(st.integers(0, len(block_wires) - 1))
     block = block_wires[height]
-    # (container, index) of each header field, each entry and each entry field
-    slots = [(block, i) for i in range(6)]
+    # (container, index, whether the entry is signed again) of each header
+    # field, each entry, each entry field and each payload value at any depth
+    slots = [(block, i, None) for i in range(6)]
     for position, entry in enumerate(block[5]):
-        slots.append((block[5], position))
-        slots += [(entry, i) for i in range(4)]
-    container, index = data.draw(st.sampled_from(slots))
+        slots.append((block[5], position, None))
+        slots += [(entry, i, None) for i in range(4)]
+        slots += [(container, key, entry)
+                  for container, key in forged_dumps.payload_slots(entry[2])]
+    container, index, resigned = data.draw(st.sampled_from(slots))
     original = container[index]
     container[index] = data.draw(
         other_typed_values.filter(lambda v: type(v) is not type(original)))
+    if resigned is not None:
+        forged_dumps.resign(resigned)
+        forged_dumps.rechain(block_wires)
     result = load_verified(forged_dumps.frame(block_wires))[0]
     assert not result.ok
     assert result.failing_height == height
+
+
+# For each type a payload holds, a value of another type; an int field gets a
+# bool and a float field an int, which compare equal to values of its type.
+OTHER_TYPED = {int: True, float: 1, bool: 1, str: b"x", list: "x", dict: []}
+
+
+def test_every_payload_field_of_another_type_fails_at_its_block(example_blocks):
+    cases = [(height, position, entry.kind, n)
+             for height, block in enumerate(example_blocks)
+             for position, entry in enumerate(block.entries)
+             for n in range(len(forged_dumps.payload_slots(entry.payload)))]
+    assert len(cases) > 100
+    for height, position, kind, n in cases:
+        def swap(payload):
+            container, key = forged_dumps.payload_slots(payload)[n]
+            container[key] = OTHER_TYPED[type(container[key])]
+
+        result = forged_payload_verdict(example_blocks, height, position, swap)
+        assert not result.ok
+        assert result.failing_height == height
+        assert result.reason.startswith(kind.value)
+
+
+@pytest.mark.parametrize("shape, edit, reason", [
+    ((EntryKind.POOL_EVENT, "gather_failed"),
+     lambda p: p.update(event="gather_lost"),
+     "POOL_EVENT payload.event 'gather_lost' is not a known variant"),
+    ((EntryKind.JOB_ASSIGN, None), lambda p: p.pop("steps"),
+     "JOB_ASSIGN payload: missing ['steps'], unknown []"),
+    ((EntryKind.PROGRESS_PROOF, None), lambda p: p.update(note="x"),
+     "PROGRESS_PROOF payload: missing [], unknown ['note']"),
+    ((EntryKind.CHALLENGE, "opened"), lambda p: p.update(bond="2/4"),
+     "CHALLENGE opened payload.bond: expected a token amount in lowest terms, got '2/4'"),
+    ((EntryKind.REWARD_RECORD, None), lambda p: p["entries"][1].__setitem__(1, "1/0"),
+     "REWARD_RECORD payload.entries[1][1]: expected a token amount in lowest terms, got '1/0'"),
+    ((EntryKind.JOB_ASSIGN, None), lambda p: p["commitments"].update(carol="CD" * 32),
+     "JOB_ASSIGN payload.commitments.carol: expected lowercase hex, got 'CDCD"),
+    ((EntryKind.NODE_SPEC, "coordinator"), lambda p: p.update(role="auditor"),
+     "NODE_SPEC payload.role 'auditor' is not a known variant"),
+], ids=["unknown_event", "missing_key", "extra_key", "unreduced_amount", "zero_denominator",
+        "uppercase_hex", "unknown_role"])
+def test_a_payload_the_protocol_cannot_apply_fails_at_its_block(
+        example_blocks, shape, edit, reason):
+    # `example_ledger` seals the two NODE_SPECs at height 1, then one example
+    # per block.
+    index = list(forged_dumps.EXAMPLES).index(shape)
+    height, position = (1, index) if index < 2 else (index, 0)
+    result = forged_payload_verdict(example_blocks, height, position, edit)
+    assert not result.ok
+    assert result.failing_height == height
+    assert result.reason.startswith(reason)
+    # A run cannot seal it either, and the ledger stays as it was.
+    led = Ledger()
+    led.blocks = list(example_blocks)
+    payload = copy.deepcopy(forged_dumps.EXAMPLES[shape])
+    edit(payload)
+    with pytest.raises(LedgerError) as exc:
+        led.append_entries(
+            [sign_entry(shape[0], "mallory", payload, forged_dumps.MALLORY)], 100)
+    assert str(exc.value).startswith(reason)
+    assert led.blocks == list(example_blocks)
+
+
+def str_fraction_writes(text: str) -> bool:
+    try:
+        return str(Fraction(text)) == text
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+@given(st.one_of(
+    st.fractions().map(str),
+    st.text("0123456789-+/. _", max_size=12),  # no "e": exponents would expand
+))
+@settings(max_examples=300, deadline=None)
+def test_a_token_amount_is_a_string_str_fraction_writes(text):
+    assert ledger._amount(text) == str_fraction_writes(text)
+
+
+@given(st.one_of(
+    st.binary(max_size=8).map(bytes.hex),
+    st.text("0123456789abcdefABF x", max_size=8),
+))
+@settings(max_examples=300, deadline=None)
+def test_hex_is_lowercase_and_whole_bytes(text):
+    assert ledger._hex(text) == (re.fullmatch("(?:[0-9a-f]{2})*", text) is not None)
 
 
 SIGNERS = {deed: derive_signer("test", deed) for deed in ("alice", "bob", "carol")}
@@ -403,10 +521,10 @@ ENTRY_FAULTS = ("node_spec", "event", "wrong_key", "deed_mismatch", "rekey", "ba
 def planned_entry(fault, author, other):
     signer = SIGNERS[author]
     if fault == "event":  # an unknown author until its NODE_SPEC is admitted
-        return sign_entry(EntryKind.POOL_EVENT, author, {"event": "x"}, signer)
+        return pool_event(author, signer)
     if fault == "wrong_key":
-        return sign_entry(EntryKind.POOL_EVENT, author, {"event": "x"}, SIGNERS[other])
-    payload = {"deed_id": author, "verify_key": signer.verify_key.hex()}
+        return pool_event(author, SIGNERS[other])
+    payload = example(EntryKind.NODE_SPEC, deed_id=author, verify_key=signer.verify_key.hex())
     if fault == "deed_mismatch":
         payload["deed_id"] = other
     elif fault == "rekey":  # self-certified with another signer's key
@@ -415,14 +533,6 @@ def planned_entry(fault, author, other):
     elif fault == "bad_key_hex":
         payload["verify_key"] = "not hex"
     return sign_entry(EntryKind.NODE_SPEC, author, payload, signer)
-
-
-def sealed_without_checks(blocks, entries, timestamp):
-    """The block `entries` would make on top of `blocks`, with no admission."""
-    height, prev_hash = len(blocks), blocks[-1].digest
-    root = entries_root([entry.frames()[1] for entry in entries])
-    return LedgerBlock(height, prev_hash, root, timestamp,
-                       block_digest(height, prev_hash, root, timestamp), tuple(entries))
 
 
 planned_batches = st.lists(
@@ -441,7 +551,7 @@ def test_append_and_verify_admit_the_same_entries(batches):
     led = Ledger()
     for timestamp, plan in enumerate(batches, start=1):
         batch = [planned_entry(*step) for step in plan]
-        candidate = sealed_without_checks(led.blocks, batch, timestamp)
+        candidate = forged_dumps.sealed_without_checks(led.blocks, batch, timestamp)
         read = verify_blocks([*led.blocks, candidate])
         try:
             led.append_entries(batch, timestamp)

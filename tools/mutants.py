@@ -42,8 +42,8 @@ MUTANTS = (
     Mutant(
         "jobs_rejected forgets unfunded jobs",
         "src/computepool/simnet.py",
-        'counts["plugin_rejected"] + counts["job_rejected"]',
-        'counts["plugin_rejected"]',
+        'events("plugin_rejected") + events("job_rejected")',
+        'events("plugin_rejected")',
         (
             "tests/test_simnet.py::test_underfunded_job_is_rejected_and_later_job_runs",
             "tests/test_simnet.py::test_every_audit_counter_matches_a_hand_count",
@@ -52,8 +52,8 @@ MUTANTS = (
     Mutant(
         "closes_skipped off by one",
         "src/computepool/simnet.py",
-        '"closes_skipped": scenario.epochs - counts[EntryKind.REWARD_RECORD],',
-        '"closes_skipped": scenario.epochs - counts[EntryKind.REWARD_RECORD] - 1,',
+        '"closes_skipped": scenario.epochs - counts[EntryKind.REWARD_RECORD, None],',
+        '"closes_skipped": scenario.epochs - counts[EntryKind.REWARD_RECORD, None] - 1,',
         ("tests/test_simnet.py::test_every_audit_counter_matches_a_hand_count",),
     ),
     Mutant(
@@ -102,14 +102,53 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the ledger accepts any signature",
+        "the ledger accepts any signature on a payload of the right shape",
         "src/computepool/ledger.py",
-        '    NODE_SPEC entries in ledger order; an admitted NODE_SPEC adds its key."""\n',
-        '    NODE_SPEC entries in ledger order; an admitted NODE_SPEC adds its key."""\n'
-        "    return None\n",
+        "        return reason\n    if entry.kind == EntryKind.NODE_SPEC:\n",
+        "        return reason\n    return None\n    if entry.kind == EntryKind.NODE_SPEC:\n",
         (
             "tests/test_ledger.py::test_append_rejects_wrong_key_signature",
             "tests/test_ledger.py::test_node_spec_must_self_certify",
+        ),
+    ),
+    Mutant(
+        "a CHALLENGE resolved payload goes unchecked",
+        "src/computepool/ledger.py",
+        "    reason = _mismatch(schema, payload)\n",
+        '    reason = None if shape == (EntryKind.CHALLENGE, "resolved") else '
+        "_mismatch(schema, payload)\n",
+        ("tests/test_ledger.py::test_every_payload_field_of_another_type_fails_at_its_block",),
+    ),
+    Mutant(
+        "a bool passes as an int",
+        "src/computepool/ledger.py",
+        "        if type(value) is rule:\n",
+        "        if isinstance(value, rule):\n",
+        (
+            "tests/test_ledger.py::test_every_payload_field_of_another_type_fails_at_its_block",
+            "tests/test_cli.py::test_inspect_epoch_filter_skips_a_bool_epoch",
+        ),
+    ),
+    Mutant(
+        "any string passes as a token amount",
+        "src/computepool/ledger.py",
+        '    """a token amount in lowest terms"""\n',
+        '    """a token amount in lowest terms"""\n    return True\n',
+        (
+            "tests/test_ledger.py::test_a_payload_the_protocol_cannot_apply_fails_at_its_block"
+            "[unreduced_amount]",
+            "tests/test_ledger.py::test_a_payload_the_protocol_cannot_apply_fails_at_its_block"
+            "[zero_denominator]",
+        ),
+    ),
+    Mutant(
+        "a payload may hold keys its schema does not list",
+        "src/computepool/ledger.py",
+        "        elif value.keys() != rule.keys():\n",
+        "        elif not rule.keys() <= value.keys():\n",
+        (
+            "tests/test_ledger.py::test_a_payload_the_protocol_cannot_apply_fails_at_its_block"
+            "[extra_key]",
         ),
     ),
     Mutant(
