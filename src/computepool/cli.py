@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from .escrow import EscrowError
 from .ledger import LedgerBlock, LedgerError, VerifyResult, load_blocks, verify_blocks
 from .report import (
     entry_records,
@@ -35,7 +36,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     try:
         result = run_scenario(scenario, seed=seed)
-    except SimulationError as exc:
+    except (SimulationError, LedgerError, EscrowError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else Path(f"runs/{scenario.name}-{result.seed}")

@@ -14,11 +14,12 @@ A job holds one of five statuses: PENDING once funded, IN_PROGRESS once its
 workers are assigned, then LOCKED_FOR_REVIEW (cancelled) or SETTLED (done or
 reviewed valid), and REFUNDED when its reward goes back to the sender.
 
-Besides `submit_job` and `resolve_review`, funds move only on a recorded
-ledger fact, through `EscrowBank.apply`: each of its branches reads one kind
-of entry's payload, checks the status it starts from and sets the one it ends
-in. The simulator applies each entry it records, and a replay of a dump can
-apply the same entries. A `REWARD_RECORD` must pay out the whole reward pool,
+The bank has two mutators. `submit_job` funds a job; `EscrowBank.apply` moves
+funds on a recorded ledger fact, from assignment to the review verdict (a
+`review_resolved` POOL_EVENT). Each of its branches reads the payload of one
+entry shape, checks the status it starts from and sets the one it ends in.
+The simulator applies each entry it records, and a replay of a dump can apply
+the same entries. A `REWARD_RECORD` must pay out the whole reward pool,
 exactly, or nothing moves.
 
 Every mutation is atomic per call and the class never creates or destroys
@@ -34,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .ledger import EntryKind, LedgerEntry
+from .ledger import EntryKind, LedgerEntry, payload_shape
 from .tokenomics import NodeRegistry, exact_sum
 
 JURY_SIZE = 3
@@ -66,11 +67,6 @@ class JobStatus(Enum):
     LOCKED_FOR_REVIEW = "LOCKED_FOR_REVIEW"
     SETTLED = "SETTLED"
     REFUNDED = "REFUNDED"
-
-
-class ReviewVerdict(Enum):
-    WORK_VALID = "WORK_VALID"
-    WORK_INVALID = "WORK_INVALID"
 
 
 class ChallengeVerdict(Enum):
@@ -109,9 +105,10 @@ def _sender_then_seq(job_id: str) -> tuple[str, int]:
 class EscrowBank:
     """The public-chain pool machine: escrow, reward pool, locks, and bonds."""
 
-    def __init__(self, registry: NodeRegistry, review_lock_seconds: int):
+    def __init__(self, registry: NodeRegistry, review_lock_seconds: int, epoch_seconds: int):
         self.registry = registry
         self.review_lock_seconds = review_lock_seconds
+        self.epoch_seconds = epoch_seconds
         self.jobs: dict[str, Job] = {}
         self.challenges: dict[str, Challenge] = {}
         self.escrow_pool = Fraction(0)
@@ -150,39 +147,30 @@ class EscrowBank:
         except KeyError:
             raise UnknownJobError(f"unknown job {job_id}") from None
 
-    def resolve_review(self, job_id: str, verdict: ReviewVerdict, now: int, epoch: int) -> None:
-        """Release a review lock that has run out: valid work feeds the reward
-        pool, invalid work refunds the sender."""
-        job = self.jobs.get(job_id)
-        if job is None or job.status != JobStatus.LOCKED_FOR_REVIEW:
-            raise UnknownJobError(f"no locked funds for job {job_id}")
-        if now < job.unlock_time:
-            raise EscrowError(f"review for {job_id} cannot resolve before t={job.unlock_time}")
-        if verdict == ReviewVerdict.WORK_VALID:
-            self.reward_pool += job.reward
-            job.status = JobStatus.SETTLED
-            job.settled_epoch = epoch
-        else:
-            self.registry.credit(job.sender, job.reward)
-            job.status = JobStatus.REFUNDED
+    def epoch_of(self, at_ms: int) -> int:
+        """Epoch k holds ((k-1)·E, k·E], E the epoch length; time 0 is in epoch 1."""
+        return max(1, -(-at_ms // (self.epoch_seconds * 1000)))
 
     # -- ledger facts ----------------------------------------------------------
 
     def apply(self, entry: LedgerEntry, active_ids: Iterable[str] = ()) -> Job | Challenge | None:
         """Move funds as one ledger entry says, and return the job or
-        challenge it changed.
+        challenge it changed. With `submit_job`, this is the bank's only
+        mutator. The entry's `payload_shape` picks the branch.
 
         `JOB_ASSIGN` starts a PENDING job. `JOB_STATUS` DONE moves a running
         job's reward to the reward pool; CANCELLED locks it for review until
         `at + review_lock_seconds`, or refunds the sender if the job never
-        started. `CHALLENGE` opens (jurors drawn from `active_ids`) or
+        started. The `review_resolved` POOL_EVENT ends a lock that has run out
+        by `at`. `CHALLENGE` opens (jurors drawn from `active_ids`) or
         resolves a challenge. `REWARD_RECORD` pays every row, or none if any
         row is invalid or the rows do not sum exactly to the record's `pool`,
-        which must be the whole reward pool; it returns None. Any other entry
+        which must be the whole reward pool; it returns None. Any other shape
         changes nothing and returns None.
         """
         p = entry.payload
-        if entry.kind == EntryKind.JOB_ASSIGN:
+        shape = payload_shape(entry.kind, p)
+        if shape == (EntryKind.JOB_ASSIGN, None):
             job = self.job(p["job"])
             if job.status != JobStatus.PENDING:
                 raise JobLifecycleError(
@@ -191,9 +179,9 @@ class EscrowBank:
             job.status = JobStatus.IN_PROGRESS
             job.workers = [worker for worker, _index in p["workers"]]
             return job
-        if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):
+        if shape in ((EntryKind.JOB_STATUS, "DONE"), (EntryKind.JOB_STATUS, "CANCELLED")):
             job = self.job(p["job"])
-            if job.status == JobStatus.PENDING and p["status"] == "CANCELLED":
+            if job.status == JobStatus.PENDING and shape[1] == "CANCELLED":
                 # No worker ever held it, so there is no work to review.
                 self.escrow_pool -= job.reward
                 self.registry.credit(job.sender, job.reward)
@@ -204,7 +192,7 @@ class EscrowBank:
                     f"job {job.job_id} is not in progress (status {job.status.value})"
                 )
             self.escrow_pool -= job.reward
-            if p["status"] == "DONE":
+            if shape[1] == "DONE":
                 self.reward_pool += job.reward
                 job.status = JobStatus.SETTLED
                 job.settled_epoch = p["epoch"]
@@ -212,7 +200,9 @@ class EscrowBank:
                 job.unlock_time = p["at"] + self.review_lock_seconds
                 job.status = JobStatus.LOCKED_FOR_REVIEW
             return job
-        if entry.kind == EntryKind.REWARD_RECORD:
+        if shape == (EntryKind.POOL_EVENT, "review_resolved"):
+            return self._release_review(p)
+        if shape == (EntryKind.REWARD_RECORD, None):
             rows = [(deed_id, Fraction(amount)) for deed_id, amount, _share in p["entries"]]
             pool = Fraction(p["pool"])
             if pool != self.reward_pool or exact_sum(a for _deed_id, a in rows) != pool:
@@ -229,11 +219,29 @@ class EscrowBank:
             self.reward_pool = Fraction(0)
             self.distributed_total += pool
             return None
-        if entry.kind == EntryKind.CHALLENGE and p["phase"] == "opened":
+        if shape == (EntryKind.CHALLENGE, "opened"):
             return self._open_challenge(p, active_ids)
-        if entry.kind == EntryKind.CHALLENGE and p["phase"] == "resolved":
+        if shape == (EntryKind.CHALLENGE, "resolved"):
             return self._resolve_challenge(p)
         return None
+
+    def _release_review(self, p: dict) -> Job:
+        """WORK_VALID settles the job into the epoch of `at`; WORK_INVALID refunds the sender."""
+        job = self.job(p["job"])
+        if job.status != JobStatus.LOCKED_FOR_REVIEW:
+            raise JobLifecycleError(f"job {job.job_id} is {job.status.value}, not locked for review")
+        if p["at"] < job.unlock_time:
+            raise EscrowError(f"review for {job.job_id} cannot resolve before t={job.unlock_time}")
+        if p["verdict"] == "WORK_VALID":
+            self.reward_pool += job.reward
+            job.status = JobStatus.SETTLED
+            job.settled_epoch = self.epoch_of(p["at"] * 1000)
+        elif p["verdict"] == "WORK_INVALID":
+            self.registry.credit(job.sender, job.reward)
+            job.status = JobStatus.REFUNDED
+        else:
+            raise EscrowError(f"unknown review verdict {p['verdict']!r} for job {job.job_id}")
+        return job
 
     def _open_challenge(self, p: dict, active_ids: Iterable[str]) -> Challenge:
         """Escrow a challenger bond and draw a jury by seeded lottery.

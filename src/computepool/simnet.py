@@ -42,7 +42,6 @@ from .escrow import (
     EscrowBank,
     InsufficientFundsError,
     JobStatus,
-    ReviewVerdict,
     UnknownJobError,
 )
 from .ledger import EntryKind, Ledger, LedgerEntry, payload_shape, sign_entry
@@ -149,7 +148,7 @@ class Simulation:
         self.heartbeat_ms = scenario.heartbeat_seconds * 1000
 
         self.registry = NodeRegistry()
-        self.bank = EscrowBank(self.registry, scenario.review_lock_seconds)
+        self.bank = EscrowBank(self.registry, scenario.review_lock_seconds, scenario.epoch_seconds)
         self.ledger = Ledger()
 
         self._heap: list[tuple] = []  # (at, priority, seq, handler, args)
@@ -212,17 +211,14 @@ class Simulation:
         """Run `handler(*args)` one heartbeat from now."""
         self._schedule(self._now + self.heartbeat_ms, PRI_ACTION, handler, *args)
 
-    def _epoch_of(self, at_ms: int) -> int:
-        return max(1, -(-at_ms // self.epoch_ms))
-
     def _record(self, kind: EntryKind, author: str, payload: dict) -> LedgerEntry:
         entry = sign_entry(kind, author, payload, self._signer(author))
         self._pending_entries.append(entry)
         return entry
 
-    def _pool_event(self, event: str, **fields) -> None:
+    def _pool_event(self, event: str, **fields) -> LedgerEntry:
         """Record the coordinator-signed POOL_EVENT `{"event": event, **fields}`."""
-        self._record(EntryKind.POOL_EVENT, COORDINATOR_ID, {"event": event, **fields})
+        return self._record(EntryKind.POOL_EVENT, COORDINATOR_ID, {"event": event, **fields})
 
     def _seal_tick(self) -> None:
         if self._pending_entries:
@@ -410,7 +406,7 @@ class Simulation:
                 "job": job_id,
                 "pipeline": spec.pipeline.name,
                 "steps": spec.steps,
-                "epoch": self._epoch_of(self._now),
+                "epoch": self.bank.epoch_of(self._now),
                 "workers": [[worker, index] for index, worker in enumerate(workers)],
                 "commitments": commitments,
             },
@@ -560,7 +556,7 @@ class Simulation:
 
     def _judge_proof(self, proof: ProgressProof) -> None:
         ok, reason = self._tracker.observe(proof)
-        epoch = self._epoch_of(self._now)
+        epoch = self.bank.epoch_of(self._now)
         if ok:
             self._record(
                 EntryKind.PROGRESS_PROOF,
@@ -606,7 +602,7 @@ class Simulation:
                 "job": shard.job,
                 "status": "DONE",
                 "at": now_s,
-                "epoch": self._epoch_of(self._now),
+                "epoch": self.bank.epoch_of(self._now),
                 "aggregate": agg_digest.hex(),
                 "aggregate_size": len(aggregate),
             },
@@ -628,7 +624,7 @@ class Simulation:
                 "job": job_id,
                 "status": "CANCELLED",
                 "at": now_s,
-                "epoch": self._epoch_of(self._now),
+                "epoch": self.bank.epoch_of(self._now),
                 "reason": "scripted_cancel",
             },
         )
@@ -644,17 +640,12 @@ class Simulation:
         if task is not None:
             task.cancelled = True
 
-    def _on_review_unlock(self, job_id: str) -> None:
-        if self.bank.jobs[job_id].status != JobStatus.LOCKED_FOR_REVIEW:
+    def _on_review_unlock(self, job: str) -> None:
+        if self.bank.jobs[job].status != JobStatus.LOCKED_FOR_REVIEW:
             return  # a challenge verdict resolved it early
-        spec = self._job_specs[job_id]
-        verdict = (
-            ReviewVerdict.WORK_VALID if spec.review_verdict == "valid" else ReviewVerdict.WORK_INVALID
-        )
-        now_s = self._now // 1000
-        self.bank.resolve_review(job_id, verdict, now_s, epoch=self._epoch_of(self._now))
-        self._pool_event("review_resolved", job=job_id, verdict=verdict.value, at=now_s)
-        self._check_conservation()
+        verdict = "WORK_VALID" if self._job_specs[job].review_verdict == "valid" else "WORK_INVALID"
+        entry = self._pool_event("review_resolved", job=job, verdict=verdict, at=self._now // 1000)
+        self._apply_entry(entry)
 
     def _on_challenge_open(self, spec: ChallengeSpec) -> None:
         try:
@@ -674,7 +665,7 @@ class Simulation:
                 "challenger": spec.challenger,
                 "bond": str(bond),
                 "seed": seed.hex(),
-                "epoch": self._epoch_of(self._now),
+                "epoch": self.bank.epoch_of(self._now),
                 "at": self._now // 1000,
             },
         )
@@ -695,7 +686,7 @@ class Simulation:
         )
         # Resolve inside the running epoch, before its close pays out the
         # reward pool that an upheld verdict on a settled job claws back from.
-        epoch_close = self._epoch_of(self._now) * self.epoch_ms
+        epoch_close = self.bank.epoch_of(self._now) * self.epoch_ms
         resolve_at = min(self._now + self.heartbeat_ms, epoch_close)
         self._schedule(resolve_at, PRI_ACTION, self._on_challenge_resolve, challenge, spec.votes)
 

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import forged_dumps
+from computepool import simnet
 from computepool.cli import main
 from computepool.ledger import DUMP_MAGIC, EntryKind, load_blocks
 
@@ -225,6 +226,34 @@ def test_run_into_unwritable_out_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "cannot write reports" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, message", [
+    # the ledger refuses to seal the entry
+    ({"steps": "2"}, "JOB_ASSIGN payload.steps"),
+    # the bank refuses to apply it
+    ({"job": "ghost:1"}, "unknown job ghost:1"),
+], ids=["ledger_error", "escrow_error"])
+def test_a_simulator_fault_is_a_failed_run_not_a_traceback(
+    tmp_path, capsys, monkeypatch, change, message
+):
+    record = simnet.Simulation._record
+
+    def faulty_record(self, kind, author, payload):
+        if kind == EntryKind.JOB_ASSIGN:
+            payload = {**payload, **change}
+        return record(self, kind, author, payload)
+
+    monkeypatch.setattr(simnet.Simulation, "_record", faulty_record)
+    scenario = tmp_path / "mini.yaml"
+    scenario.write_text(yaml.safe_dump(MINI))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("expr,exit_code,message", [

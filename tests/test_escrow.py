@@ -17,7 +17,6 @@ from computepool.escrow import (
     InsufficientFundsError,
     JobLifecycleError,
     JobStatus,
-    ReviewVerdict,
     UnknownJobError,
 )
 from computepool.ledger import EntryKind, LedgerEntry
@@ -25,6 +24,7 @@ from computepool.tokenomics import NodeRegistry, UnknownDeedError
 
 
 REVIEW_LOCK_SECONDS = 86400  # the scenario default
+EPOCH_SECONDS = 3600
 ACTIVE = [f"n{i}" for i in range(1, 9)]
 SEED_HEX = "ab" * 32
 # n1 sends, n2 and n3 work, n4 challenges: the jury comes from n5-n8.
@@ -36,7 +36,7 @@ def make_bank(balances=None):
     defaults = {f"n{i}": 1000 for i in range(1, 9)}
     for deed, bal in (balances or defaults).items():
         reg.register(deed, Fraction(bal))
-    return EscrowBank(reg, REVIEW_LOCK_SECONDS)
+    return EscrowBank(reg, REVIEW_LOCK_SECONDS, EPOCH_SECONDS)
 
 
 # -- ledger facts, as the simulator records them ------------------------------
@@ -68,6 +68,11 @@ def resolved(challenge_id, job_id, votes):
     return entry(EntryKind.CHALLENGE, {
         "phase": "resolved", "challenge": challenge_id, "job": job_id, "votes": votes, "at": 160,
     })
+
+
+def review(job_id, verdict="WORK_VALID", at=REVIEW_LOCK_SECONDS):
+    return entry(EntryKind.POOL_EVENT,
+                 {"event": "review_resolved", "job": job_id, "verdict": verdict, "at": at})
 
 
 def reward_rows(*rows, pool="5"):
@@ -140,10 +145,9 @@ def test_cancel_locks_for_review_and_early_resolve_fails():
     assert job.unlock_time == 1000 + REVIEW_LOCK_SECONDS
     assert bank.pool_payload()["locked"] == [[job.job_id, "100", job.unlock_time]]
     with pytest.raises(EscrowError, match="cannot resolve before"):
-        bank.resolve_review(job.job_id, ReviewVerdict.WORK_VALID, now=1000, epoch=1)
-    with pytest.raises(EscrowError):
-        bank.resolve_review(job.job_id, ReviewVerdict.WORK_VALID,
-                            now=job.unlock_time - 1, epoch=1)
+        bank.apply(review(job.job_id, at=1000))
+    with pytest.raises(EscrowError, match="cannot resolve before"):
+        bank.apply(review(job.job_id, at=job.unlock_time - 1))
 
 
 def test_review_valid_pays_pool_invalid_refunds_sender():
@@ -153,17 +157,16 @@ def test_review_valid_pays_pool_invalid_refunds_sender():
     for j in (j1, j2):
         bank.apply(assign(j.job_id, "n2"))
         bank.apply(job_status(j.job_id, "CANCELLED", at=0))
-    unlock = REVIEW_LOCK_SECONDS
-    bank.resolve_review(j1.job_id, ReviewVerdict.WORK_VALID, now=unlock, epoch=3)
+    assert bank.apply(review(j1.job_id, "WORK_VALID")) is j1
     assert j1.status == JobStatus.SETTLED
-    assert j1.settled_epoch == 3
+    assert j1.settled_epoch == REVIEW_LOCK_SECONDS // EPOCH_SECONDS
     assert bank.reward_pool == 100
-    bank.resolve_review(j2.job_id, ReviewVerdict.WORK_INVALID, now=unlock, epoch=3)
+    assert bank.apply(review(j2.job_id, "WORK_INVALID")) is j2
     assert j2.status == JobStatus.REFUNDED
     assert bank.registry.deed("n1").balance == 1000 - 100  # only j1 stayed spent
     assert bank.pool_payload()["locked"] == []
-    with pytest.raises(UnknownJobError):
-        bank.resolve_review(j2.job_id, ReviewVerdict.WORK_VALID, now=unlock, epoch=3)
+    with pytest.raises(JobLifecycleError, match="not locked for review"):
+        bank.apply(review(j2.job_id, "WORK_VALID"))
 
 
 def locked_job(bank, sender="n1", reward=90, workers=("n2",)):
@@ -264,8 +267,8 @@ def test_rejected_challenge_forfeits_bond_to_pool():
     # the job is still locked, and the review still waits for the lock to run out
     assert job.status == JobStatus.LOCKED_FOR_REVIEW
     with pytest.raises(EscrowError, match="cannot resolve before"):
-        bank.resolve_review(job.job_id, ReviewVerdict.WORK_VALID, now=10, epoch=1)
-    bank.resolve_review(job.job_id, ReviewVerdict.WORK_VALID, now=REVIEW_LOCK_SECONDS, epoch=1)
+        bank.apply(review(job.job_id, at=10))
+    bank.apply(review(job.job_id, at=REVIEW_LOCK_SECONDS))
     assert bank.reward_pool == 99
 
 
@@ -405,6 +408,17 @@ APPLY_CASES = {
              jobs={"n1:1": (JobStatus.LOCKED_FOR_REVIEW, WORKERS, None, UNLOCK)},
              challenges={"ch1": ("n4", Fraction(9, 2), JURY, ChallengeVerdict.PENDING)}),
     ),
+    "review_valid": (
+        locked,
+        review("n1:1", "WORK_VALID", at=UNLOCK),
+        dict(moved={"n1": -5}, reward_pool=5,
+             jobs={"n1:1": (JobStatus.SETTLED, WORKERS, 25, UNLOCK)}),  # 86,500 s is in epoch 25
+    ),
+    "review_invalid": (
+        locked,
+        review("n1:1", "WORK_INVALID", at=UNLOCK),
+        dict(jobs={"n1:1": (JobStatus.REFUNDED, WORKERS, None, UNLOCK)}),
+    ),
     "resolved": (
         challenged,
         resolved("ch1", "n1:1", {JURY[0]: True, JURY[1]: True, JURY[2]: False}),
@@ -431,6 +445,35 @@ def test_apply_moves_funds_as_its_entry_says(prepare, fact, expected):
     assert bank.conservation_total() == 8000
 
 
+@pytest.mark.parametrize("prepare, fact, error, match", [
+    (locked, review("ghost:1", at=UNLOCK), UnknownJobError, "unknown job ghost:1"),
+    (running, review("n1:1", at=UNLOCK), JobLifecycleError, "not locked for review"),
+    (locked, review("n1:1", at=UNLOCK - 1), EscrowError, "cannot resolve before"),
+    (locked, review("n1:1", "WORK_MAYBE", at=UNLOCK), EscrowError, "unknown review verdict"),
+], ids=["unknown_job", "not_locked", "before_unlock", "unknown_verdict"])
+def test_a_refused_review_moves_no_funds(prepare, fact, error, match):
+    bank = make_bank()
+    prepare(bank)
+    before = snapshot(bank), bank.conservation_total()
+    with pytest.raises(error, match=match):
+        bank.apply(fact)
+    assert (snapshot(bank), bank.conservation_total()) == before
+
+
+@pytest.mark.parametrize("at, epoch", [
+    (24 * EPOCH_SECONDS, 24),
+    (24 * EPOCH_SECONDS + 1, 25),
+    (30 * EPOCH_SECONDS, 30),
+    (30 * EPOCH_SECONDS + 1, 31),
+])
+def test_a_valid_review_settles_into_the_epoch_that_holds_its_time(at, epoch):
+    """Epoch k spans ((k-1)·E, k·E]: a verdict at k·E settles into epoch k."""
+    bank = make_bank()
+    job = locked_job(bank)  # cancelled at 0, so the lock runs out at 24·E
+    bank.apply(review(job.job_id, at=at))
+    assert job.settled_epoch == epoch
+
+
 @pytest.mark.parametrize("pay, error, match", [
     (lambda bank: bank.apply(reward_rows(("n2", "2"), ("ghost", "3"))),
      UnknownDeedError, "ghost"),
@@ -454,7 +497,8 @@ def test_a_reward_payout_is_all_or_nothing(pay, error, match):
 @pytest.mark.parametrize("kind, payload", [
     (EntryKind.NODE_SPEC, {"deed_id": "n1", "verify_key": "00" * 32}),
     (EntryKind.PROGRESS_PROOF, {"job": "n1:1", "worker": "n2", "link": 1}),
-    (EntryKind.POOL_EVENT, {"event": "review_resolved", "job": "n1:1"}),
+    (EntryKind.POOL_EVENT, {"event": "jury_drawn", "challenge": "ch1", "job": "n1:1",
+                            "jury": JURY}),
     (EntryKind.JOB_STATUS, {"job": "n1:1", "status": "IN_PROGRESS", "at": 100, "epoch": 1}),
     (EntryKind.CHALLENGE, {"phase": "appealed", "challenge": "ch1", "job": "n1:1"}),
 ], ids=["node_spec", "progress_proof", "pool_event", "in_progress", "unknown_phase"])
@@ -474,8 +518,8 @@ upheld_votes = st.lists(st.booleans(), max_size=2)  # per challenge: upheld or r
                 min_size=1, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_conservation_holds_across_any_job_history(steps):
-    """Funds move only as the simulator moves them: `submit_job`, ledger
-    facts through `apply`, and `resolve_review` once a lock has run out.
+    """Funds move only as the simulator moves them: `submit_job`, then
+    ledger facts through `apply`, the review verdict once its lock runs out.
     Each step funds one job, then settles, locks or cancels it and opens its
     challenges; the verdicts and the review land one step later. The test
     keeps its own model of every job's status, the balances, open locks,
@@ -522,8 +566,8 @@ def test_conservation_holds_across_any_job_history(steps):
             check()
         for job_id, verdict in reviews:
             if job_id in locks:
-                bank.resolve_review(job_id, verdict, now=locks.pop(job_id), epoch=1)
-                if verdict == ReviewVerdict.WORK_VALID:
+                bank.apply(review(job_id, verdict, at=locks.pop(job_id)))
+                if verdict == "WORK_VALID":
                     pool += rewards[job_id]
                     statuses[job_id] = JobStatus.SETTLED
                 else:
@@ -555,9 +599,7 @@ def test_conservation_holds_across_any_job_history(steps):
             bank.apply(job_status(job_id, "CANCELLED", at=now))
             locks[job_id] = now + REVIEW_LOCK_SECONDS
             statuses[job_id] = JobStatus.LOCKED_FOR_REVIEW
-            verdict = (ReviewVerdict.WORK_VALID if outcome == "valid"
-                       else ReviewVerdict.WORK_INVALID)
-            reviews.append((job_id, verdict))
+            reviews.append((job_id, "WORK_VALID" if outcome == "valid" else "WORK_INVALID"))
         check()
         for upheld in upholds:
             bond = rewards[job_id] / 10

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from computepool.escrow import EscrowBank, JobStatus
-from computepool.ledger import EntryKind, verify_blocks
+from computepool.ledger import EntryKind, payload_shape, verify_blocks
 from computepool.scenario import load_scenario, parse_scenario
 from computepool.simnet import (
     PRI_HEARTBEAT,
@@ -569,14 +569,18 @@ def test_every_fund_moving_entry_reaches_the_bank_once_in_ledger_order(monkeypat
     monkeypatch.setattr(EscrowBank, "apply", recording_apply)
     result = run_scenario(load_scenario(SCENARIOS / "reference.yaml"))
 
-    def moves_funds(entry):
-        if entry.kind == EntryKind.JOB_STATUS:
-            return entry.payload["status"] in ("DONE", "CANCELLED")
-        return entry.kind in (
-            EntryKind.JOB_ASSIGN, EntryKind.REWARD_RECORD, EntryKind.CHALLENGE
-        )
-
-    recorded = [entry for _, entry in result.ledger.entries() if moves_funds(entry)]
+    moves_funds = {
+        (EntryKind.JOB_ASSIGN, None),
+        (EntryKind.JOB_STATUS, "DONE"),
+        (EntryKind.JOB_STATUS, "CANCELLED"),
+        (EntryKind.POOL_EVENT, "review_resolved"),
+        (EntryKind.REWARD_RECORD, None),
+        (EntryKind.CHALLENGE, "opened"),
+        (EntryKind.CHALLENGE, "resolved"),
+    }
+    recorded = [entry for _, entry in result.ledger.entries()
+                if payload_shape(entry.kind, entry.payload) in moves_funds]
+    assert any(e.kind == EntryKind.POOL_EVENT for e in recorded)  # reference has reviews
     assert len(recorded) > 30
     assert [id(e) for e in applied] == [id(e) for e in recorded]
 

@@ -193,12 +193,15 @@ MUTANTS = (
     Mutant(
         "an invalid review refunds without marking the job REFUNDED",
         "src/computepool/escrow.py",
-        "        else:\n"
+        '        elif p["verdict"] == "WORK_INVALID":\n'
         "            self.registry.credit(job.sender, job.reward)\n"
         "            job.status = JobStatus.REFUNDED\n",
-        "        else:\n"
+        '        elif p["verdict"] == "WORK_INVALID":\n'
         "            self.registry.credit(job.sender, job.reward)\n",
-        ("tests/test_escrow.py::test_review_valid_pays_pool_invalid_refunds_sender",),
+        (
+            "tests/test_escrow.py::test_review_valid_pays_pool_invalid_refunds_sender",
+            "tests/test_escrow.py::test_apply_moves_funds_as_its_entry_says[review_invalid]",
+        ),
     ),
     Mutant(
         "an upheld verdict refunds without marking the job REFUNDED",
@@ -224,16 +227,20 @@ MUTANTS = (
         ("tests/test_escrow.py::test_lifecycle_graph_is_enforced",),
     ),
     Mutant(
-        "apply settles a JOB_STATUS that is not DONE/CANCELLED",
+        "a review_resolved entry moves no funds",
         "src/computepool/escrow.py",
-        'if entry.kind == EntryKind.JOB_STATUS and p["status"] in ("DONE", "CANCELLED"):',
-        "if entry.kind == EntryKind.JOB_STATUS:",
-        ("tests/test_escrow.py::test_apply_ignores_entries_that_move_no_funds[in_progress]",),
+        'if shape == (EntryKind.POOL_EVENT, "review_resolved"):',
+        'if shape == (EntryKind.POOL_EVENT, "review_settled"):',
+        (
+            "tests/test_escrow.py::test_apply_moves_funds_as_its_entry_says[review_valid]",
+            "tests/test_escrow.py::test_conservation_holds_across_any_job_history",
+            "tests/test_acceptance.py::test_ac05_settlement_paths",
+        ),
     ),
     Mutant(
         "apply does not refund a job cancelled before assignment",
         "src/computepool/escrow.py",
-        '            if job.status == JobStatus.PENDING and p["status"] == "CANCELLED":\n',
+        '            if job.status == JobStatus.PENDING and shape[1] == "CANCELLED":\n',
         "            if False:\n",
         (
             "tests/test_escrow.py::test_apply_moves_funds_as_its_entry_says"
@@ -252,11 +259,22 @@ MUTANTS = (
     Mutant(
         "a review resolves before its lock runs out",
         "src/computepool/escrow.py",
-        "        if now < job.unlock_time:\n",
+        '        if p["at"] < job.unlock_time:\n',
         "        if False:\n",
         (
             "tests/test_escrow.py::test_cancel_locks_for_review_and_early_resolve_fails",
             "tests/test_escrow.py::test_rejected_challenge_forfeits_bond_to_pool",
+            "tests/test_escrow.py::test_a_refused_review_moves_no_funds[before_unlock]",
+        ),
+    ),
+    Mutant(
+        "run lets a LedgerError escape",
+        "src/computepool/cli.py",
+        "    except (SimulationError, LedgerError, EscrowError) as exc:\n",
+        "    except (SimulationError, EscrowError) as exc:\n",
+        (
+            "tests/test_cli.py::test_a_simulator_fault_is_a_failed_run_not_a_traceback"
+            "[ledger_error]",
         ),
     ),
     Mutant(
