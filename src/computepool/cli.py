@@ -7,13 +7,13 @@ run), 2 for usage and configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .escrow import EscrowError
 from .ledger import LedgerBlock, LedgerError, VerifyResult, load_blocks, verify_blocks
 from .report import (
+    canonical_json,
     entry_records,
     filter_records,
     summarize_records,
@@ -21,10 +21,6 @@ from .report import (
 )
 from .scenario import ScenarioError, load_scenario, parse_seed
 from .simnet import SimulationError, run_scenario
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -56,7 +52,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "conservation_ok": result.conservation_ok,
         "out_dir": str(out_dir),
     }
-    print(_json_line(summary))
+    print(canonical_json(summary))
     if not result.conservation_ok:
         print("token conservation failed", file=sys.stderr)
         return 1
@@ -94,7 +90,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not result.ok:
         report["failing_height"] = result.failing_height
         report["reason"] = result.reason
-    print(_json_line(report))
+    print(canonical_json(report))
     return 0 if result.ok else 1
 
 
@@ -114,10 +110,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         entry_records(blocks), epoch=args.epoch, deed=args.deed, job=args.job
     )
     if args.format == "SUMMARY":
-        print(_json_line(summarize_records(records)))
+        print(canonical_json(summarize_records(records)))
     else:
         for record in records:
-            print(_json_line(record))
+            print(canonical_json(record))
     return 0
 
 

@@ -80,6 +80,21 @@ class SafetyVerdict:
     reasons: tuple[str, ...] = ()
 
 
+def _import_roots(tokens: list, start: int, every: bool) -> list[str]:
+    """The first name after an `import` or `from` keyword and, with `every`, after
+    each comma up to the statement's end: `import a.b as c, d` names `a`, `d`."""
+    roots, wanted = [], True
+    for tok in tokens[start:]:
+        if tok.type == tokenize.NEWLINE or tok.exact_type == tokenize.SEMI:
+            break
+        if every and tok.exact_type == tokenize.COMMA:
+            wanted = True
+        elif wanted and tok.type == tokenize.NAME and tok.string != "import":
+            roots.append(tok.string)
+            wanted = False
+    return roots
+
+
 def safety_check(source: str, policy: SafetyPolicy = SafetyPolicy()) -> SafetyVerdict:
     """Static vet of plugin source. Collects every violation, never executes.
 
@@ -105,9 +120,11 @@ def safety_check(source: str, policy: SafetyPolicy = SafetyPolicy()) -> SafetyVe
         reasons.append(
             f"source has {len(significant)} tokens, policy allows {policy.max_tokens}"
         )
-    allowed_import_root: bool = False
+    in_from = False  # inside a `from X import ...` statement, which checks X only
     error_lines: set[int] = set()
-    for pos, tok in enumerate(significant):
+    for pos, tok in enumerate(tokens):
+        if tok.type == tokenize.NEWLINE or tok.exact_type == tokenize.SEMI:
+            in_from = False
         if tok.type == tokenize.ERRORTOKEN:
             # older tokenizers emit error tokens instead of raising
             if tok.start[0] not in error_lines:
@@ -119,23 +136,14 @@ def safety_check(source: str, policy: SafetyPolicy = SafetyPolicy()) -> SafetyVe
         word = tok.string
         line = tok.start[0]
         if word in ("import", "from"):
-            root = None
-            for later in significant[pos + 1:]:
-                if later.type == tokenize.NAME and later.string not in ("import",):
-                    root = later.string
-                    break
-            if word == "import" and allowed_import_root:
-                allowed_import_root = False  # `from X import Y` with allowed X
+            if word == "import" and in_from:
                 continue
-            if root is not None and root in policy.import_allowlist:
-                if word == "from":
-                    allowed_import_root = True
-                continue
-            reasons.append(
-                f"line {line}: import of {root!r} is outside the allowlist"
-                if root is not None
-                else f"line {line}: bare {word} statement"
-            )
+            in_from = word == "from"
+            roots = _import_roots(tokens, pos + 1, every=word == "import")
+            if not roots:
+                reasons.append(f"line {line}: bare {word} statement")
+            bad = [root for root in roots if root not in policy.import_allowlist]
+            reasons.extend(f"line {line}: import of {root!r} is outside the allowlist" for root in bad)
             continue
         for label, deny in _TOKEN_CLASSES:
             if word in deny:

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .crypto import digest
 from .ledger import EntryKind
-from .simnet import RunResult
+from .simnet import Simulation
 
 MANIFEST = "manifest.json"
 ALLOCATIONS = "allocations.jsonl"
@@ -23,17 +23,17 @@ AUDIT = "audit.json"
 LEDGER = "ledger.bin"
 
 
-def _canonical_json(obj) -> str:
+def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def config_digest(raw_scenario: dict) -> str:
     # The raw scenario may use integer mapping keys (epoch-indexed power),
     # which the wire codec rejects; canonical JSON stringifies them instead.
-    return digest(_canonical_json(raw_scenario).encode("utf-8")).hex()
+    return digest(canonical_json(raw_scenario).encode("utf-8")).hex()
 
 
-def manifest_payload(result: RunResult) -> dict:
+def manifest_payload(result: Simulation) -> dict:
     ledger_bytes = result.ledger.dump()
     return {
         "scenario": result.scenario.name,
@@ -51,7 +51,7 @@ def manifest_payload(result: RunResult) -> dict:
     }
 
 
-def allocation_lines(result: RunResult) -> list[dict]:
+def allocation_lines(result: Simulation) -> list[dict]:
     return [
         {
             "epoch": a.epoch,
@@ -71,7 +71,7 @@ def allocation_lines(result: RunResult) -> list[dict]:
     ]
 
 
-def job_lines(result: RunResult) -> list[dict]:
+def job_lines(result: Simulation) -> list[dict]:
     specs = {spec.job_id: spec for spec in result.scenario.jobs}
     lines = []
     for job in result.bank.jobs.values():
@@ -92,7 +92,7 @@ def job_lines(result: RunResult) -> list[dict]:
     return lines
 
 
-def audit_payload(result: RunResult) -> dict:
+def audit_payload(result: Simulation) -> dict:
     m = result.messages
     return {
         "counters": result.audit,
@@ -126,7 +126,7 @@ def audit_payload(result: RunResult) -> dict:
     }
 
 
-def write_reports(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
+def write_reports(result: Simulation, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -136,17 +136,17 @@ def write_reports(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
         path.write_text(text, encoding="utf-8")
         paths[name] = path
 
-    write_text(MANIFEST, _canonical_json(manifest_payload(result)) + "\n")
+    write_text(MANIFEST, canonical_json(manifest_payload(result)) + "\n")
     write_text(
         ALLOCATIONS,
-        "".join(_canonical_json(line) + "\n" for line in allocation_lines(result)),
+        "".join(canonical_json(line) + "\n" for line in allocation_lines(result)),
     )
     write_text(
         POOL,
-        "".join(_canonical_json(line) + "\n" for line in result.pool_timeline),
+        "".join(canonical_json(line) + "\n" for line in result.pool_timeline),
     )
-    write_text(JOBS, "".join(_canonical_json(line) + "\n" for line in job_lines(result)))
-    write_text(AUDIT, _canonical_json(audit_payload(result)) + "\n")
+    write_text(JOBS, "".join(canonical_json(line) + "\n" for line in job_lines(result)))
+    write_text(AUDIT, canonical_json(audit_payload(result)) + "\n")
 
     ledger_path = out / LEDGER
     ledger_path.write_bytes(result.ledger.dump())

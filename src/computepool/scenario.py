@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -283,8 +284,26 @@ _TOP_KEYS_OPTIONAL = {
 }
 
 
+def _refuse_long_ints(value, path: str, seen: set[int]) -> None:
+    """Refuse an integer with more digits than `str()` prints (Python's
+    `int_max_str_digits`) at its path, before any reader formats it. Each
+    collection is walked once, however many aliases repeat it."""
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            _fail(path, f"integer has more than {sys.get_int_max_str_digits()} digits")
+    elif isinstance(value, (dict, list)) and id(value) not in seen:
+        seen.add(id(value))
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _refuse_long_ints(key, f"{path or 'scenario'} (key)", seen)
+            inner = (f"{path}.{key}" if path else key) if isinstance(key, str) else f"{path}[{key!r}]"
+            _refuse_long_ints(item, inner, seen)
+
+
 def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     root = _mapping(data, source)
+    _refuse_long_ints(root, "", set())
     _check_keys(root, source, _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
 
     name = _string(root["name"], "name")
@@ -530,6 +549,6 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         _check_depth(text, path, loader)
         data = yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # PyYAML's constructors raise ValueError
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from None
     return parse_scenario(data, str(path))

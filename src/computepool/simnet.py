@@ -124,21 +124,6 @@ class _WorkerTask:
     cancelled: bool = False
 
 
-@dataclass
-class RunResult:
-    scenario: Scenario
-    seed: int
-    ledger: Ledger
-    bank: EscrowBank
-    allocations: list[RewardAllocation]
-    pool_timeline: list[dict]
-    audit: dict
-    messages: MessageAudit
-    conservation_ok: bool
-    initial_total: Fraction
-    final_total: Fraction
-
-
 class Simulation:
     def __init__(self, scenario: Scenario, seed: int | None = None):
         self.scenario = scenario
@@ -182,7 +167,7 @@ class Simulation:
         self.pool_timeline: list[dict] = []
         self.code_rechecks = 0  # the one audit counter no entry records
         self.messages = MessageAudit()
-        self._initial_total = Fraction(0)
+        self.initial_total = Fraction(0)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -229,10 +214,10 @@ class Simulation:
         """Fail the run if tokens appeared or vanished, or a pool went negative."""
         bank = self.bank
         total = bank.conservation_total()
-        if total != self._initial_total or bank.reward_pool < 0 or bank.escrow_pool < 0:
+        if total != self.initial_total or bank.reward_pool < 0 or bank.escrow_pool < 0:
             raise SimulationError(
                 f"token conservation broken at t={self._now}ms: total {total} "
-                f"(initial {self._initial_total}), reward pool {bank.reward_pool}, "
+                f"(initial {self.initial_total}), reward pool {bank.reward_pool}, "
                 f"escrow pool {bank.escrow_pool}"
             )
 
@@ -337,7 +322,7 @@ class Simulation:
             self._schedule(ch.at * 1000, PRI_ACTION, self._on_challenge_open, ch)
 
         self._seal_tick()
-        self._initial_total = self.bank.conservation_total()
+        self.initial_total = self.bank.conservation_total()
 
     # -- event handlers --------------------------------------------------------
 
@@ -748,7 +733,8 @@ class Simulation:
 
     # -- main loop -----------------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> Simulation:
+        """Run to the horizon; the finished simulation is the run's one record."""
         self._setup()
         while self._heap:
             at, _pri, _seq, handler, args = heapq.heappop(self._heap)
@@ -756,21 +742,10 @@ class Simulation:
             handler(*args)
             if not self._heap or self._heap[0][0] != at:
                 self._seal_tick()
-        self._seal_tick()
-        final_total = self.bank.conservation_total()
-        return RunResult(
-            scenario=self.scenario,
-            seed=self.seed,
-            ledger=self.ledger,
-            bank=self.bank,
-            allocations=self.allocations,
-            pool_timeline=self.pool_timeline,
-            audit=audit_counters(self.scenario, self.ledger, self.code_rechecks),
-            messages=self.messages,
-            conservation_ok=final_total == self._initial_total,
-            initial_total=self._initial_total,
-            final_total=final_total,
-        )
+        self.final_total = self.bank.conservation_total()
+        self.conservation_ok = self.final_total == self.initial_total
+        self.audit = audit_counters(self.scenario, self.ledger, self.code_rechecks)
+        return self
 
 
 def audit_counters(scenario: Scenario, ledger: Ledger, code_rechecks: int) -> dict:
@@ -808,5 +783,5 @@ def audit_counters(scenario: Scenario, ledger: Ledger, code_rechecks: int) -> di
     }
 
 
-def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
+def run_scenario(scenario: Scenario, seed: int | None = None) -> Simulation:
     return Simulation(scenario, seed=seed).run()

@@ -117,6 +117,45 @@ def test_run_rejects_bad_scenario_with_usage_exit(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old,new", [
+    ("name: cli-mini", "name: 2001-13-45"),
+    ("at: 30", "at: 2001-02-30"),
+    ("seed: 5", "seed: !!int 'abc'"),
+    ("seed: 5", "seed: !!float 'abc'"),
+    ("name: cli-mini", "name: 2001-12-14t21:59:43.10+99:00"),
+    ("balance: 50", "balance: " + "1" * 5001),
+], ids=["month_13", "february_30", "int_tag", "float_tag", "offset_99_hours", "5001_digits"])
+def test_a_value_yaml_cannot_construct_is_a_parse_error(tmp_path, capsys, old, new):
+    text = yaml.safe_dump(MINI)
+    assert old in text
+    scenario = tmp_path / "unconstructable.yaml"
+    scenario.write_text(text.replace(old, new, 1))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {scenario}: not valid YAML: ")
+    assert "Traceback" not in err
+
+
+LONG_HEX = "0x1" + "0" * 4000  # about 4,800 decimal digits; str() prints at most 4,300
+
+
+@pytest.mark.parametrize("old,new,path", [
+    ("seed: 5", f"seed: {LONG_HEX}", "seed"),
+    ("balance: 50", f"balance: {LONG_HEX}", "nodes[0].balance"),
+    ("name: cli-mini", f"name: {LONG_HEX}", "name"),
+    ("epochs: 1", f"epochs: -{LONG_HEX}", "epochs"),
+])
+def test_an_integer_too_long_to_print_is_refused_at_its_path(tmp_path, capsys, old, new, path):
+    text = yaml.safe_dump(MINI)
+    assert old in text
+    scenario = tmp_path / "long.yaml"
+    scenario.write_text(text.replace(old, new, 1))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {path}: integer has more than ")
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_scenario_is_usage_error_not_a_crash(tmp_path):
     # libyaml's composer recurses in C: 40,000 levels overflow its stack and
     # kill the process, so the run happens in a child process.

@@ -47,6 +47,19 @@ def test_safety_check_collects_every_violation():
     assert len(verdict.reasons) >= 3
 
 
+@pytest.mark.parametrize("source,safe", [
+    ("import math, numpy", False),
+    ("import math as m, json", False),
+    ("import math, \\\n    os.path", False),
+    ("raise E from math\nimport numpy", False),
+    ("import\nmath", False),
+    ("import math, math as m", True),
+    ("from math import sqrt, floor", True),
+])
+def test_every_module_an_import_statement_names_is_checked(source, safe):
+    assert safety_check(source).safe is safe
+
+
 def test_safety_policy_caps():
     tiny = SafetyPolicy(max_source_bytes=16)
     assert not safety_check("acc = 1.0 + 2.0 + 3.0\n", tiny).safe

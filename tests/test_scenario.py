@@ -1,6 +1,7 @@
 """Scenario parsing: defaults, derived fields, and path-anchored diagnostics."""
 
 import copy
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -347,6 +348,29 @@ def test_an_alias_counts_the_levels_it_repeats(tmp_path):
         load_scenario(path)
     path.write_text(nested(2).replace("name: []", "name: [&a [[1]], *a, [*a]]"))
     with pytest.raises(ScenarioError, match="name: expected a non-empty string"):
+        load_scenario(path)
+
+
+LONG = 16 ** 4000  # about 4,800 decimal digits; str() prints at most 4,300
+
+
+@pytest.mark.parametrize("change,path", [
+    (lambda data: data["nodes"][1]["power"].update({LONG: 1.0}), "nodes[1].power (key)"),
+    (lambda data: data.update(safety_policy={"max_tokens": LONG}), "safety_policy.max_tokens"),
+    (lambda data: data["nodes"][2]["downtime"].append(LONG), "nodes[2].downtime[1]"),
+])
+def test_an_integer_too_long_to_print_is_refused_wherever_it_is(change, path):
+    data = base_scenario()
+    change(data)
+    expect_error(data, f"{path}: integer has more than ")
+
+
+def test_aliases_repeat_a_collection_without_walking_it_again(tmp_path):
+    # Each list holds the one before it ten times: 10**8 lists if expanded.
+    lists = ["&a0 [1]", *(f"&a{i} [{', '.join([f'*a{i - 1}'] * 10)}]" for i in range(1, 9))]
+    path = tmp_path / "aliases.yaml"
+    path.write_text(yaml.safe_dump(base_scenario()) + f"extra: [{', '.join(lists)}]\n")
+    with pytest.raises(ScenarioError, match=re.escape("unknown keys: ['extra']")):
         load_scenario(path)
 
 

@@ -342,6 +342,30 @@ MUTANTS = (
         ("tests/test_cli.py::test_run_rejects_bad_scenario_with_usage_exit",),
     ),
     Mutant(
+        "a value PyYAML cannot construct raises out of load_scenario",
+        "src/computepool/scenario.py",
+        "    except (yaml.YAMLError, ValueError) as exc:",
+        "    except yaml.YAMLError as exc:",
+        ("tests/test_cli.py::test_a_value_yaml_cannot_construct_is_a_parse_error",),
+    ),
+    Mutant(
+        "an integer too long to print reaches the readers",
+        "src/computepool/scenario.py",
+        '    _refuse_long_ints(root, "", set())\n',
+        "",
+        (
+            "tests/test_cli.py::test_an_integer_too_long_to_print_is_refused_at_its_path",
+            "tests/test_scenario.py::test_an_integer_too_long_to_print_is_refused_wherever_it_is",
+        ),
+    ),
+    Mutant(
+        "a mapping key too long to print is formatted unchecked",
+        "src/computepool/scenario.py",
+        "            _refuse_long_ints(key, f\"{path or 'scenario'} (key)\", seen)\n",
+        "",
+        ("tests/test_scenario.py::test_an_integer_too_long_to_print_is_refused_wherever_it_is",),
+    ),
+    Mutant(
         "collections nest without bound",
         "src/computepool/scenario.py",
         "        if len(stack) - 1 + stack[-1][1] > MAX_DEPTH:\n",
@@ -365,6 +389,28 @@ MUTANTS = (
         "            stack[-1][1] = max(stack[-1][1], heights.get(event.anchor, 0))\n",
         "            pass\n",
         ("tests/test_scenario.py::test_an_alias_counts_the_levels_it_repeats",),
+    ),
+    Mutant(
+        "safety_check checks only the first module an import names",
+        "src/computepool/pipeline.py",
+        'every=word == "import")',
+        "every=False)",
+        ("tests/test_pipeline.py::test_every_module_an_import_statement_names_is_checked",),
+    ),
+    Mutant(
+        "an import's module roots run past the end of its statement",
+        "src/computepool/pipeline.py",
+        "            break\n        if every and tok.exact_type == tokenize.COMMA:",
+        "            pass\n        if every and tok.exact_type == tokenize.COMMA:",
+        ("tests/test_pipeline.py::test_every_module_an_import_statement_names_is_checked",),
+    ),
+    Mutant(
+        "a from statement stays open past its end and hides the next import",
+        "src/computepool/pipeline.py",
+        "        if tok.type == tokenize.NEWLINE or tok.exact_type == tokenize.SEMI:\n"
+        "            in_from = False\n",
+        "",
+        ("tests/test_pipeline.py::test_every_module_an_import_statement_names_is_checked",),
     ),
     Mutant(
         "decode takes the fraction tag again",
