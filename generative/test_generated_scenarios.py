@@ -1,0 +1,101 @@
+"""Generated scenarios: every one is refused at parse time or runs clean.
+
+The strategy draws `perfbench/scenario_gen.py`'s size knobs and then makes
+the scenario harder than the benchmark's: tight balances, short review locks,
+drop rates up to 0.9, jobs no node can serve, and scripted challenges with and
+without a bond. These examples are slower than the tier-1 suite, so they live
+outside `tests/` and run on their own, from the repository root:
+
+    PYTHONPATH=src python -m pytest -q generative
+
+`derandomize` fixes the examples, so every run draws the same scenarios.
+"""
+
+import tempfile
+from pathlib import Path
+
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from computepool.escrow import JURY_SIZE
+from computepool.ledger import load_blocks, verify_blocks
+from computepool.report import write_reports
+from computepool.scenario import ScenarioError, parse_scenario
+from computepool.simnet import SimulationError, run_scenario
+from perfbench.scenario_gen import generate_scenario, to_yaml
+
+SHARES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def scenarios(draw) -> dict:
+    workers = draw(st.integers(1, 3))
+    epochs = draw(st.integers(1, 3))
+    epoch_seconds = draw(st.integers(60, 600))
+    data = generate_scenario(
+        nodes=draw(st.integers(workers + 1, 10)),
+        regions=draw(st.integers(1, 2)),
+        epochs=epochs,
+        epoch_seconds=epoch_seconds,
+        heartbeat_seconds=draw(st.integers(max(1, epoch_seconds // 20), epoch_seconds // 4)),
+        jobs=draw(st.integers(1, 6)),
+        steps=draw(st.integers(1, 4)),
+        workers=workers,
+        cancel_share=draw(SHARES),
+        fault_share=draw(SHARES),
+        drop_rate=draw(st.sampled_from([0.0, 0.3, 0.6, 0.9])),
+        expr_share=draw(SHARES),
+        downtime_share=draw(SHARES),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    horizon = epochs * epoch_seconds
+    node_ids = [node["id"] for node in data["nodes"]]
+    if draw(st.booleans()):  # tight: some jobs, bonds or challenges go unfunded
+        for node in data["nodes"]:
+            node["balance"] = draw(st.integers(0, 600))
+    if draw(st.booleans()):
+        data["review_lock_seconds"] = draw(st.integers(1, epoch_seconds))
+    job_ids, sent = [], {}
+    for job in data["jobs"]:
+        sent[job["sender"]] = sent.get(job["sender"], 0) + 1
+        job_ids.append(f"{job['sender']}:{sent[job['sender']]}")
+        if draw(st.integers(0, 9)) == 0:  # no node has a GPU
+            job["requirement"] = {"gpu": True}
+    data["challenges"] = []
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(job_ids) - 1))
+        challenge = {
+            # soon after the job is sent, while it may still be challengeable
+            "at": min(horizon, data["jobs"][j]["at"] + draw(st.integers(0, epoch_seconds))),
+            "challenger": draw(st.sampled_from(node_ids)),
+            "job": job_ids[j],
+            "votes": draw(st.lists(st.booleans(), min_size=JURY_SIZE, max_size=JURY_SIZE)),
+        }
+        if draw(st.booleans()):
+            challenge["bond"] = draw(st.integers(1, 200))
+        data["challenges"].append(challenge)
+    return data
+
+
+def run_and_report(data: dict, out: Path) -> dict[str, bytes]:
+    sim = run_scenario(parse_scenario(yaml.safe_load(to_yaml(data))))
+    assert sim.conservation_ok
+    assert verify_blocks(load_blocks(sim.ledger.dump())).ok
+    assert sim.messages.consistent()
+    return {name: path.read_bytes() for name, path in write_reports(sim, out).items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scenarios())
+def test_generated_scenarios_conserve_verify_and_repeat(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            first = run_and_report(data, Path(tmp) / "first")
+        except ScenarioError:
+            return
+        except SimulationError as exc:
+            # A run may fail on its input; a broken conservation identity is a defect.
+            assert "conservation" not in str(exc), exc
+            return
+        assert run_and_report(data, Path(tmp) / "again") == first

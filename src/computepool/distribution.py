@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .crypto import Signer, digest, verify
 from .encoding import encode
-from .tokenomics import Capability, CapabilityWeights
+from .tokenomics import Capability
 
 
 class DistributionError(Exception):
@@ -50,18 +50,14 @@ def verify_capability_commitment(
 # -- worker search and assignment ----------------------------------------------
 
 
-def rank_candidates(
-    requirement: Capability,
-    candidates: dict[str, Capability],
-    weights: CapabilityWeights = CapabilityWeights(),
-) -> list[str]:
+def rank_candidates(requirement: Capability, candidates: dict[str, Capability]) -> list[str]:
     """Workers whose declared capability covers the requirement, best first.
 
     Ties in weighted score break toward the lexicographically smaller deed id
     so rankings are stable across runs.
     """
     fit = [d for d, cap in candidates.items() if cap.covers(requirement)]
-    fit.sort(key=lambda d: (-candidates[d].score(weights), d))
+    fit.sort(key=lambda d: (-candidates[d].score(), d))
     return fit
 
 

@@ -67,11 +67,10 @@ _TOKEN_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
-class SafetyPolicy:
-    max_source_bytes: int = 4096
-    max_tokens: int = 512
-    import_allowlist: tuple[str, ...] = ("math",)
+# Fixed for every run: no scenario can loosen the check.
+MAX_SOURCE_BYTES = 4096
+MAX_TOKENS = 512
+IMPORT_ALLOWLIST = ("math",)  # module roots an `import` may name
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def _import_roots(tokens: list, start: int, every: bool) -> list[str]:
     return roots
 
 
-def safety_check(source: str, policy: SafetyPolicy = SafetyPolicy()) -> SafetyVerdict:
+def safety_check(source: str) -> SafetyVerdict:
     """Static vet of plugin source. Collects every violation, never executes.
 
     The check is a deny policy over token classes, so it is deterministic and
@@ -103,10 +102,8 @@ def safety_check(source: str, policy: SafetyPolicy = SafetyPolicy()) -> SafetyVe
     """
     reasons: list[str] = []
     raw = source.encode("utf-8")
-    if len(raw) > policy.max_source_bytes:
-        reasons.append(
-            f"source is {len(raw)} bytes, policy allows {policy.max_source_bytes}"
-        )
+    if len(raw) > MAX_SOURCE_BYTES:
+        reasons.append(f"source is {len(raw)} bytes, policy allows {MAX_SOURCE_BYTES}")
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError) as exc:
@@ -116,10 +113,8 @@ def safety_check(source: str, policy: SafetyPolicy = SafetyPolicy()) -> SafetyVe
         t for t in tokens
         if t.type not in (tokenize.ENCODING, tokenize.NEWLINE, tokenize.NL, tokenize.ENDMARKER)
     ]
-    if len(significant) > policy.max_tokens:
-        reasons.append(
-            f"source has {len(significant)} tokens, policy allows {policy.max_tokens}"
-        )
+    if len(significant) > MAX_TOKENS:
+        reasons.append(f"source has {len(significant)} tokens, policy allows {MAX_TOKENS}")
     in_from = False  # inside a `from X import ...` statement, which checks X only
     error_lines: set[int] = set()
     for pos, tok in enumerate(tokens):
@@ -142,7 +137,7 @@ def safety_check(source: str, policy: SafetyPolicy = SafetyPolicy()) -> SafetyVe
             roots = _import_roots(tokens, pos + 1, every=word == "import")
             if not roots:
                 reasons.append(f"line {line}: bare {word} statement")
-            bad = [root for root in roots if root not in policy.import_allowlist]
+            bad = [root for root in roots if root not in IMPORT_ALLOWLIST]
             reasons.extend(f"line {line}: import of {root!r} is outside the allowlist" for root in bad)
             continue
         for label, deny in _TOKEN_CLASSES:

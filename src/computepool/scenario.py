@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,10 +24,9 @@ from .pipeline import (
     Expression,
     ExpressionError,
     PipelineSpec,
-    SafetyPolicy,
     StagePlan,
 )
-from .tokenomics import Capability, CapabilityWeights
+from .tokenomics import Capability
 
 
 # The pool coordinator's deed id; no scenario node may take it.
@@ -39,6 +39,20 @@ class ScenarioError(Exception):
 
 def _fail(path: str, message: str) -> None:
     raise ScenarioError(f"{path}: {message}")
+
+
+# An offending value is shown cut down: a few hundred bytes of YAML aliases
+# can stand for a value whose full repr runs to gigabytes.
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 3
+_REPR.maxlist = _REPR.maxdict = 4
+_REPR.maxstring = _REPR.maxother = 40
+_SHOW_CHARS = 200  # characters of an offending value a message shows
+
+
+def _show(value) -> str:
+    text = _REPR.repr(value)
+    return text if len(text) <= _SHOW_CHARS else text[: _SHOW_CHARS - 3] + "..."
 
 
 def _mapping(value, path: str) -> dict:
@@ -55,7 +69,7 @@ def _sequence(value, path: str) -> list:
 
 def _int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
+        _fail(path, f"expected an integer, got {_show(value)}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -70,13 +84,13 @@ def parse_seed(value, path: str) -> int:
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
+        _fail(path, f"expected a number, got {_show(value)}")
     try:
         number = float(value)
     except OverflowError:
         _fail(path, "expected a finite number, got an integer too large for a float")
     if not math.isfinite(number):
-        _fail(path, f"expected a finite number, got {value!r}")
+        _fail(path, f"expected a finite number, got {_show(value)}")
     return number
 
 
@@ -87,7 +101,7 @@ def _fraction(value, path: str, positive: bool = False) -> Fraction:
                   f"{type(value).__name__}s")
         amount = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
-        _fail(path, f"not a token amount: {value!r}")
+        _fail(path, f"not a token amount: {_show(value)}")
     if positive and amount <= 0:
         _fail(path, f"must be positive, got {amount}")
     if not positive and amount < 0:
@@ -97,13 +111,13 @@ def _fraction(value, path: str, positive: bool = False) -> Fraction:
 
 def _bool(value, path: str) -> bool:
     if not isinstance(value, bool):
-        _fail(path, f"expected true or false, got {value!r}")
+        _fail(path, f"expected true or false, got {_show(value)}")
     return value
 
 
 def _string(value, path: str) -> str:
     if not isinstance(value, str) or not value:
-        _fail(path, f"expected a non-empty string, got {value!r}")
+        _fail(path, f"expected a non-empty string, got {_show(value)}")
     return value
 
 
@@ -123,17 +137,12 @@ def _expression(value, path: str) -> Expression:
         _fail(path, str(exc))
 
 
-def _names(value, path: str) -> tuple[str, ...]:
-    return tuple(_string(name, f"{path}[{i}]") for i, name in enumerate(_sequence(value, path)))
-
-
 # How `_fields` reads a value, by the type of its rule; an int is a count >= 1.
 _READERS = {
     bool: _bool,
     int: lambda value, path: _int(value, path, minimum=1),
     float: _number,
     str: _string,
-    tuple: _names,
     Expression: _expression,
 }
 
@@ -152,11 +161,7 @@ def _fields(value, path: str, rules: dict) -> dict:
     return fields
 
 
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in dataclasses.fields(cls)}
-
-
-_CAPABILITY = _defaults(Capability)
+_CAPABILITY = {f.name: f.default for f in dataclasses.fields(Capability)}
 
 
 def _capability(value, path: str) -> Capability:
@@ -172,7 +177,7 @@ def _stage(value, path: str, table: dict) -> StagePlan:
     kind = cfg["kind"]
     plugin = table.get(kind) if isinstance(kind, str) else None
     if plugin is None:
-        _fail(f"{path}.kind", f"unknown plugin {kind!r}")
+        _fail(f"{path}.kind", f"unknown plugin {_show(kind)}")
     factory, rules = plugin
     params = cfg.get("params", {})
     if isinstance(params, list):  # one set per worker
@@ -258,10 +263,7 @@ class Scenario:
     epochs: int
     epoch_seconds: int
     heartbeat_seconds: int
-    capability_weights: CapabilityWeights
-    safety_policy: SafetyPolicy
     review_lock_seconds: int
-    bond_fraction: Fraction
     regions: dict[str, RegionSpec]
     nodes: tuple[NodeSpec, ...]
     jobs: tuple[JobSpec, ...]
@@ -274,14 +276,7 @@ class Scenario:
 
 
 _TOP_KEYS_REQUIRED = {"name", "seed", "epochs", "epoch_seconds", "regions", "nodes", "pipelines", "jobs"}
-_TOP_KEYS_OPTIONAL = {
-    "heartbeat_seconds",
-    "capability_weights",
-    "safety_policy",
-    "review_lock_seconds",
-    "bond_fraction",
-    "challenges",
-}
+_TOP_KEYS_OPTIONAL = {"heartbeat_seconds", "review_lock_seconds", "challenges"}
 
 
 def _refuse_long_ints(value, path: str, seen: set[int]) -> None:
@@ -317,14 +312,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         minimum=1,
     )
     review_lock = _int(root.get("review_lock_seconds", 86400), "review_lock_seconds", minimum=1)
-    bond_fraction = _fraction(root.get("bond_fraction", "1/10"), "bond_fraction", positive=True)
-
-    weights = CapabilityWeights(**_fields(
-        root.get("capability_weights", {}), "capability_weights", _defaults(CapabilityWeights)
-    ))
-    policy = SafetyPolicy(**_fields(
-        root.get("safety_policy", {}), "safety_policy", _defaults(SafetyPolicy)
-    ))
 
     regions: dict[str, RegionSpec] = {}
     for rname, rcfg in _mapping(root["regions"], "regions").items():
@@ -440,7 +427,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 _fail(f"{path}.cancel_at", f"must be after submission time {at}")
         review_verdict = cfg.get("review_verdict", "valid")
         if review_verdict not in ("valid", "invalid"):
-            _fail(f"{path}.review_verdict", f"must be 'valid' or 'invalid', got {review_verdict!r}")
+            _fail(f"{path}.review_verdict", f"must be 'valid' or 'invalid', got {_show(review_verdict)}")
         faults: list[FaultSpec] = []
         for j, fcfg in enumerate(_sequence(cfg.get("faults", []), f"{path}.faults")):
             fpath = f"{path}.faults[{j}]"
@@ -454,7 +441,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 _fail(f"{fpath}.step", f"must be <= steps ({steps})")
             kind = f["kind"]
             if kind not in ("replay", "forge"):
-                _fail(f"{fpath}.kind", f"must be 'replay' or 'forge', got {kind!r}")
+                _fail(f"{fpath}.kind", f"must be 'replay' or 'forge', got {_show(kind)}")
             faults.append(FaultSpec(widx, fstep, kind))
         job_seq[sender] = job_seq.get(sender, 0) + 1
         jobs.append(
@@ -505,10 +492,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         epochs=epochs,
         epoch_seconds=epoch_seconds,
         heartbeat_seconds=heartbeat,
-        capability_weights=weights,
-        safety_policy=policy,
         review_lock_seconds=review_lock,
-        bond_fraction=bond_fraction,
         regions=regions,
         nodes=tuple(nodes),
         jobs=tuple(jobs),

@@ -63,6 +63,7 @@ from .tokenomics import (
 )
 
 PENALTY_POWER = 1.0  # declared power lost per rejected progress proof
+BOND_FRACTION = Fraction(1, 10)  # of the job's reward, for a challenge that sets no bond
 
 
 class SimulationError(Exception):
@@ -147,7 +148,7 @@ class Simulation:
         # once; an assignment filters its list by who is up and who sent.
         capabilities = {n.node_id: n.capability for n in scenario.nodes}
         self._ranked: dict[Capability, list[str]] = {
-            req: rank_candidates(req, capabilities, scenario.capability_weights)
+            req: rank_candidates(req, capabilities)
             for req in {job.requirement for job in scenario.jobs}
         }
         self._up: dict[str, bool] = {}
@@ -339,7 +340,7 @@ class Simulation:
         if user_code is not None:
             for source in user_code:
                 code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
-                verdict = safety_check(code.source, self.scenario.safety_policy)
+                verdict = safety_check(code.source)
                 if not verdict.safe:
                     self._pool_event(
                         "plugin_rejected",
@@ -374,8 +375,11 @@ class Simulation:
         try:
             workers = assign_workers(job_id, ranked, spec.n_workers)
         except InsufficientWorkersError:
-            # Job stays PENDING; try again next tick.
-            self._retry_later(self._on_assign_retry, job_id)
+            # Job stays PENDING; try again next tick, unless too few nodes
+            # could ever serve it (capabilities never change).
+            fit = self._ranked[spec.requirement]
+            if len(fit) - (spec.sender in fit) >= spec.n_workers:
+                self._retry_later(self._on_assign_retry, job_id)
             return
 
         commitments = {}
@@ -637,7 +641,7 @@ class Simulation:
             job = self.bank.job(spec.job_id)
         except UnknownJobError:
             return
-        bond = spec.bond if spec.bond is not None else job.reward * self.scenario.bond_fraction
+        bond = spec.bond if spec.bond is not None else job.reward * BOND_FRACTION
         seed = digest(
             self._seed_bytes() + b"|jury|" + spec.job_id.encode() + spec.challenger.encode()
         )

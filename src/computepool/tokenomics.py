@@ -55,11 +55,8 @@ def clamp_power(power: float) -> float:
     return min(POWER_MAX, max(POWER_MIN, power))
 
 
-@dataclass(frozen=True)
-class CapabilityWeights:
-    cpu: float = 1.0
-    gpu: float = 4.0
-    memory: float = 0.25
+# How much one unit of each capability component adds to a node's score.
+CPU_WEIGHT, GPU_WEIGHT, MEMORY_WEIGHT = 1.0, 4.0, 0.25
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,9 @@ class Capability:
             return False
         return True
 
-    def score(self, weights: CapabilityWeights = CapabilityWeights()) -> float:
-        gpu_part = weights.gpu * self.gpu_units if self.gpu else 0.0
-        return weights.cpu * self.cpu + gpu_part + weights.memory * self.memory
+    def score(self) -> float:
+        gpu_part = GPU_WEIGHT * self.gpu_units if self.gpu else 0.0
+        return CPU_WEIGHT * self.cpu + gpu_part + MEMORY_WEIGHT * self.memory
 
     def to_payload(self) -> dict:
         return {

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,23 @@ def test_deeply_nested_scenario_is_usage_error_not_a_crash(tmp_path):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert f"scenario error: {path}: collections nest deeper than 64 levels" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_an_aliased_value_is_refused_with_a_short_message(tmp_path, capsys):
+    # Each list holds ten aliases of the one before: a few hundred bytes of
+    # YAML whose full repr grows tenfold per level, 5.8 GB at nine levels.
+    # Four levels (58 KB unbounded) come first, so a message that shows the
+    # whole value fails the test before nine levels could exhaust memory.
+    for levels in (4, 9):
+        lists = ["&a0 [1]", *(f"&a{i} [{', '.join([f'*a{i - 1}'] * 10)}]" for i in range(1, levels))]
+        path = tmp_path / "aliases.yaml"
+        path.write_text(yaml.safe_dump(dict(MINI, name="@")).replace("'@'", f"[{', '.join(lists)}]"))
+        start = time.perf_counter()
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "name: expected a non-empty string, got [[1], [[1]," in err
+        assert len(err) < 500, len(err)
 
 
 def test_verify_accepts_fresh_ledger(run_dir, capsys):
@@ -368,18 +386,11 @@ def test_coordinator_id_is_reserved(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change,message", [
-    ({"safety_policy": {"max_source_bytes": "abc"}},
-     "safety_policy.max_source_bytes: expected an integer, got 'abc'"),
-    ({"safety_policy": {"max_tokens": [1]}},
-     "safety_policy.max_tokens: expected an integer, got [1]"),
-    ({"safety_policy": {"max_tokens": True}},
-     "safety_policy.max_tokens: expected an integer, got True"),
-    ({"safety_policy": {"max_tokens": 0}},
-     "safety_policy.max_tokens: must be >= 1, got 0"),
-    ({"safety_policy": {"import_allowlist": 5}},
-     "safety_policy.import_allowlist: expected a list, got int"),
-    ({"safety_policy": {"import_allowlist": "math"}},
-     "safety_policy.import_allowlist: expected a list, got str"),
+    # The plugin safety policy, capability weights and default challenge bond
+    # are protocol constants; a scenario that sets one is refused.
+    ({"safety_policy": {"import_allowlist": ["math", "os"]}}, "unknown keys: ['safety_policy']"),
+    ({"capability_weights": {"gpu": 0.0}}, "unknown keys: ['capability_weights']"),
+    ({"bond_fraction": "1/1000"}, "unknown keys: ['bond_fraction']"),
     ({"nodes": [dict(MINI["nodes"][0], capability={"gpu": "no"})] + MINI["nodes"][1:]},
      "nodes[0].capability.gpu: expected true or false, got 'no'"),
 ])

@@ -21,7 +21,7 @@ from computepool.distribution import (
     verify_capability_commitment,
     verify_progress,
 )
-from computepool.tokenomics import Capability, CapabilityWeights
+from computepool.tokenomics import Capability
 
 
 def test_covers_is_componentwise():
@@ -41,10 +41,9 @@ def test_rank_orders_by_score_then_id():
         "twin-b": Capability(cpu=4),
     }
     ranked = rank_candidates(Capability(cpu=1), candidates)
-    # gpu-box scores 2 + 8 + 2 = 12, twins score 4, slow scores 1
+    # gpu-box scores 2 + 4 * 2 + 0.25 * 8 = 12, twins score 4, slow scores 1
+    assert [candidates[d].score() for d in ranked] == [12.0, 4.0, 4.0, 1.0]
     assert ranked == ["gpu-box", "twin-a", "twin-b", "slow"]
-    heavy_cpu = CapabilityWeights(cpu=10.0, gpu=0.0, memory=0.0)
-    assert rank_candidates(Capability(cpu=1), candidates, heavy_cpu)[0] == "twin-a"
 
 
 def test_rank_filters_to_covering_candidates():

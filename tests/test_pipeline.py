@@ -14,7 +14,6 @@ from computepool.pipeline import (
     Expression,
     ExpressionError,
     PipelineRun,
-    SafetyPolicy,
     hash_sign_recheck,
     make_plugin_code,
     safety_check,
@@ -61,22 +60,13 @@ def test_every_module_an_import_statement_names_is_checked(source, safe):
 
 
 def test_safety_policy_caps():
-    tiny = SafetyPolicy(max_source_bytes=16)
-    assert not safety_check("acc = 1.0 + 2.0 + 3.0\n", tiny).safe
-    few = SafetyPolicy(max_tokens=3)
-    assert not safety_check("a = 1 + 2\n", few).safe
-    assert safety_check("a = 1\n", SafetyPolicy()).safe
-
-
-def test_safety_policy_from_config():
-    data = scenario({"source": {"kind": "counter"}, "business": {"kind": "sum"}})
-    data["safety_policy"] = {"max_tokens": 9, "import_allowlist": []}
-    policy = parse_scenario(data).safety_policy
-    assert policy == SafetyPolicy(max_tokens=9, import_allowlist=())
-    assert not safety_check("import math\n", policy).safe
-    data["safety_policy"] = {"max_size": 1}
-    with pytest.raises(ScenarioError, match=re.escape("safety_policy: unknown keys: ['max_size']")):
-        parse_scenario(data)
+    # 4,096 bytes and 512 tokens pass; one byte or one token more does not.
+    comment = "#" + "x" * 4095
+    assert safety_check(comment).safe
+    assert safety_check(comment + "x").reasons == ("source is 4097 bytes, policy allows 4096",)
+    at_cap = "-x" + " + x" * 255
+    assert safety_check(at_cap).safe
+    assert safety_check("-" + at_cap).reasons == ("source has 513 tokens, policy allows 512",)
 
 
 def test_plugin_code_recheck_accepts_honest_code():

@@ -51,7 +51,6 @@ def test_minimal_scenario_parses_with_defaults():
     assert sc.horizon == 1200
     assert sc.heartbeat_seconds == 6  # epoch_seconds / 100
     assert sc.review_lock_seconds == 86400
-    assert sc.bond_fraction == Fraction(1, 10)
     assert sc.regions["eu"].inter_latency_ms == 10
     assert sc.nodes[0].balance == 100
     assert sc.nodes[2].downtime[0].end == 20
@@ -78,9 +77,6 @@ def test_unknown_and_missing_top_keys():
     data["nodes"][0].update({1: "x", "zz": "y"})  # mixed key types still list
     expect_error(data, "nodes[0]: unknown keys: [1, 'zz']")
     data = base_scenario()
-    data["safety_policy"] = {1: "x", "zz": "y"}
-    expect_error(data, "safety_policy: unknown keys: [1, 'zz']")
-    data = base_scenario()
     del data["regions"]
     expect_error(data, "missing required keys: ['regions']")
 
@@ -96,9 +92,6 @@ def test_token_amounts_reject_floats():
     data["nodes"][0]["balance"] = True
     expect_error(data, "nodes[0].balance: token amounts must be integers or 'p/q'")
     data = base_scenario()
-    data["bond_fraction"] = True
-    expect_error(data, "bond_fraction: token amounts must be integers or 'p/q'")
-    data = base_scenario()
     data["nodes"][0]["balance"] = "3/4"
     assert parse_scenario(data).nodes[0].balance == Fraction(3, 4)
 
@@ -108,7 +101,6 @@ NUMBER_FIELDS = {
     "nodes[1].power[10]": lambda data, v: data["nodes"][1]["power"].update({10: v}),
     "nodes[0].capability.cpu": lambda data, v: data["nodes"][0].update(capability={"cpu": v}),
     "jobs[0].requirement.memory": lambda data, v: data["jobs"][0].update(requirement={"memory": v}),
-    "capability_weights.gpu": lambda data, v: data.update(capability_weights={"gpu": v}),
     "regions.eu.drop_rate": lambda data, v: data["regions"]["eu"].update(drop_rate=v),
 }
 
@@ -356,7 +348,7 @@ LONG = 16 ** 4000  # about 4,800 decimal digits; str() prints at most 4,300
 
 @pytest.mark.parametrize("change,path", [
     (lambda data: data["nodes"][1]["power"].update({LONG: 1.0}), "nodes[1].power (key)"),
-    (lambda data: data.update(safety_policy={"max_tokens": LONG}), "safety_policy.max_tokens"),
+    (lambda data: data.update(review_lock_seconds=LONG), "review_lock_seconds"),
     (lambda data: data["nodes"][2]["downtime"].append(LONG), "nodes[2].downtime[1]"),
 ])
 def test_an_integer_too_long_to_print_is_refused_wherever_it_is(change, path):

@@ -379,6 +379,26 @@ def test_cancel_before_assignment_refunds_the_sender():
     assert result.conservation_ok
 
 
+def test_a_job_no_node_can_serve_waits_without_retries():
+    data = copy.deepcopy(load_scenario(SCENARIOS / "demo_trio.yaml").raw)
+    data["jobs"].append({"sender": "alpha", "at": 240, "reward": 100, "pipeline": "spread",
+                         "n_workers": 3, "steps": 4, "requirement": {"gpu": True}})
+    retried = []
+
+    class Recording(Simulation):
+        def _retry_later(self, handler, *args):
+            retried.append(handler.__name__)
+            super()._retry_later(handler, *args)
+
+    result = Recording(parse_scenario(data)).run()
+    assert "_on_assign_retry" not in retried
+    assert result.bank.job("alpha:1").status == JobStatus.SETTLED
+    job = result.bank.job("alpha:2")
+    assert (job.status, job.workers) == (JobStatus.PENDING, [])
+    assert result.bank.escrow_pool == 100
+    assert result.conservation_ok
+
+
 def test_demo_scenario_runs_end_to_end():
     result = run_scenario(load_scenario(SCENARIOS / "demo_trio.yaml"))
     assert result.conservation_ok
@@ -449,6 +469,7 @@ def test_upheld_challenge_on_settled_job_refunds_once_within_its_epoch(challenge
     assert result.conservation_ok
     bank = result.bank
     assert bank.job("alpha:1").status == JobStatus.REFUNDED
+    assert {c.bond for c in bank.challenges.values()} == {30}  # no bond set: a tenth of 300
     # alpha:1's 300 reached the reward pool once, by its one DONE entry, and
     # left it only by being clawed back: nothing was paid out.
     done = [e.payload["job"] for _, e in result.ledger.entries()

@@ -295,7 +295,7 @@ MUTANTS = (
         "non-finite scenario numbers are accepted",
         "src/computepool/scenario.py",
         "    if not math.isfinite(number):\n"
-        '        _fail(path, f"expected a finite number, got {value!r}")\n',
+        '        _fail(path, f"expected a finite number, got {_show(value)}")\n',
         "",
         (
             "tests/test_scenario.py::test_numbers_must_be_finite",
@@ -391,6 +391,34 @@ MUTANTS = (
         ("tests/test_scenario.py::test_an_alias_counts_the_levels_it_repeats",),
     ),
     Mutant(
+        "a GPU unit scores like a CPU unit",
+        "src/computepool/tokenomics.py",
+        "CPU_WEIGHT, GPU_WEIGHT, MEMORY_WEIGHT = 1.0, 4.0, 0.25",
+        "CPU_WEIGHT, GPU_WEIGHT, MEMORY_WEIGHT = 1.0, 1.0, 0.25",
+        ("tests/test_distribution.py::test_rank_orders_by_score_then_id",),
+    ),
+    Mutant(
+        "a challenge with no bond posts a fifth of the reward",
+        "src/computepool/simnet.py",
+        "BOND_FRACTION = Fraction(1, 10)",
+        "BOND_FRACTION = Fraction(1, 5)",
+        ("tests/test_simnet.py::test_upheld_challenge_on_settled_job_refunds_once_within_its_epoch",),
+    ),
+    Mutant(
+        "an assignment no node can take is retried every heartbeat",
+        "src/computepool/simnet.py",
+        "            if len(fit) - (spec.sender in fit) >= spec.n_workers:\n",
+        "            if True:\n",
+        ("tests/test_simnet.py::test_a_job_no_node_can_serve_waits_without_retries",),
+    ),
+    Mutant(
+        "plugin source may hold only five tokens",
+        "src/computepool/pipeline.py",
+        "MAX_TOKENS = 512\n",
+        "MAX_TOKENS = 5\n",
+        ("tests/test_pipeline.py::test_safety_policy_caps",),
+    ),
+    Mutant(
         "safety_check checks only the first module an import names",
         "src/computepool/pipeline.py",
         'every=word == "import")',
@@ -448,6 +476,13 @@ MUTANTS = (
         "            payload_bytes = encode(self.payload)\n",
         '            payload_bytes = self.__dict__["payload_bytes"] = encode(self.payload)\n',
         ("tests/test_ledger.py::test_stored_payload_bytes_keep_every_byte",),
+    ),
+    Mutant(
+        "a forfeited bond never reaches the reward pool",
+        "src/computepool/escrow.py",
+        "            self.reward_pool += challenge.bond\n",
+        "",
+        ("generative/test_generated_scenarios.py::test_generated_scenarios_conserve_verify_and_repeat",),
     ),
 )
 
