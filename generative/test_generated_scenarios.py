@@ -1,4 +1,5 @@
-"""Generated scenarios: every one is refused at parse time or runs clean.
+"""Generated scenarios: every one is refused at parse time or runs clean,
+and listing its nodes in reverse moves no balance.
 
 The strategy draws `perfbench/scenario_gen.py`'s size knobs and then makes
 the scenario harder than the benchmark's: tight balances, short review locks,
@@ -99,3 +100,20 @@ def test_generated_scenarios_conserve_verify_and_repeat(data):
             assert "conservation" not in str(exc), exc
             return
         assert run_and_report(data, Path(tmp) / "again") == first
+
+
+def final_balances(data: dict) -> dict | str:
+    """Every deed's final balance, or the name of the error the run ends in."""
+    try:
+        sim = run_scenario(parse_scenario(yaml.safe_load(to_yaml(data))))
+    except (ScenarioError, SimulationError) as exc:
+        return type(exc).__name__
+    return {deed_id: deed.balance for deed_id, deed in sim.registry.deeds.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenarios())
+def test_the_order_of_nodes_moves_no_balance(data):
+    # Float addition is not associative: shares summed in list order would
+    # move balances by a few parts in 1e16.
+    assert final_balances(dict(data, nodes=data["nodes"][::-1])) == final_balances(data)

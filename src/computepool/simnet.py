@@ -6,16 +6,19 @@ drops, jury seeds) comes from labeled substreams of the run seed, and nothing
 reads the wall clock, so one (scenario, seed) pair always produces the same
 ledger bytes and the same reports.
 
-Ordering at equal timestamps is fixed by an explicit priority tier per event
-kind, with epoch closes last, so a close sees the tick's heartbeat (one event
-per tick, which credits every node that is up and schedules the next tick)
-and every same-tick delivery and unlock.
+The heap holds only protocol events. Ties at one timestamp run by a priority
+tier per event kind, epoch closes last, so a close sees every same-tick
+delivery and unlock. Liveness is no event: a node is down over each
+`[from, to)` downtime window and up otherwise. An action at t sees it at t; a
+delivery at t sees it at t - 1 ms, before the window edges of its millisecond.
+The close of epoch e books a heartbeat of alive time per up tick in ((e-1)·E, e·E].
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,11 +73,8 @@ class SimulationError(Exception):
     pass
 
 
-# Priority tiers at equal timestamps; lower runs first. Epoch closes run last
-# so the tick's heartbeat and same-tick deliveries and unlocks land inside it.
+# Priority tiers at equal timestamps; lower runs first.
 PRI_DELIVER = 0
-PRI_NODE_FLIP = 1
-PRI_HEARTBEAT = 2
 PRI_ACTION = 4
 PRI_REVIEW = 6
 PRI_EPOCH_CLOSE = 9
@@ -151,7 +151,7 @@ class Simulation:
             req: rank_candidates(req, capabilities)
             for req in {job.requirement for job in scenario.jobs}
         }
-        self._up: dict[str, bool] = {}
+        self._edges: dict[str, list[int]] = {COORDINATOR_ID: []}  # downtime from, to, ... in ms
 
         self._net_rng = random.Random(
             int.from_bytes(digest(self._seed_bytes() + b"|net"), "big")
@@ -192,6 +192,10 @@ class Simulation:
             return
         self._seq += 1
         heapq.heappush(self._heap, (at, priority, self._seq, handler, args))
+
+    def _is_up(self, node_id: str, at_ms: int) -> bool:
+        """Down over each `[from, to)` downtime window: up past an even number of edges."""
+        return bisect_right(self._edges[node_id], at_ms) % 2 == 0
 
     def _retry_later(self, handler, *args) -> None:
         """Run `handler(*args)` one heartbeat from now."""
@@ -250,7 +254,7 @@ class Simulation:
 
     def _deliver(self, to: str, handler, msg, sender: str) -> None:
         self.messages.pending_at_end -= 1
-        if not self._up[to]:
+        if not self._is_up(to, self._now - 1):  # before its millisecond's window edges
             self.messages.rejected += 1
             self._retry_later(self._publish, to, handler, msg, sender)
             return
@@ -287,13 +291,12 @@ class Simulation:
                 "role": "coordinator",
             },
         )
-        self._up[COORDINATOR_ID] = True
 
         for node in scenario.nodes:
             key = self._signer(node.node_id).verify_key
             self.registry.register(node.node_id, node.balance)
             self.registry.set_power(node.node_id, 1, node.power_for_epoch(1))
-            self._up[node.node_id] = True
+            self._edges[node.node_id] = [t * 1000 for w in node.downtime for t in (w.start, w.end)]
             self._record(
                 EntryKind.NODE_SPEC,
                 node.node_id,
@@ -305,12 +308,7 @@ class Simulation:
                     "balance": str(node.balance),
                 },
             )
-            flip = self._up.__setitem__
-            for window in node.downtime:
-                self._schedule(window.start * 1000, PRI_NODE_FLIP, flip, node.node_id, False)
-                self._schedule(window.end * 1000, PRI_NODE_FLIP, flip, node.node_id, True)
 
-        self._schedule(self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)
         for epoch in range(1, scenario.epochs + 1):
             self._schedule(epoch * self.epoch_ms, PRI_EPOCH_CLOSE, self._on_epoch_close, epoch)
 
@@ -326,12 +324,6 @@ class Simulation:
         self.initial_total = self.bank.conservation_total()
 
     # -- event handlers --------------------------------------------------------
-
-    def _on_heartbeat(self) -> None:
-        for node in self.scenario.nodes:
-            if self._up[node.node_id]:
-                self.registry.accrue_alive(node.node_id, self.scenario.heartbeat_seconds)
-        self._schedule(self._now + self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)
 
     def _on_job_arrival(self, spec: JobSpec) -> None:
         # User code is vetted before any funds move, so a rejected plugin
@@ -370,7 +362,7 @@ class Simulation:
         ranked = [
             node_id
             for node_id in self._ranked[spec.requirement]
-            if self._up[node_id] and node_id != spec.sender
+            if self._is_up(node_id, self._now) and node_id != spec.sender
         ]
         try:
             workers = assign_workers(job_id, ranked, spec.n_workers)
@@ -440,7 +432,7 @@ class Simulation:
     def _on_worker_step(self, task: _WorkerTask) -> None:
         if task.cancelled:
             return
-        if not self._up[task.worker]:
+        if not self._is_up(task.worker, self._now):
             self._retry_later(self._on_worker_step, task)
             return
         try:
@@ -658,7 +650,7 @@ class Simulation:
                 "at": self._now // 1000,
             },
         )
-        active_ids = [n for n, up in self._up.items() if up and n != COORDINATOR_ID]
+        active_ids = [n.node_id for n in self.scenario.nodes if self._is_up(n.node_id, self._now)]
         try:
             challenge = self.bank.apply(entry, active_ids)
         except (ChallengeError, InsufficientFundsError) as exc:
@@ -703,6 +695,12 @@ class Simulation:
         )
 
     def _on_epoch_close(self, epoch: int) -> None:
+        hb = self.heartbeat_ms  # book the alive credit of the up ticks in ((e-1)·E, e·E]
+        ticks = range(((epoch - 1) * self.epoch_ms // hb + 1) * hb, epoch * self.epoch_ms + 1, hb)
+        for node in self.scenario.nodes:
+            for tick in ticks:
+                if self._is_up(node.node_id, tick):
+                    self.registry.accrue_alive(node.node_id, self.scenario.heartbeat_seconds)
         active = [self.registry.deed(n.node_id) for n in self.scenario.nodes]
         pool = self.bank.reward_pool
         allocation = None
@@ -726,7 +724,7 @@ class Simulation:
                     ],
                 },
             )
-            self._apply_entry(entry)
+            self.bank.apply(entry)  # checked once, after the close
         if epoch < self.scenario.epochs:
             for node in self.scenario.nodes:
                 self.registry.set_power(

@@ -4,7 +4,8 @@ A node's unnormalized claim on an epoch's reward pool is
 ``exp(power) * alive_fraction`` (its power index). Shares are power indexes
 normalized by the plain sum of all power indexes over the active set, so they
 always sum to 1; the normalizing total deliberately carries no extra division
-by protocol time, which would break that normalization.
+by protocol time, which would break that normalization. The sum runs in
+deed-id order (float addition is not associative), so node order moves no money.
 
 Token amounts are exact rationals so conservation can be asserted with ``==``;
 share fractions are floats and carry explicit tolerances instead.
@@ -172,7 +173,7 @@ def distribute_epoch_rewards(
     indexes = {
         a.deed_id: node_power_index(a.power_at(epoch), fractions[a.deed_id]) for a in active
     }
-    total = sum(indexes.values())
+    total = sum(indexes[deed] for deed in sorted(indexes))
     if total == 0.0:
         raise NoEligibleNodesError("no eligible nodes: all power indexes are zero")
 

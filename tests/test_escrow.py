@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from computepool.escrow import (
+    JURY_SIZE,
     ChallengeError,
     ChallengeVerdict,
     EscrowBank,
@@ -207,6 +208,23 @@ def test_jury_draw_matches_seeded_lottery_and_excludes_parties():
     job3 = locked_job(bank3, sender="n1", workers=("n2", "n3"))
     ch3 = bank3.apply(opened(job3.job_id, seed=seed_b), ACTIVE)
     assert ch3.jury == random.Random(bytes.fromhex(seed_b)).sample(eligible, 3)
+
+
+@pytest.mark.parametrize("seed_hex,eligible,jury", [
+    ("00" * 32, ["a", "b", "c"], ["b", "c", "a"]),
+    ("ab" * 32, ["n5", "n6", "n7", "n8"], ["n7", "n8", "n5"]),
+    ("ff" * 32, [f"w{i}" for i in range(40)], ["w34", "w8", "w3"]),
+    # the two draws of scenarios/reference.yaml at its own seed
+    ("0386755e47e7ee7a09dc6227e9b352a60a7eef7d6524364c8b909104bc4fe704",
+     ["n02", "n03", "n06", "n07", "n09", "n10"], ["n02", "n09", "n03"]),
+    ("50deb8a2f19ba1ccca05c56077963fc2d4e96269ec7eb98cd1e26062318e1673",
+     ["n03", "n04", "n05", "n09", "n10"], ["n03", "n09", "n05"]),
+])
+def test_the_jury_draw_is_pinned_across_python_releases(seed_hex, eligible, jury):
+    """Python promises only that `random()` repeats across releases, not
+    `sample`. A release that changes the draw fails here by name instead of
+    silently moving every recorded jury and `audit.json`."""
+    assert random.Random(bytes.fromhex(seed_hex)).sample(eligible, JURY_SIZE) == jury
 
 
 def test_challenge_rejections():

@@ -12,7 +12,6 @@ from computepool.escrow import EscrowBank, JobStatus
 from computepool.ledger import EntryKind, payload_shape, verify_blocks
 from computepool.scenario import load_scenario, parse_scenario
 from computepool.simnet import (
-    PRI_HEARTBEAT,
     Simulation,
     SimulationError,
     run_scenario,
@@ -228,23 +227,60 @@ def test_alive_time_counts_the_ticks_outside_every_window(data):
         assert result.bank.registry.deed(node["id"]).total_alive_seconds == heartbeat * len(up)
 
 
-def test_each_heartbeat_schedules_the_next_and_the_heap_holds_one():
-    sim = Simulation(two_region_scenario(heartbeat_seconds=7))  # 7 s does not divide 1200 s
-    ticks, pending = [], []
-    beat = sim._on_heartbeat
+class AliveAtEachClose(Simulation):
+    """Records each node's total alive seconds right after every epoch close."""
 
-    def heartbeats_in_heap():
-        return sum(1 for _at, pri, *_ in sim._heap if pri == PRI_HEARTBEAT)
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.alive_after_close: dict[int, dict[str, int]] = {}
 
-    def on_heartbeat():
-        ticks.append(sim._now)
-        beat()
-        pending.append(heartbeats_in_heap())
+    def _on_epoch_close(self, epoch: int) -> None:
+        super()._on_epoch_close(epoch)
+        self.alive_after_close[epoch] = {
+            node.node_id: self.registry.deed(node.node_id).total_alive_seconds
+            for node in self.scenario.nodes
+        }
 
-    sim._on_heartbeat = on_heartbeat  # `_setup` and every tick schedule this name
+
+@settings(max_examples=50, deadline=None)
+@given(downtime_scenarios())
+def test_each_epoch_close_has_credited_exactly_the_ticks_up_to_it(data):
+    sim = AliveAtEachClose(parse_scenario(data))
     sim.run()
-    assert ticks == list(range(7000, sim.horizon_ms + 1, 7000))
-    assert max(pending) == 1
+    heartbeat = data["heartbeat_seconds"]
+    for epoch in range(1, data["epochs"] + 1):
+        ticks = range(heartbeat, epoch * data["epoch_seconds"] + 1, heartbeat)
+        assert sim.alive_after_close[epoch] == {
+            node["id"]: heartbeat * sum(
+                not any(w["from"] <= t < w["to"] for w in node["downtime"]) for t in ticks
+            )
+            for node in data["nodes"]
+        }
+
+
+@pytest.mark.parametrize("window,cancel_at,rejected", [
+    # the assignment, sent at 100 s, lands at 101 s, the window's `from`: delivered
+    ({"from": 101, "to": 200}, None, 0),
+    # the cancel, sent at 109 s, lands at 110 s, the window's `to`: refused and sent again
+    ({"from": 102, "to": 110}, 109, 1),
+], ids=["lands_at_from", "lands_at_to"])
+def test_a_delivery_sees_the_node_as_it_was_before_its_millisecond(window, cancel_at, rejected):
+    job = {"sender": "sender", "at": 100, "reward": 100, "pipeline": "count",
+           "n_workers": 1, "steps": 3}
+    if cancel_at is not None:
+        job["cancel_at"] = cancel_at
+    sim = Simulation(two_region_scenario(
+        regions={"eu": {"intra_latency_ms": 1000}},
+        nodes=[
+            {"id": "sender", "region": "eu", "balance": 400},
+            {"id": "w", "region": "eu", "downtime": [window]},
+        ],
+        jobs=[job],
+    ))
+    sim.run()
+    assert sim.messages.rejected == rejected
+    assert sim.messages.consistent() and sim.messages.pending_at_end == 0
+    assert sim._tasks["sender:1", "w"].cancelled == (cancel_at is not None)
 
 
 def test_unsafe_plugin_is_rejected_before_funding_and_keys_stay_aligned():

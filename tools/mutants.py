@@ -82,14 +82,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "node flips run after the heartbeat",
+        "a heartbeat tick sees the node as it was before that tick's window edges",
         "src/computepool/simnet.py",
-        "PRI_NODE_FLIP = 1\n",
-        "PRI_NODE_FLIP = 3\n",
+        "                if self._is_up(node.node_id, tick):\n",
+        "                if self._is_up(node.node_id, tick - 1):\n",
         (
             "tests/test_simnet.py::test_alive_time_counts_the_ticks_outside_every_window",
+            "tests/test_simnet.py::test_each_epoch_close_has_credited_exactly_the_ticks_up_to_it",
             "tests/test_simnet.py::test_every_audit_counter_matches_a_hand_count",
         ),
+    ),
+    Mutant(
+        "a delivery sees the node after the window edges of its own millisecond",
+        "src/computepool/simnet.py",
+        "self._is_up(to, self._now - 1)",
+        "self._is_up(to, self._now)",
+        ("tests/test_simnet.py::test_a_delivery_sees_the_node_as_it_was_before_its_millisecond",),
     ),
     Mutant(
         "a stray fraction of a token on every credit",
@@ -166,28 +174,27 @@ MUTANTS = (
         ("tests/test_golden.py::test_report_digests_are_pinned",),
     ),
     Mutant(
-        "nothing runs at the horizon itself: no last tick, no last close",
+        "nothing runs at the horizon itself: no last epoch close",
         "src/computepool/simnet.py",
         "        if at > self.horizon_ms:\n",
         "        if at >= self.horizon_ms:\n",
         ("tests/test_simnet.py::test_downtime_shrinks_alive_fraction_and_share",),
     ),
     Mutant(
-        # The guard cannot simply go: the heartbeat would reschedule forever.
-        "every event but the heartbeat runs after the horizon",
+        "events run after the horizon",
         "src/computepool/simnet.py",
-        "        if at > self.horizon_ms:\n",
-        "        if at > self.horizon_ms and priority == PRI_HEARTBEAT:\n",
+        "        if at > self.horizon_ms:\n            return\n",
+        "",
         ("tests/test_simnet.py::test_nothing_runs_after_the_horizon",),
     ),
     Mutant(
-        "the heartbeat is not rescheduled",
+        "an epoch close credits the ticks of [(e-1)·E, e·E), one tick early",
         "src/computepool/simnet.py",
-        "        self._schedule(self._now + self.heartbeat_ms, PRI_HEARTBEAT, self._on_heartbeat)\n",
-        "",
+        "range(((epoch - 1) * self.epoch_ms // hb + 1) * hb, epoch * self.epoch_ms + 1, hb)",
+        "range(((epoch - 1) * self.epoch_ms // hb) * hb, epoch * self.epoch_ms + 1 - hb, hb)",
         (
-            "tests/test_simnet.py::test_alive_time_counts_the_ticks_outside_every_window",
-            "tests/test_simnet.py::test_each_heartbeat_schedules_the_next_and_the_heap_holds_one",
+            "tests/test_simnet.py::test_each_epoch_close_has_credited_exactly_the_ticks_up_to_it",
+            "tests/test_simnet.py::test_downtime_shrinks_alive_fraction_and_share",
         ),
     ),
     Mutant(
@@ -476,6 +483,13 @@ MUTANTS = (
         "            payload_bytes = encode(self.payload)\n",
         '            payload_bytes = self.__dict__["payload_bytes"] = encode(self.payload)\n',
         ("tests/test_ledger.py::test_stored_payload_bytes_keep_every_byte",),
+    ),
+    Mutant(
+        "sum the shares in scenario order",
+        "src/computepool/tokenomics.py",
+        "    total = sum(indexes[deed] for deed in sorted(indexes))\n",
+        "    total = sum(indexes.values())\n",
+        ("generative/test_generated_scenarios.py::test_the_order_of_nodes_moves_no_balance",),
     ),
     Mutant(
         "a forfeited bond never reaches the reward pool",
