@@ -1,5 +1,6 @@
 """Generated scenarios: every one is refused at parse time or runs clean,
-and listing its nodes in reverse moves no balance.
+listing its nodes in reverse moves no balance, and scaling every amount
+scales every balance.
 
 The strategy draws `perfbench/scenario_gen.py`'s size knobs and then makes
 the scenario harder than the benchmark's: tight balances, short review locks,
@@ -12,6 +13,7 @@ outside `tests/` and run on their own, from the repository root:
 `derandomize` fixes the examples, so every run draws the same scenarios.
 """
 
+import copy
 import tempfile
 from pathlib import Path
 
@@ -117,3 +119,22 @@ def test_the_order_of_nodes_moves_no_balance(data):
     # Float addition is not associative: shares summed in list order would
     # move balances by a few parts in 1e16.
     assert final_balances(dict(data, nodes=data["nodes"][::-1])) == final_balances(data)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(scenarios())
+def test_scaling_every_amount_scales_every_balance(data):
+    # Each payout is the pool times a float share, computed exactly, so a run
+    # with every amount seven times larger moves seven times the tokens.
+    scaled = copy.deepcopy(data)
+    for node in scaled["nodes"]:
+        node["balance"] *= 7
+    for job in scaled["jobs"]:
+        job["reward"] *= 7
+    for challenge in scaled["challenges"]:
+        if "bond" in challenge:
+            challenge["bond"] *= 7
+    want = final_balances(data)
+    if isinstance(want, dict):
+        want = {deed_id: 7 * balance for deed_id, balance in want.items()}
+    assert final_balances(scaled) == want

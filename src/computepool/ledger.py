@@ -5,6 +5,11 @@ digest and chain through prev_hash. Verification is self-certifying: the key
 table is rebuilt from NODE_SPEC entries in ledger order, so a dump carries
 everything needed to check it.
 
+One rule, `_seal`, makes a block on both paths: `append_entries` builds the
+next block from it, and `verify_blocks` re-seals each block's entries after
+the block before it (block 0 must be `GENESIS`), which must reproduce its
+height, link, root and digest, or fail with the reason an append would give.
+
 Every payload must have one of the shapes in `SCHEMAS`: the exact keys its
 kind (and, where one kind writes several shapes, its variant) writes, each of
 its exact type. The check runs on every entry, both when a block is sealed
@@ -18,13 +23,13 @@ from __future__ import annotations
 import re
 import struct
 from collections import ChainMap
-from collections.abc import MutableMapping
+from collections.abc import MutableMapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd
 
-from .crypto import DIGEST_SIZE, ZERO_DIGEST, Signer, digest, verify
+from .crypto import ZERO_DIGEST, Signer, digest, verify
 # `decode` is not called here; perfbench/tracing.py patches it by this name.
 from .encoding import EncodingError, decode, decode_at, encode, list_of  # noqa: F401
 
@@ -33,8 +38,8 @@ _U32 = struct.Struct(">I")
 
 
 class LedgerError(Exception):
-    """A malformed dump or a rejected append. `height` is the dump block that
-    failed to parse, or 0 when no block is to blame (bad header, append)."""
+    """A malformed dump or a batch `_seal` refuses. `height` is the dump block
+    that failed to parse, or 0 when no block is to blame (bad header, seal)."""
 
     def __init__(self, message: str, height: int = 0):
         super().__init__(message)
@@ -133,27 +138,10 @@ class LedgerBlock:
         ])
 
 
-def _make_block(
-    height: int, prev_hash: bytes, timestamp: int, entries: list[LedgerEntry],
-    wires: list[bytes],
-) -> LedgerBlock:
-    """Seal `entries`, whose wire bytes are `wires`; each entry is framed once."""
-    root = entries_root(wires)
-    block = LedgerBlock(
-        height=height,
-        prev_hash=prev_hash,
-        root=root,
-        timestamp=timestamp,
-        digest=block_digest(height, prev_hash, root, timestamp),
-        entries=tuple(entries),
-    )
-    # Fills the `wire_bytes` cache, as its first use would. Those bytes are
-    # now the one copy of each entry's payload bytes, so the entries drop
-    # theirs.
-    block.__dict__["wire_bytes"] = block._framed(wires)
-    for entry in entries:
-        entry.__dict__.pop("payload_bytes", None)
-    return block
+_EMPTY_ROOT = entries_root([])
+# The empty block at height 0, time 0, that every chain starts from.
+GENESIS = LedgerBlock(0, ZERO_DIGEST, _EMPTY_ROOT, 0,
+                      block_digest(0, ZERO_DIGEST, _EMPTY_ROOT, 0), ())
 
 
 # -- payload schemas ---------------------------------------------------------
@@ -349,6 +337,31 @@ def _admit(
     return None
 
 
+def _seal(
+    prev: LedgerBlock, timestamp: int, entries: Sequence[LedgerEntry],
+    keys: MutableMapping[str, bytes],
+) -> tuple[bytes, bytes, list[bytes]]:
+    """The root and digest of the block that seals `entries` at `timestamp`
+    after `prev`, and the entries' wire bytes. Each entry is framed once and
+    admitted by `_admit`, which adds the keys it learns to `keys`. Raises
+    LedgerError for an empty batch, a timestamp before `prev`'s, or an entry
+    `_admit` refuses."""
+    if not entries:
+        raise LedgerError("cannot seal an empty block")
+    if timestamp < prev.timestamp:
+        raise LedgerError(
+            f"block timestamp {timestamp} precedes head timestamp {prev.timestamp}")
+    wires = []
+    for entry in entries:
+        signing, wire = entry.frames()
+        reason = _admit(keys, entry, signing)
+        if reason is not None:
+            raise LedgerError(reason)
+        wires.append(wire)
+    root = entries_root(wires)
+    return root, block_digest(prev.height + 1, prev.digest, root, timestamp), wires
+
+
 @dataclass
 class VerifyResult:
     ok: bool
@@ -359,10 +372,10 @@ class VerifyResult:
 
 
 class Ledger:
-    """Append-only chain with an empty genesis block at height 0, time 0."""
+    """Append-only chain that starts from `GENESIS`."""
 
     def __init__(self):
-        self.blocks: list[LedgerBlock] = [_make_block(0, ZERO_DIGEST, 0, [], [])]
+        self.blocks: list[LedgerBlock] = [GENESIS]
         self._keys: dict[str, bytes] = {}
 
     @property
@@ -371,25 +384,19 @@ class Ledger:
 
     def append_entries(self, entries: list[LedgerEntry], timestamp: int) -> LedgerBlock:
         """Seal a batch of entries into the next block, all or nothing."""
-        if not entries:
-            raise LedgerError("cannot seal an empty block")
-        if timestamp < self.head.timestamp:
-            raise LedgerError(
-                f"block timestamp {timestamp} precedes head timestamp {self.head.timestamp}"
-            )
+        head = self.head
         # The batch's new keys are staged in `added`, so a failing batch
         # leaves no trace.
         added: dict[str, bytes] = {}
-        keys = ChainMap(added, self._keys)
-        wires = []
-        for entry in entries:
-            signing, wire = entry.frames()
-            reason = _admit(keys, entry, signing)
-            if reason is not None:
-                raise LedgerError(reason)
-            wires.append(wire)
+        root, sealed, wires = _seal(head, timestamp, entries, ChainMap(added, self._keys))
         self._keys.update(added)
-        block = _make_block(len(self.blocks), self.head.digest, timestamp, entries, wires)
+        block = LedgerBlock(head.height + 1, head.digest, root, timestamp, sealed, tuple(entries))
+        # Fills the `wire_bytes` cache, as its first use would. Those bytes are
+        # now the one copy of each entry's payload bytes, so the entries drop
+        # theirs.
+        block.__dict__["wire_bytes"] = block._framed(wires)
+        for entry in entries:
+            entry.__dict__.pop("payload_bytes", None)
         self.blocks.append(block)
         return block
 
@@ -497,42 +504,33 @@ def load_blocks(data: bytes) -> list[LedgerBlock]:
 
 
 def verify_blocks(blocks: list[LedgerBlock]) -> VerifyResult:
-    """Check the chain from genesis: structure, digests, links, signatures."""
+    """Check a chain by sealing it again. Block 0 must be `GENESIS`. Every
+    later block must stand at its height, and `_seal` of its entries at its
+    timestamp, after the block before it, must give its `prev_hash`, `root`
+    and `digest`. A failing verdict names the first block that does not: an
+    entry `_seal` refuses comes before a header field that differs, and
+    `entries` counts the entries of the blocks before it."""
     if not blocks:
         return VerifyResult(False, 0, "empty chain")
     keys: dict[str, bytes] = {}
     total_entries = 0
-    prev: LedgerBlock | None = None
-    for index, block in enumerate(blocks):
-        def fail(reason: str) -> VerifyResult:
-            return VerifyResult(False, index, reason, len(blocks), total_entries)
-
-        if block.height != index:
-            return fail(f"height {block.height} at position {index}")
-        if index == 0:
-            if block.prev_hash != ZERO_DIGEST:
-                return fail("genesis prev_hash is not zero")
-            if block.entries:
-                return fail("genesis block must be empty")
-        else:
-            assert prev is not None
-            if block.prev_hash != prev.digest:
-                return fail("prev_hash does not match previous block digest")
-            if not block.entries:
-                return fail("non-genesis block has no entries")
-        if len(block.prev_hash) != DIGEST_SIZE or len(block.digest) != DIGEST_SIZE:
-            return fail("digest field has wrong size")
-        if prev is not None and block.timestamp < prev.timestamp:
-            return fail("block timestamp decreases")
-        frames = [entry.frames() for entry in block.entries]
-        if entries_root([wire for _, wire in frames]) != block.root:
-            return fail("entries root mismatch")
-        if block_digest(block.height, block.prev_hash, block.root, block.timestamp) != block.digest:
-            return fail("block digest mismatch")
-        for entry, (signing, _) in zip(block.entries, frames):
-            reason = _admit(keys, entry, signing)
-            if reason is not None:
-                return fail(reason)
-            total_entries += 1
-        prev = block
+    for height, block in enumerate(blocks):
+        try:
+            if block.height != height:
+                raise LedgerError(f"height {block.height} at position {height}")
+            if height == 0:
+                if block != GENESIS:
+                    raise LedgerError("block 0 is not the empty genesis block at time 0")
+            else:
+                prev = blocks[height - 1]
+                root, sealed, _ = _seal(prev, block.timestamp, block.entries, keys)
+                if block.prev_hash != prev.digest:
+                    raise LedgerError("prev_hash does not match previous block digest")
+                if block.root != root:
+                    raise LedgerError("entries root mismatch")
+                if block.digest != sealed:
+                    raise LedgerError("block digest mismatch")
+        except LedgerError as exc:
+            return VerifyResult(False, height, str(exc), len(blocks), total_entries)
+        total_entries += len(block.entries)
     return VerifyResult(True, None, None, len(blocks), total_entries)

@@ -1,11 +1,13 @@
 """Epoch reward allocation: alive time, power scores, and pool shares.
 
 A node's unnormalized claim on an epoch's reward pool is
-``exp(power) * alive_fraction`` (its power index). Shares are power indexes
-normalized by the plain sum of all power indexes over the active set, so they
-always sum to 1; the normalizing total deliberately carries no extra division
-by protocol time, which would break that normalization. The sum runs in
-deed-id order (float addition is not associative), so node order moves no money.
+``exp(power) * alive_fraction`` (its power index), with `exp` correctly
+rounded so that it is the same on every machine; a platform's `math.exp` need
+not be. Shares are power indexes normalized by the plain sum of all power
+indexes over the active set, so they always sum to 1; the normalizing total
+deliberately carries no extra division by protocol time, which would break
+that normalization. The sum runs in deed-id order (float addition is not
+associative), so node order moves no money.
 
 Token amounts are exact rationals so conservation can be asserted with ``==``;
 share fractions are floats and carry explicit tolerances instead.
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 # Power scores are kept in a bounded band so exp() stays finite and penalty
@@ -136,6 +140,16 @@ def alive_fraction(total_alive_seconds: float, protocol_seconds: float) -> float
     return min(1.0, total_alive_seconds / protocol_seconds)
 
 
+_EXP_CONTEXT = Context(prec=60)
+
+
+@lru_cache(maxsize=4096)
+def exp(x: float) -> float:
+    """e**x correctly rounded to a float: `decimal` computes it to 60 digits,
+    far closer than any double comes to a rounding boundary, and rounds once."""
+    return float(_EXP_CONTEXT.exp(Decimal(x)))
+
+
 def node_power_index(power: float, live_fraction: float) -> float:
     """Unnormalized claim on the epoch pool: exp(power) * alive fraction.
 
@@ -144,7 +158,7 @@ def node_power_index(power: float, live_fraction: float) -> float:
     """
     if not 0.0 <= live_fraction <= 1.0:
         raise ValueError("alive fraction must lie in [0, 1]")
-    return math.exp(clamp_power(power)) * live_fraction
+    return exp(clamp_power(power)) * live_fraction
 
 
 def distribute_epoch_rewards(

@@ -174,15 +174,21 @@ def test_single_byte_flips_are_detected():
         assert result.failing_height is not None
 
 
-def test_tamper_in_last_block_reports_last_height():
+@pytest.mark.parametrize("change, reason", [
+    (lambda last: {"timestamp": last.timestamp + 1}, "digest mismatch"),
+    # The block's digest is still the one its entries seal to, so only the
+    # comparison of the re-sealed root catches this.
+    (lambda last: {"root": digest(last.root)}, "entries root mismatch"),
+], ids=["timestamp", "root"])
+def test_tamper_in_last_block_reports_last_height(change, reason):
     led = sample_ledger()
     blocks = list(led.blocks)
     last = blocks[-1]
-    bad = dataclasses.replace(last, timestamp=last.timestamp + 1)
+    bad = dataclasses.replace(last, **change(last))
     result = verify_blocks(blocks[:-1] + [bad])
     assert not result.ok
     assert result.failing_height == last.height
-    assert "digest mismatch" in result.reason
+    assert reason in result.reason
 
 
 def test_tampered_entry_payload_is_detected_at_its_block():
@@ -205,6 +211,36 @@ def test_broken_chain_link_is_detected():
     result = verify_blocks(blocks[:2] + [bad] + blocks[3:])
     assert not result.ok
     assert result.failing_height == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda block_wires: block_wires[0].__setitem__(3, 5),
+    lambda block_wires: block_wires[0][5].append(block_wires[1][5][0]),
+], ids=["timestamp_5", "holds_an_entry"])
+def test_block_0_must_be_the_empty_block_at_time_0(edit):
+    # Every root, digest and link after the edit is derived again, so the
+    # genesis block's own fields are the dump's only fault.
+    block_wires = forged_dumps.wires(sample_ledger().blocks)
+    edit(block_wires)
+    result = load_verified(forged_dumps.frame(forged_dumps.rechain(block_wires)))[0]
+    assert (result.ok, result.failing_height) == (False, 0)
+
+
+@pytest.mark.parametrize("batch, timestamp", [
+    ([], 30),
+    ([pool_event("alice", ALICE)], 24),
+    ([pool_event("alice", ALICE), pool_event("alice", BOB)], 30),
+], ids=["empty", "backwards", "second_entry_forged"])
+def test_verify_refuses_a_block_with_the_reason_append_gives(batch, timestamp):
+    led = sample_ledger()
+    with pytest.raises(LedgerError) as exc:
+        led.append_entries(batch, timestamp)
+    candidate = forged_dumps.sealed_without_checks(led.blocks, batch, timestamp)
+    result = load_verified(forged_dumps.frame(forged_dumps.wires([*led.blocks, candidate])))[0]
+    assert (result.ok, result.failing_height, result.reason) == (
+        False, candidate.height, str(exc.value))
+    # Only the blocks that verified are counted, not the admitted first entry.
+    assert result.entries == sum(len(block.entries) for block in led.blocks)
 
 
 # -- each entry's payload is encoded once; every byte stays as specified ------

@@ -18,6 +18,7 @@ from computepool.tokenomics import (
     clamp_power,
     distribute_epoch_rewards,
     exact_sum,
+    exp,
     node_power_index,
 )
 
@@ -72,6 +73,33 @@ def test_power_index_clamps_extreme_powers():
     assert node_power_index(-1000.0, 1.0) == math.exp(-50)
     with pytest.raises(ValueError):
         node_power_index(0.0, 1.5)
+
+
+# (float.hex(x), float.hex(e**x correctly rounded)). The last six are
+# arguments that glibc 2.36's `exp` rounds to the neighbouring float, given
+# after "libm:".
+EXP_TABLE = [
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x1.0000000000000p+0", "0x1.5bf0a8b145769p+1"),
+    ("-0x1.0000000000000p+0", "0x1.78b56362cef38p-2"),
+    ("-0x1.9000000000000p+5", "0x1.d257d547e083fp-73"),
+    ("0x1.9000000000000p+5", "0x1.19103e4080b45p+72"),
+    ("0x1.0000000000000p-1", "0x1.a61298e1e069cp+0"),
+    ("-0x1.ec8b439581062p-2", "0x1.3c801cb2231f4p-1"),
+    ("0x1.fbf7bf0318364p+4", "0x1.be8b68f6a1c6ap+45"),  # libm: 0x1.be8b68f6a1c69p+45
+    ("0x1.50e3cb19df790p+4", "0x1.4c6983411512ep+30"),  # libm: 0x1.4c6983411512dp+30
+    ("-0x1.10fd03b67e058p+3", "0x1.9db9febea934ep-13"),  # libm: 0x1.9db9febea934fp-13
+    ("-0x1.284aabf919a44p+5", "0x1.7b6d85539c985p-54"),  # libm: 0x1.7b6d85539c986p-54
+    ("0x1.0865ba64afc40p+5", "0x1.9a5158a713d3dp+47"),  # libm: 0x1.9a5158a713d3cp+47
+    ("0x1.88b0f3aa74eb8p+5", "0x1.c2ea08860d3c5p+70"),  # libm: 0x1.c2ea08860d3c6p+70
+]
+
+
+def test_exp_is_correctly_rounded_on_every_machine():
+    for x, want in EXP_TABLE:
+        power = float.fromhex(x)
+        assert exp(power).hex() == want, x
+        assert node_power_index(power, 1.0).hex() == want, x
 
 
 def test_clamp_power_bounds():

@@ -162,8 +162,8 @@ MUTANTS = (
     Mutant(
         "a batch's keys are committed before the batch is admitted",
         "src/computepool/ledger.py",
-        "        keys = ChainMap(added, self._keys)\n",
-        "        keys = self._keys\n",
+        "ChainMap(added, self._keys)",
+        "self._keys",
         ("tests/test_ledger.py::test_failed_batch_leaves_no_trace",),
     ),
     Mutant(
@@ -472,10 +472,17 @@ MUTANTS = (
     Mutant(
         "sealed entries keep a second copy of their payload bytes",
         "src/computepool/ledger.py",
-        "    for entry in entries:\n"
-        '        entry.__dict__.pop("payload_bytes", None)\n',
+        "        for entry in entries:\n"
+        '            entry.__dict__.pop("payload_bytes", None)\n',
         "",
         ("tests/test_ledger.py::test_stored_payload_bytes_keep_every_byte",),
+    ),
+    Mutant(
+        "verify skips the re-sealed root comparison",
+        "src/computepool/ledger.py",
+        "                if block.root != root:\n",
+        "                if False:\n",
+        ("tests/test_ledger.py::test_tamper_in_last_block_reports_last_height[root]",),
     ),
     Mutant(
         "framing a sealed entry stores its payload bytes again",
@@ -483,6 +490,21 @@ MUTANTS = (
         "            payload_bytes = encode(self.payload)\n",
         '            payload_bytes = self.__dict__["payload_bytes"] = encode(self.payload)\n',
         ("tests/test_ledger.py::test_stored_payload_bytes_keep_every_byte",),
+    ),
+    Mutant(
+        "exp is the platform's libm exp",
+        "src/computepool/tokenomics.py",
+        "    return float(_EXP_CONTEXT.exp(Decimal(x)))\n",
+        "    return math.exp(x)\n",
+        ("tests/test_tokenomics.py::test_exp_is_correctly_rounded_on_every_machine",),
+    ),
+    Mutant(
+        "each row is paid in whole tokens and the rest as residue",
+        "src/computepool/tokenomics.py",
+        "        deed: pool_snapshot * Fraction(share) if share > 0.0 else Fraction(0)\n",
+        "        deed: Fraction(int(pool_snapshot * Fraction(share))) if share > 0.0 "
+        "else Fraction(0)\n",
+        ("generative/test_generated_scenarios.py::test_scaling_every_amount_scales_every_balance",),
     ),
     Mutant(
         "sum the shares in scenario order",
