@@ -1,10 +1,12 @@
 """Generated scenarios: every one is refused at parse time or runs clean,
-listing its nodes in reverse moves no balance, and scaling every amount
-scales every balance.
+each scripted challenge ends in one recorded verdict, listing its nodes in
+reverse moves no balance, scaling every amount scales every balance, and the
+CLI exits 0, 1 or 2 on each without a traceback.
 
 The strategy draws `perfbench/scenario_gen.py`'s size knobs and then makes
-the scenario harder than the benchmark's: tight balances, short review locks,
-drop rates up to 0.9, jobs no node can serve, and scripted challenges with and
+the scenario harder than the benchmark's: tight balances, rewards of a few
+tokens (so epoch payouts under one token occur), short review locks, drop
+rates up to 0.9, jobs no node can serve, and scripted challenges with and
 without a bond. These examples are slower than the tier-1 suite, so they live
 outside `tests/` and run on their own, from the repository root:
 
@@ -13,16 +15,20 @@ outside `tests/` and run on their own, from the repository root:
 `derandomize` fixes the examples, so every run draws the same scenarios.
 """
 
+import contextlib
 import copy
+import io
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from computepool.cli import main
 from computepool.escrow import JURY_SIZE
-from computepool.ledger import load_blocks, verify_blocks
+from computepool.ledger import EntryKind, load_blocks, payload_shape, verify_blocks
 from computepool.report import write_reports
 from computepool.scenario import ScenarioError, parse_scenario
 from computepool.simnet import SimulationError, run_scenario
@@ -57,6 +63,9 @@ def scenarios(draw) -> dict:
     if draw(st.booleans()):  # tight: some jobs, bonds or challenges go unfunded
         for node in data["nodes"]:
             node["balance"] = draw(st.integers(0, 600))
+    if draw(st.integers(0, 3)) == 0:  # small: some epoch payouts are under one token
+        for job in data["jobs"]:
+            job["reward"] = draw(st.integers(1, 3))
     if draw(st.booleans()):
         data["review_lock_seconds"] = draw(st.integers(1, epoch_seconds))
     job_ids, sent = [], {}
@@ -104,6 +113,30 @@ def test_generated_scenarios_conserve_verify_and_repeat(data):
         assert run_and_report(data, Path(tmp) / "again") == first
 
 
+JURY_DRAWN = (EntryKind.POOL_EVENT, "jury_drawn")
+CHALLENGE_REJECTED = (EntryKind.POOL_EVENT, "challenge_rejected")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenarios())
+def test_each_scripted_challenge_ends_in_one_recorded_verdict(data):
+    try:
+        sim = run_scenario(parse_scenario(yaml.safe_load(to_yaml(data))))
+    except (ScenarioError, SimulationError):
+        return
+    shapes, verdicts = Counter(), []
+    for _, entry in sim.ledger.entries():
+        shape = payload_shape(entry.kind, entry.payload)
+        shapes[shape] += 1
+        if shape in (JURY_DRAWN, CHALLENGE_REJECTED):
+            verdicts.append(entry.payload["job"])
+    # Challenges open in time order, those at one time in scenario order.
+    assert verdicts == [c["job"] for c in sorted(data["challenges"], key=lambda c: c["at"])]
+    # A refused opening leaves no CHALLENGE entry; a drawn jury always resolves.
+    assert shapes[EntryKind.CHALLENGE, "opened"] == shapes[JURY_DRAWN]
+    assert shapes[EntryKind.CHALLENGE, "resolved"] == shapes[JURY_DRAWN]
+
+
 def final_balances(data: dict) -> dict | str:
     """Every deed's final balance, or the name of the error the run ends in."""
     try:
@@ -138,3 +171,32 @@ def test_scaling_every_amount_scales_every_balance(data):
     if isinstance(want, dict):
         want = {deed_id: 7 * balance for deed_id, balance in want.items()}
     assert final_balances(scaled) == want
+
+
+@st.composite
+def cli_cases(draw) -> tuple[dict, int | None]:
+    """A scenario, and the index of a challenge given the wrong number of votes, if any."""
+    data = draw(scenarios())
+    wrong = None
+    if data["challenges"] and draw(st.booleans()):
+        wrong = draw(st.integers(0, len(data["challenges"]) - 1))
+        data["challenges"][wrong]["votes"] = draw(
+            st.lists(st.booleans(), max_size=JURY_SIZE + 2).filter(lambda v: len(v) != JURY_SIZE)
+        )
+    return data, wrong
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cli_cases())
+def test_the_cli_exits_0_1_or_2_without_a_traceback(case):
+    data, wrong = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(to_yaml(data), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if wrong is not None:
+        assert code == 2 and f"challenges[{wrong}].votes" in err.getvalue()

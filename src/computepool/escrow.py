@@ -18,8 +18,10 @@ The bank has two mutators. `submit_job` funds a job; `EscrowBank.apply` moves
 funds on a recorded ledger fact, from assignment to the review verdict (a
 `review_resolved` POOL_EVENT). Each of its branches reads the payload of one
 entry shape, checks the status it starts from and sets the one it ends in.
-The simulator applies each entry it records, and a replay of a dump can apply
-the same entries. A `REWARD_RECORD` must pay out the whole reward pool,
+The simulator hands each fund-moving fact to `apply` and records it only once
+`apply` has acted on it, so every such entry in a ledger was applied once, in
+ledger order, and one the bank refuses is never recorded; a replay of a dump
+can apply the same entries. A `REWARD_RECORD` must pay out the whole reward pool,
 exactly, or nothing moves.
 
 Every mutation is atomic per call and the class never creates or destroys

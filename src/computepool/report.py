@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .crypto import digest
+from .escrow import _sender_then_seq
 from .ledger import EntryKind
 from .simnet import Simulation
 
@@ -74,7 +75,7 @@ def allocation_lines(result: Simulation) -> list[dict]:
 def job_lines(result: Simulation) -> list[dict]:
     specs = {spec.job_id: spec for spec in result.scenario.jobs}
     lines = []
-    for job in result.bank.jobs.values():
+    for job in sorted(result.bank.jobs.values(), key=lambda j: _sender_then_seq(j.job_id)):
         spec = specs[job.job_id]
         lines.append(
             {
@@ -88,7 +89,6 @@ def job_lines(result: Simulation) -> list[dict]:
                 "settled_epoch": job.settled_epoch,
             }
         )
-    lines.sort(key=lambda line: line["job"])
     return lines
 
 

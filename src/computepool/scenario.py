@@ -17,6 +17,7 @@ from pathlib import Path
 
 import yaml
 
+from .escrow import JURY_SIZE
 from .pipeline import (
     BUSINESS,
     SERVING,
@@ -253,7 +254,7 @@ class ChallengeSpec:
     challenger: str
     job_id: str
     bond: Fraction | None
-    votes: tuple[bool, ...]
+    votes: tuple[bool, ...]  # one per juror, in the order the jury is drawn
 
 
 @dataclass(frozen=True)
@@ -475,6 +476,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         votes = _sequence(cfg["votes"], f"{path}.votes")
         if not all(isinstance(v, bool) for v in votes):
             _fail(f"{path}.votes", "votes must be booleans (true = uphold)")
+        if len(votes) != JURY_SIZE:
+            _fail(f"{path}.votes", f"need one vote per juror: {JURY_SIZE}, got {len(votes)}")
         bond = _fraction(cfg["bond"], f"{path}.bond", positive=True) if "bond" in cfg else None
         challenges.append(
             ChallengeSpec(

@@ -206,9 +206,9 @@ class Simulation:
         self._pending_entries.append(entry)
         return entry
 
-    def _pool_event(self, event: str, **fields) -> LedgerEntry:
+    def _pool_event(self, event: str, **fields) -> None:
         """Record the coordinator-signed POOL_EVENT `{"event": event, **fields}`."""
-        return self._record(EntryKind.POOL_EVENT, COORDINATOR_ID, {"event": event, **fields})
+        self._record(EntryKind.POOL_EVENT, COORDINATOR_ID, {"event": event, **fields})
 
     def _seal_tick(self) -> None:
         if self._pending_entries:
@@ -226,9 +226,12 @@ class Simulation:
                 f"escrow pool {bank.escrow_pool}"
             )
 
-    def _apply_entry(self, entry: LedgerEntry):
-        """Move funds as a fresh entry says, then check conservation."""
-        changed = self.bank.apply(entry)
+    def _apply(self, kind: EntryKind, author: str, payload: dict, active_ids=()):
+        """Sign a fund-moving fact and let the bank act on it; only then record
+        it and check conservation, so a fact the bank refuses leaves no entry."""
+        entry = sign_entry(kind, author, payload, self._signer(author))
+        changed = self.bank.apply(entry, active_ids)
+        self._pending_entries.append(entry)
         self._check_conservation()
         return changed
 
@@ -575,20 +578,18 @@ class Simulation:
         except GatherError as exc:
             self._pool_event("gather_failed", job=shard.job, reason=str(exc))
             return
-        now_s = self._now // 1000
-        entry = self._record(
+        self._apply(
             EntryKind.JOB_STATUS,
             COORDINATOR_ID,
             {
                 "job": shard.job,
                 "status": "DONE",
-                "at": now_s,
+                "at": self._now // 1000,
                 "epoch": self.bank.epoch_of(self._now),
                 "aggregate": agg_digest.hex(),
                 "aggregate_size": len(aggregate),
             },
         )
-        self._apply_entry(entry)
 
     def _on_job_cancel(self, job_id: str) -> None:
         job = self.bank.jobs.get(job_id)
@@ -596,20 +597,19 @@ class Simulation:
             self._pool_event("cancel_skipped", job=job_id, reason="job rejected at submission")
             return
         if job.status not in (JobStatus.PENDING, JobStatus.IN_PROGRESS):
-            return  # finished before the scripted cancellation fired
-        now_s = self._now // 1000
-        entry = self._record(
+            self._pool_event("cancel_skipped", job=job_id, reason="job already finished")
+            return
+        job = self._apply(
             EntryKind.JOB_STATUS,
             COORDINATOR_ID,
             {
                 "job": job_id,
                 "status": "CANCELLED",
-                "at": now_s,
+                "at": self._now // 1000,
                 "epoch": self.bank.epoch_of(self._now),
                 "reason": "scripted_cancel",
             },
         )
-        job = self._apply_entry(entry)
         if job.status == JobStatus.REFUNDED:
             return  # cancelled before assignment: no review, no worker to tell
         self._schedule(job.unlock_time * 1000, PRI_REVIEW, self._on_review_unlock, job_id)
@@ -625,39 +625,35 @@ class Simulation:
         if self.bank.jobs[job].status != JobStatus.LOCKED_FOR_REVIEW:
             return  # a challenge verdict resolved it early
         verdict = "WORK_VALID" if self._job_specs[job].review_verdict == "valid" else "WORK_INVALID"
-        entry = self._pool_event("review_resolved", job=job, verdict=verdict, at=self._now // 1000)
-        self._apply_entry(entry)
+        self._apply(
+            EntryKind.POOL_EVENT,
+            COORDINATOR_ID,
+            {"event": "review_resolved", "job": job, "verdict": verdict, "at": self._now // 1000},
+        )
 
     def _on_challenge_open(self, spec: ChallengeSpec) -> None:
-        try:
-            job = self.bank.job(spec.job_id)
-        except UnknownJobError:
-            return
-        bond = spec.bond if spec.bond is not None else job.reward * BOND_FRACTION
         seed = digest(
             self._seed_bytes() + b"|jury|" + spec.job_id.encode() + spec.challenger.encode()
         )
-        entry = self._record(
-            EntryKind.CHALLENGE,
-            spec.challenger,
-            {
-                "phase": "opened",
-                "job": spec.job_id,
-                "challenger": spec.challenger,
-                "bond": str(bond),
-                "seed": seed.hex(),
-                "epoch": self.bank.epoch_of(self._now),
-                "at": self._now // 1000,
-            },
-        )
         active_ids = [n.node_id for n in self.scenario.nodes if self._is_up(n.node_id, self._now)]
         try:
-            challenge = self.bank.apply(entry, active_ids)
-        except (ChallengeError, InsufficientFundsError) as exc:
-            challenge = None
+            bond = spec.bond or self.bank.job(spec.job_id).reward * BOND_FRACTION
+            challenge = self._apply(
+                EntryKind.CHALLENGE,
+                spec.challenger,
+                {
+                    "phase": "opened",
+                    "job": spec.job_id,
+                    "challenger": spec.challenger,
+                    "bond": str(bond),
+                    "seed": seed.hex(),
+                    "epoch": self.bank.epoch_of(self._now),
+                    "at": self._now // 1000,
+                },
+                active_ids,
+            )
+        except (ChallengeError, InsufficientFundsError, UnknownJobError) as exc:
             self._pool_event("challenge_rejected", job=spec.job_id, reason=str(exc))
-        self._check_conservation()
-        if challenge is None:
             return
         self._pool_event(
             "jury_drawn",
@@ -671,25 +667,19 @@ class Simulation:
         resolve_at = min(self._now + self.heartbeat_ms, epoch_close)
         self._schedule(resolve_at, PRI_ACTION, self._on_challenge_resolve, challenge, spec.votes)
 
-    def _on_challenge_resolve(self, challenge: Challenge, votes_aligned: tuple[bool, ...]) -> None:
-        if len(votes_aligned) != len(challenge.jury):
-            raise SimulationError(
-                f"challenge {challenge.challenge_id}: scenario provides "
-                f"{len(votes_aligned)} votes for a jury of {len(challenge.jury)}"
-            )
-        votes = {juror: votes_aligned[i] for i, juror in enumerate(challenge.jury)}
-        entry = self._record(
+    def _on_challenge_resolve(self, challenge: Challenge, votes: tuple[bool, ...]) -> None:
+        """Record the jury's verdict; the scenario gives one vote per juror, in jury order."""
+        self._apply(
             EntryKind.CHALLENGE,
             COORDINATOR_ID,
             {
                 "phase": "resolved",
                 "challenge": challenge.challenge_id,
                 "job": challenge.job_id,
-                "votes": votes,
+                "votes": dict(zip(challenge.jury, votes)),
                 "at": self._now // 1000,
             },
         )
-        challenge = self._apply_entry(entry)
         self._pool_event(
             "challenge_settled", challenge=challenge.challenge_id, verdict=challenge.verdict.value
         )
@@ -703,7 +693,6 @@ class Simulation:
                     self.registry.accrue_alive(node.node_id, self.scenario.heartbeat_seconds)
         active = [self.registry.deed(n.node_id) for n in self.scenario.nodes]
         pool = self.bank.reward_pool
-        allocation = None
         if pool > 0:
             try:
                 allocation = distribute_epoch_rewards(
@@ -711,27 +700,25 @@ class Simulation:
                 )
             except NoEligibleNodesError:
                 pass
-        if allocation is not None:
-            self.allocations.append(allocation)
-            entry = self._record(
-                EntryKind.REWARD_RECORD,
-                COORDINATOR_ID,
-                {
-                    "epoch": epoch,
-                    "pool": str(pool),
-                    "entries": [
-                        [e.deed_id, str(e.amount), e.share] for e in allocation.entries
-                    ],
-                },
-            )
-            self.bank.apply(entry)  # checked once, after the close
+            else:
+                self.allocations.append(allocation)
+                self._apply(
+                    EntryKind.REWARD_RECORD,
+                    COORDINATOR_ID,
+                    {
+                        "epoch": epoch,
+                        "pool": str(pool),
+                        "entries": [
+                            [e.deed_id, str(e.amount), e.share] for e in allocation.entries
+                        ],
+                    },
+                )
         if epoch < self.scenario.epochs:
             for node in self.scenario.nodes:
                 self.registry.set_power(
                     node.node_id, epoch + 1, node.power_for_epoch(epoch + 1)
                 )
         self.pool_timeline.append(dict(self.bank.pool_payload(), epoch=epoch))
-        self._check_conservation()
 
     # -- main loop -----------------------------------------------------------------
 
@@ -753,13 +740,13 @@ class Simulation:
 def audit_counters(scenario: Scenario, ledger: Ledger, code_rechecks: int) -> dict:
     """The run's audit counters, counted from its sealed ledger.
 
-    Four counters have no entry and come from the scenario. A run that
-    returns has handled every scripted job arrival, challenge and epoch close
-    exactly once: each job was submitted, and its user code vetted first;
-    each challenge either drew a jury or failed; each close either recorded
-    a `REWARD_RECORD` or was skipped. `code_rechecks` has no entry either,
-    so the simulation counts it as it runs. Entries are counted by their
-    `payload_shape`, so a pool event or a job status counts under its variant.
+    Three counters have no entry and come from the scenario. A run that
+    returns has handled every scripted job arrival and epoch close exactly
+    once: each job was submitted, and its user code vetted first; each close
+    either recorded a `REWARD_RECORD` or was skipped. `code_rechecks` has no
+    entry either, so the simulation counts it as it runs. Entries are counted
+    by their `payload_shape`, so a pool event or a job status counts under its
+    variant: `challenges_failed` counts `challenge_rejected` pool events.
     """
     counts = Counter(payload_shape(entry.kind, entry.payload) for _, entry in ledger.entries())
 
@@ -776,7 +763,7 @@ def audit_counters(scenario: Scenario, ledger: Ledger, code_rechecks: int) -> di
         "jobs_cancelled": counts[EntryKind.JOB_STATUS, "CANCELLED"],
         "reviews_resolved": events("review_resolved"),
         "challenges_opened": events("jury_drawn"),
-        "challenges_failed": len(scenario.challenges) - events("jury_drawn"),
+        "challenges_failed": events("challenge_rejected"),
         "code_rechecks": code_rechecks,
         "plugins_vetted": sum(
             job.pipeline.user_code(job.n_workers) is not None for job in scenario.jobs

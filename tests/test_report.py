@@ -82,6 +82,14 @@ def test_job_lines_are_sorted_by_key():
     assert lines == sorted(lines, key=lambda line: line["job"])
 
 
+def test_job_lines_order_by_sender_then_sequence_number():
+    data = mini_scenario().raw
+    data["nodes"][0]["balance"] = 500
+    data["jobs"] = [dict(data["jobs"][0], at=30 + i) for i in range(11)]
+    lines = job_lines(run_scenario(parse_scenario(data)))
+    assert [line["job"] for line in lines] == [f"s:{seq}" for seq in range(1, 12)]  # s:2 before s:10
+
+
 def test_entry_records_and_filters():
     result = run_scenario(mini_scenario())
     records = entry_records(result.ledger.blocks)

@@ -193,7 +193,7 @@ def test_jobs_must_be_time_ordered():
 def test_jobs_and_challenges_must_fall_inside_the_horizon():
     data = base_scenario()  # 2 epochs of 600 s
     data["jobs"].append(dict(data["jobs"][0], at=1200))
-    data["challenges"] = [{"at": 1200, "challenger": "b", "job": "a:2", "votes": [True]}]
+    data["challenges"] = [{"at": 1200, "challenger": "b", "job": "a:2", "votes": [True] * 3}]
     sc = parse_scenario(data)
     assert sc.jobs[1].at == sc.challenges[0].at == sc.horizon
     late_job = copy.deepcopy(data)
@@ -282,6 +282,15 @@ def test_challenge_validation():
     expect_error(bad, "challenges[0].challenger: unknown node 'zz'")
 
 
+@pytest.mark.parametrize(
+    "votes", [[], [True], [True, False], [True] * 4], ids=["none", "one", "two", "four"]
+)
+def test_a_challenge_gives_one_vote_per_juror(votes):
+    data = base_scenario()
+    data["challenges"] = [{"at": 40, "challenger": "b", "job": "a:1", "votes": votes}]
+    expect_error(data, f"challenges[0].votes: need one vote per juror: 3, got {len(votes)}")
+
+
 def test_job_ids_count_per_sender():
     data = base_scenario()
     data["jobs"] = [
@@ -290,7 +299,7 @@ def test_job_ids_count_per_sender():
         {"sender": "a", "at": 30, "reward": 5, "pipeline": "p", "n_workers": 1, "steps": 1},
     ]
     data["challenges"] = [
-        {"at": 40, "challenger": "c", "job": "a:2", "votes": [True]}
+        {"at": 40, "challenger": "c", "job": "a:2", "votes": [True] * 3}
     ]
     sc = parse_scenario(data)
     assert [job.job_id for job in sc.jobs] == ["a:1", "b:1", "a:2"]

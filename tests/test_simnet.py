@@ -518,14 +518,17 @@ def test_upheld_challenge_on_settled_job_refunds_once_within_its_epoch(challenge
     assert result.allocations == []
 
 
-def test_challenge_after_its_window_is_recorded_then_rejected():
-    # alpha:1 settles in epoch 1; at t=4000 s epoch 2 runs, so the window is closed.
+def test_a_challenge_after_its_window_leaves_only_its_rejection():
+    # alpha:1 settles in epoch 1; at t=4000 s epoch 2 runs, so the window is
+    # closed. The bank refuses the opening, so no CHALLENGE entry records it.
     result = run_scenario(demo_with_challenges(("j0", 4000)))
-    opened, rejected = result.ledger.blocks[8].entries
-    assert (opened.kind, opened.payload["phase"]) == (EntryKind.CHALLENGE, "opened")
+    (rejected,) = result.ledger.blocks[8].entries
     assert (rejected.kind, rejected.payload["event"]) == (
         EntryKind.POOL_EVENT, "challenge_rejected"
     )
+    assert rejected.payload["reason"].endswith("challenge window closed")
+    kinds = [e.kind for _, e in result.ledger.entries()]
+    assert EntryKind.CHALLENGE not in kinds
     events = [e.payload.get("event") for _, e in result.ledger.entries()]
     assert "jury_drawn" not in events
     assert result.audit["challenges_failed"] == 1
@@ -613,6 +616,58 @@ def test_every_audit_counter_matches_a_hand_count():
     assert sorted(result.bank.challenges["ch1"].jury) == ["j2", "j3", "poor"]
     assert [row["reward_pool"] for row in result.pool_timeline] == ["0", "110", "0"]
     assert [a.epoch for a in result.allocations] == [3]
+
+
+def test_a_challenge_of_an_unfunded_job_is_rejected_in_the_banks_words():
+    result = run_scenario(counters_scenario())
+    rejected = [e.payload for _, e in result.ledger.entries()
+                if payload_shape(e.kind, e.payload) == (EntryKind.POOL_EVENT, "challenge_rejected")]
+    assert rejected[0] == {
+        "event": "challenge_rejected", "job": "sender:1", "reason": "unknown job sender:1",
+    }
+    assert [p["job"] for p in rejected] == ["sender:1", "sender:3"]  # then poor's bond
+
+
+def test_a_cancel_after_its_job_finished_is_recorded_as_skipped():
+    sc = two_region_scenario(jobs=[
+        {"sender": "sender", "at": 60, "reward": 100, "pipeline": "count",
+         "n_workers": 2, "steps": 3, "cancel_at": 1000},
+    ])
+    result = run_scenario(sc)
+    assert result.bank.job("sender:1").status == JobStatus.SETTLED
+    skipped = [(block.timestamp, e.payload) for block in result.ledger.blocks
+               for e in block.entries if e.payload.get("event") == "cancel_skipped"]
+    assert skipped == [(1_000_000, {
+        "event": "cancel_skipped", "job": "sender:1", "reason": "job already finished",
+    })]
+    assert result.audit["jobs_done"] == 1 and result.audit["jobs_cancelled"] == 0
+    assert result.conservation_ok
+
+
+FUND_MOVING = {
+    (EntryKind.JOB_STATUS, "DONE"),
+    (EntryKind.JOB_STATUS, "CANCELLED"),
+    (EntryKind.POOL_EVENT, "review_resolved"),
+    (EntryKind.REWARD_RECORD, None),
+    (EntryKind.CHALLENGE, "opened"),
+    (EntryKind.CHALLENGE, "resolved"),
+}
+
+
+def test_conservation_is_checked_once_per_funding_and_per_fund_moving_entry(monkeypatch):
+    totals = []
+    conservation_total = EscrowBank.conservation_total
+
+    def counting_total(bank):
+        totals.append(bank)
+        return conservation_total(bank)
+
+    monkeypatch.setattr(EscrowBank, "conservation_total", counting_total)
+    result = run_scenario(load_scenario(SCENARIOS / "reference.yaml"))
+    moves = sum(payload_shape(e.kind, e.payload) in FUND_MOVING for _, e in result.ledger.entries())
+    # One total at setup and one at the end; one check per funded job, and
+    # one per entry the bank acts on to move funds. JOB_ASSIGN moves none.
+    assert len(totals) == 2 + len(result.bank.jobs) + moves == 50
 
 
 def test_every_fund_moving_entry_reaches_the_bank_once_in_ledger_order(monkeypatch):
