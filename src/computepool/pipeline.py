@@ -342,10 +342,6 @@ def _constant(params: dict, worker: int):
     return lambda step: value
 
 
-def _identity(params: dict, worker: int):
-    return lambda value: value
-
-
 def _running_sum(params: dict, worker: int):
     total = 0.0
 
@@ -400,7 +396,6 @@ SOURCES = {
     "constant": (_constant, {"value": float}),
 }
 SERVING = {
-    "identity": (_identity, {}),
     "running_sum": (_running_sum, {}),
     "moving_average": (_moving_average, {"window": int}),
     "threshold": (_threshold, {"limit": float}),

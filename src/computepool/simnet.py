@@ -22,6 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .crypto import Signer, derive_signer, digest
 from .distribution import (
@@ -362,11 +363,10 @@ class Simulation:
 
     def _try_assign(self, job_id: str) -> None:
         spec = self._job_specs[job_id]
-        ranked = [
-            node_id
-            for node_id in self._ranked[spec.requirement]
-            if self._is_up(node_id, self._now) and node_id != spec.sender
-        ]
+        # The walk stops at the first n_workers nodes that are up, other than the sender.
+        up = (node_id for node_id in self._ranked[spec.requirement]
+              if node_id != spec.sender and self._is_up(node_id, self._now))
+        ranked = list(islice(up, spec.n_workers))
         try:
             workers = assign_workers(job_id, ranked, spec.n_workers)
         except InsufficientWorkersError:
@@ -414,9 +414,6 @@ class Simulation:
 
     def _on_assign_delivered(self, to: str, msg: tuple[str, int, PluginCode | None]) -> None:
         job_id, index, code = msg
-        task_key = (job_id, to)
-        if task_key in self._tasks:
-            return  # duplicate delivery after a retransmit
         if code is not None:
             ok, reason = hash_sign_recheck(code, self._signer(code.author).verify_key)
             self.code_rechecks += 1
@@ -424,7 +421,7 @@ class Simulation:
                 self._pool_event("code_recheck_failed", job=job_id, reason=reason)
                 return
         spec = self._job_specs[job_id]
-        task = self._tasks[task_key] = _WorkerTask(
+        task = self._tasks[job_id, to] = _WorkerTask(
             job=job_id,
             worker=to,
             run=PipelineRun(spec.pipeline, index),

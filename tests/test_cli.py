@@ -226,6 +226,11 @@ def test_verify_missing_file_is_usage_error(tmp_path, capsys):
     assert "cannot read ledger" in capsys.readouterr().err
 
 
+def test_inspect_missing_file_is_usage_error(tmp_path, capsys):
+    assert main(["inspect", str(tmp_path / "ghost.bin")]) == 2
+    assert "cannot read ledger" in capsys.readouterr().err
+
+
 def test_inspect_filters_records(run_dir, capsys):
     assert main(["inspect", str(run_dir / "ledger.bin"), "--job", "s:1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -88,7 +88,7 @@ def test_decode_rejects_trailing_bytes():
 
 
 def test_decode_rejects_truncation():
-    for raw in (encode("hello world"), encode({"key": "value"})):
+    for raw in (encode("hello world"), encode({"key": "value"}), encode(2.5)):
         for cut in range(len(raw)):
             with pytest.raises(EncodingError, match="truncated"):
                 decode(raw[:cut])

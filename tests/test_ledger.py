@@ -23,6 +23,7 @@ from computepool.ledger import (
     EntryKind,
     Ledger,
     LedgerError,
+    VerifyResult,
     load_blocks,
     payload_shape,
     sign_entry,
@@ -160,6 +161,47 @@ def test_verify_dump_rejects_bad_magic_and_truncation():
     assert not load_verified(b"XYZ" + data[3:])[0].ok
     assert not load_verified(data[:-3])[0].ok
     assert not load_verified(data + b"\0")[0].ok
+
+
+def with_last_block(blocks, last: bytes) -> bytes:
+    """A dump of `blocks` whose last block is the bytes `last`."""
+    blobs = [block.wire_bytes for block in blocks[:-1]] + [last]
+    return DUMP_MAGIC + struct.pack(">I", len(blobs)) + b"".join(
+        struct.pack(">I", len(blob)) + blob for blob in blobs)
+
+
+# sample_ledger() has blocks 0-3; a dump's header is the magic and a 4-byte
+# block count.
+@pytest.mark.parametrize("forge, height, message", [
+    (lambda data, blocks: DUMP_MAGIC + b"\0\0", 0, "truncated dump header"),
+    (lambda data, blocks: DUMP_MAGIC + struct.pack(">I", 5) + data[len(DUMP_MAGIC) + 4:],
+     4, "truncated dump at block 4"),
+    (lambda data, blocks: with_last_block(blocks, b"L\0\0"), 3,
+     "malformed block 3: truncated encoding"),
+    (lambda data, blocks: with_last_block(blocks, blocks[3].wire_bytes + b"\0"), 3,
+     "malformed block 3: trailing bytes after value at offset "),
+], ids=["truncated_header", "missing_block", "truncated_list_header", "trailing_bytes_in_block"])
+def test_a_malformed_dump_is_refused_at_its_block(forge, height, message):
+    led = sample_ledger()
+    with pytest.raises(LedgerError, match=re.escape(message)) as exc:
+        load_blocks(forge(led.dump(), led.blocks))
+    assert exc.value.height == height
+
+
+def test_an_empty_chain_does_not_verify():
+    assert verify_blocks([]) == VerifyResult(False, 0, "empty chain")
+
+
+def test_an_entry_whose_payload_is_not_a_map_is_refused():
+    # A dump's payload must decode to a map, so only blocks in memory carry one.
+    led = Ledger()
+    led.append_entries([forged_dumps.mallory_spec()], 1)
+    entry = sign_entry(EntryKind.JOB_ASSIGN, "mallory", ["x", 1], forged_dumps.MALLORY)
+    reason = "JOB_ASSIGN payload is list, not a map"
+    with pytest.raises(LedgerError, match=re.escape(reason)):
+        led.append_entries([entry], 2)
+    candidate = forged_dumps.sealed_without_checks(led.blocks, [entry], 2)
+    assert verify_blocks([*led.blocks, candidate]) == VerifyResult(False, 2, reason, 3, 1)
 
 
 def test_single_byte_flips_are_detected():
@@ -500,8 +542,11 @@ def test_every_payload_field_of_another_type_fails_at_its_block(example_blocks):
      "JOB_ASSIGN payload.commitments.carol: expected lowercase hex, got 'CDCD"),
     ((EntryKind.NODE_SPEC, "coordinator"), lambda p: p.update(role="auditor"),
      "NODE_SPEC payload.role 'auditor' is not a known variant"),
+    # `int` refuses to convert this many digits
+    ((EntryKind.NODE_SPEC, None), lambda p: p.update(balance="1" * 5000 + "/3"),
+     "NODE_SPEC payload.balance: expected a token amount in lowest terms, got '111"),
 ], ids=["unknown_event", "missing_key", "extra_key", "unreduced_amount", "zero_denominator",
-        "uppercase_hex", "unknown_role"])
+        "uppercase_hex", "unknown_role", "amount_too_long"])
 def test_a_payload_the_protocol_cannot_apply_fails_at_its_block(
         example_blocks, shape, edit, reason):
     # `example_ledger` seals the two NODE_SPECs at height 1, then one example

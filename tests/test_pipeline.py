@@ -69,6 +69,14 @@ def test_safety_policy_caps():
     assert safety_check("-" + at_cap).reasons == ("source has 513 tokens, policy allows 512",)
 
 
+def test_source_that_does_not_tokenize_is_unsafe():
+    verdict = safety_check("s = '''never closed\n")
+    assert not verdict.safe
+    assert len(verdict.reasons) == 1
+    assert re.fullmatch(r"source does not tokenize: .*EOF in multi-line string.*",
+                        verdict.reasons[0])
+
+
 def test_plugin_code_recheck_accepts_honest_code():
     signer = derive_signer("plug", "author")
     code = make_plugin_code("acc = acc + x\n", "author", signer)
@@ -405,7 +413,7 @@ def test_parse_pipeline_diagnostics():
          "pipelines.p.source.params[1]: unknown keys: [2]"),
         ({"source": {"kind": "counter", "parms": {"stride": 5}}},
          "pipelines.p.source: unknown keys: ['parms']"),
-        ({"serving": [{"kind": "identity", "params": {"window": 3}}]},
+        ({"serving": [{"kind": "running_sum", "params": {"window": 3}}]},
          "pipelines.p.serving[0].params: unknown keys: ['window']"),
         ({"serving": [{"kind": "threshold", "params": {"limit": 1}, "window": 3}]},
          "pipelines.p.serving[0]: unknown keys: ['window']"),

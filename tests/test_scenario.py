@@ -96,6 +96,19 @@ def test_token_amounts_reject_floats():
     assert parse_scenario(data).nodes[0].balance == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["nodes"][0].update(balance="abc"),
+     "nodes[0].balance: not a token amount: 'abc'"),
+    (lambda data: data["jobs"][0].update(reward=0), "jobs[0].reward: must be positive, got 0"),
+    (lambda data: data.update(nodes=[]), "nodes: at least one node is required"),
+], ids=["not_an_amount", "zero_reward", "no_nodes"])
+def test_amounts_and_the_node_list_are_refused_by_name(edit, message):
+    data = base_scenario()
+    edit(data)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario(data)
+
+
 NUMBER_FIELDS = {
     "nodes[0].power": lambda data, v: data["nodes"][0].update(power=v),
     "nodes[1].power[10]": lambda data, v: data["nodes"][1]["power"].update({10: v}),

@@ -32,6 +32,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
     ("proofs/+/n1", "proofs/a/b/n1", False),
     ("a/b", "a/b", True),
     ("a/b", "a/b/c", False),
+    ("a/b/c", "a/b", False),
     ("a/+/c", "a/x/c", True),
     ("#", "anything/at/all", True),
     ("a/#/c", "a/b/c", False),  # '#' must be last
@@ -433,6 +434,30 @@ def test_a_job_no_node_can_serve_waits_without_retries():
     assert (job.status, job.workers) == (JobStatus.PENDING, [])
     assert result.bank.escrow_pool == 100
     assert result.conservation_ok
+
+
+def test_an_assignment_asks_only_the_nodes_it_takes_whether_they_are_up():
+    # Every node is up and capabilities tie, so the ranking is by id: sender,
+    # w-eu, w-idle, w-us. The walk skips the sender without asking and stops
+    # once it has the job's two workers.
+    asked = []
+
+    class Recording(Simulation):
+        assigning = False
+
+        def _is_up(self, node_id, at_ms):
+            if self.assigning:
+                asked.append(node_id)
+            return super()._is_up(node_id, at_ms)
+
+        def _try_assign(self, job_id):
+            self.assigning = True
+            super()._try_assign(job_id)
+            self.assigning = False
+
+    result = Recording(two_region_scenario()).run()
+    assert result.bank.job("sender:1").workers == ["w-eu", "w-idle"]
+    assert asked == ["w-eu", "w-idle"]
 
 
 def test_demo_scenario_runs_end_to_end():

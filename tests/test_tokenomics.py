@@ -247,6 +247,18 @@ def test_exact_sum_equals_the_fraction_sum(values):
     assert total == sum(values, Fraction(0))
 
 
+def test_negative_amounts_are_refused():
+    reg = NodeRegistry()
+    reg.register("a", Fraction(10))
+    with pytest.raises(ValueError, match="credit amount must be non-negative"):
+        reg.credit("a", Fraction(-1))
+    with pytest.raises(ValueError, match="debit amount must be non-negative"):
+        reg.debit("a", Fraction(-1))
+    assert reg.deed("a").balance == 10
+    with pytest.raises(ValueError, match="pool snapshot must be non-negative"):
+        distribute_epoch_rewards(Fraction(-1), make_active([0.0], [100], epoch=1), 1, 100)
+
+
 def test_registry_balance_and_penalty_flow():
     reg = NodeRegistry()
     reg.register("a", Fraction(100))

@@ -580,6 +580,34 @@ MUTANTS = (
         "",
         ("generative/test_generated_scenarios.py::test_generated_scenarios_conserve_verify_and_repeat",),
     ),
+    Mutant(
+        "load_blocks accepts a truncated header",
+        "src/computepool/ledger.py",
+        '        raise LedgerError("truncated dump header")\n',
+        "        return []\n",
+        ("tests/test_ledger.py::test_a_malformed_dump_is_refused_at_its_block[truncated_header]",),
+    ),
+    Mutant(
+        "an empty chain verifies",
+        "src/computepool/ledger.py",
+        '    if not blocks:\n        return VerifyResult(False, 0, "empty chain")\n',
+        "",
+        ("tests/test_ledger.py::test_an_empty_chain_does_not_verify",),
+    ),
+    Mutant(
+        "an entry whose payload is not a map is admitted by its first check",
+        "src/computepool/ledger.py",
+        '        return f"{kind.value} payload is {type(payload).__name__}, not a map"\n',
+        "        return None\n",
+        ("tests/test_ledger.py::test_an_entry_whose_payload_is_not_a_map_is_refused",),
+    ),
+    Mutant(
+        "the assignment walk asks every ranked node whether it is up",
+        "src/computepool/simnet.py",
+        "        ranked = list(islice(up, spec.n_workers))\n",
+        "        ranked = list(up)\n",
+        ("tests/test_simnet.py::test_an_assignment_asks_only_the_nodes_it_takes_whether_they_are_up",),
+    ),
 )
 
 
