@@ -1,7 +1,9 @@
 """Generated scenarios: every one is refused at parse time or runs clean,
 each scripted challenge ends in one recorded verdict, listing its nodes in
-reverse moves no balance, scaling every amount scales every balance, and the
-CLI exits 0, 1 or 2 on each without a traceback.
+reverse moves no balance, renaming them in order moves no balance, adding a
+node that is down for the whole run moves no other balance, scaling every
+amount scales every balance, and the CLI exits 0, 1 or 2 on each without a
+traceback.
 
 The strategy draws `perfbench/scenario_gen.py`'s size knobs and then makes
 the scenario harder than the benchmark's: tight balances, rewards of a few
@@ -152,6 +154,49 @@ def test_the_order_of_nodes_moves_no_balance(data):
     # Float addition is not associative: shares summed in list order would
     # move balances by a few parts in 1e16.
     assert final_balances(dict(data, nodes=data["nodes"][::-1])) == final_balances(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenarios(), st.booleans())
+def test_renaming_every_node_in_order_moves_no_balance(data, alike):
+    if alike:  # every ranking is then a tie, broken by id
+        for node in data["nodes"]:
+            node["capability"] = {"cpu": 4.0, "memory": 8.0}
+    # A common prefix keeps the ids' order, and "node-" sorts after the
+    # coordinator's "coord", as every generated id does.
+    name = {node["id"]: f"node-{node['id']}" for node in data["nodes"]}
+    renamed = copy.deepcopy(data)
+    for node in renamed["nodes"]:
+        node["id"] = name[node["id"]]
+    for job in renamed["jobs"]:
+        job["sender"] = name[job["sender"]]
+    for challenge in renamed["challenges"]:
+        challenge["challenger"] = name[challenge["challenger"]]
+        sender, seq = challenge["job"].rsplit(":", 1)
+        challenge["job"] = f"{name[sender]}:{seq}"
+    want = final_balances(data)
+    if isinstance(want, dict):
+        want = {name.get(deed_id, deed_id): balance for deed_id, balance in want.items()}
+    assert final_balances(renamed) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenarios())
+def test_a_node_down_for_the_whole_run_moves_no_other_balance(data):
+    # It outranks every node for every job it can serve, so each assignment
+    # walks past it, and it has power to claim a share if it were credited.
+    idle = {
+        "id": "idle",
+        "region": data["nodes"][0]["region"],
+        "balance": 100,
+        "capability": {"cpu": 64.0, "memory": 256.0},
+        "power": 1.0,
+        "downtime": [{"from": 0, "to": data["epochs"] * data["epoch_seconds"] + 1}],
+    }
+    want = final_balances(data)
+    if isinstance(want, dict):
+        want["idle"] = 100
+    assert final_balances(dict(data, nodes=[*data["nodes"], idle])) == want
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

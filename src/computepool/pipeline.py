@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import io
+import math
 import operator
 import sys
 import tokenize
@@ -185,22 +186,36 @@ def hash_sign_recheck(code: PluginCode, verify_key: bytes) -> tuple[bool, str | 
 
 # -- expression language -----------------------------------------------------------
 
-# An int ** int result of 2 ** max_exp or more cannot become the float
-# accumulator, so it fails before it is built: `10 ** 10 ** 10` would
-# otherwise take billions of digits to compute.
+# `**` takes a whole exponent and gives the same bits on every machine. An int
+# to an int power >= 0 is exact, but a result of 2 ** max_exp or more cannot
+# become the float accumulator, so it fails before it is built: `10 ** 10 **
+# 10` would take billions of digits. Any other power is a float, raised by
+# repeated squaring rather than by libm's `pow`.
 _POW_LIMIT_BITS = sys.float_info.max_exp
 
 
 def _pow(base, exp):
-    if not (isinstance(base, int) and isinstance(exp, int) and exp > 0):
-        return base ** exp
-    # |base| ** exp >= 2 ** ((bit_length - 1) * exp), so that bound refuses the
-    # huge powers unbuilt; what passes has under 2 * max_exp bits.
-    if (abs(base).bit_length() - 1) * exp < _POW_LIMIT_BITS:
-        result = base ** exp
-        if abs(result).bit_length() <= _POW_LIMIT_BITS:
-            return result
-    raise ExpressionError(f"expression failed: integer power reaches 2 ** {_POW_LIMIT_BITS}")
+    if isinstance(exp, float) and not exp.is_integer():
+        raise ExpressionError(f"expression failed: exponent {exp!r} is not a whole number")
+    if isinstance(base, int) and isinstance(exp, int) and exp >= 0:
+        # |base| ** exp >= 2 ** ((bit_length - 1) * exp), so that bound refuses
+        # the huge powers unbuilt; what passes has under 2 * max_exp bits.
+        if (abs(base).bit_length() - 1) * exp < _POW_LIMIT_BITS:
+            result = base ** exp
+            if abs(result).bit_length() <= _POW_LIMIT_BITS:
+                return result
+        raise ExpressionError(f"expression failed: integer power reaches 2 ** {_POW_LIMIT_BITS}")
+    result, square, n = 1.0, float(base), abs(int(exp))
+    while n:
+        if n & 1:
+            result *= square
+        square *= square
+        n >>= 1
+    if exp < 0:
+        result = 1.0 / result
+    if math.isinf(result) and math.isfinite(base):
+        raise ExpressionError("expression failed: float power overflows")
+    return result
 
 
 _BINOPS = {
@@ -311,20 +326,21 @@ class Expression:
         try:
             return self._evaluate(env)
         except (ArithmeticError, TypeError, ValueError, RecursionError) as exc:
-            # e.g. 1 / 0, 10.0 ** 400, round(x, 0.5), round(nan)
+            # e.g. 1 / 0, round(x, 0.5), round(nan)
             raise ExpressionError(f"expression failed: {exc}") from None
 
 
 # -- plugins ------------------------------------------------------------------------
 #
 # One table per stage maps a plugin kind to its factory and its param rules.
-# A rule is a param's default, or the type of a param the kind requires: a
-# float is a finite number, an int a count >= 1, a str a non-empty string and
-# an Expression a formula, compiled once when the scenario is read. The
-# scenario reader checks every param against these rules and fills in the
-# defaults, so a factory takes one worker's complete params and its index and
-# returns that worker's fresh plugin: a source `step -> value`, a serving stub
-# `value -> value`, or a business fold `(init, (acc, value, step) -> acc)`.
+# The scenario reader's `_fields` reads params as it reads every mapping: a
+# rule is a default, the type of a required value, a reader `(value, path) ->
+# value` for a required value, or `(default, reader)`. By type, a float is a
+# finite number, an int a count >= 1, a str a non-empty string and an
+# Expression a formula, compiled once. Defaults are filled in unread, so a
+# factory takes one worker's complete params and its index and returns its
+# plugin: a source `step -> value`, a serving stub `value -> value`, or a
+# business fold `(init, (acc, value, step) -> acc)`.
 
 
 def _counter(params: dict, worker: int):
@@ -383,7 +399,7 @@ def _expr(params: dict, worker: int):
         result = expression.evaluate({"x": value, "acc": acc, "step": step, "worker": worker})
         try:
             return float(result)
-        except (OverflowError, TypeError) as exc:  # an int past the float range, a complex
+        except OverflowError as exc:  # an int past the float range
             raise ExpressionError(f"expression failed: {exc}") from None
 
     return params["init"], fold

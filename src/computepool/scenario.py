@@ -13,6 +13,7 @@ import reprlib
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -138,10 +139,18 @@ def _expression(value, path: str) -> Expression:
         _fail(path, str(exc))
 
 
-# How `_fields` reads a value, by the type of its rule; an int is a count >= 1.
+def _one_of(value, path: str, choices: tuple):
+    if value not in choices:
+        _fail(path, f"must be {' or '.join(map(repr, choices))}, got {_show(value)}")
+    return value
+
+
+_nonnegative = partial(_int, minimum=0)
+
+# How `_fields` reads a value by the type of its rule; an int is a count >= 1.
 _READERS = {
     bool: _bool,
-    int: lambda value, path: _int(value, path, minimum=1),
+    int: partial(_int, minimum=1),
     float: _number,
     str: _string,
     Expression: _expression,
@@ -149,17 +158,27 @@ _READERS = {
 
 
 def _fields(value, path: str, rules: dict) -> dict:
-    """Read a mapping by its rules: each rule is the field's default, or the
-    type of a value the field requires. Defaults are filled in unread."""
+    """Read a mapping by its rules, one per key it may hold. A rule is the
+    key's default, the type of a value it requires, a reader `(value, path)
+    -> value` for a value it requires, or `(default, reader)`. A default or a
+    type is read by its type's entry in `_READERS`. Defaults are filled in
+    unread."""
     cfg = _mapping(value, path)
-    required = {key for key, rule in rules.items() if isinstance(rule, type)}
+    required = {key for key, rule in rules.items() if callable(rule)}
     _check_keys(cfg, path, required, set(rules) - required)
-    fields = dict(rules)
+    fields = {key: rule[0] if isinstance(rule, tuple) else rule for key, rule in rules.items()}
     for key in cfg:
         rule = rules[key]
-        read = _READERS[rule if key in required else type(rule)]
+        if isinstance(rule, tuple):
+            rule = rule[1]
+        read = _READERS.get(rule, rule) if callable(rule) else _READERS[type(rule)]
         fields[key] = read(cfg[key], f"{path}.{key}")
     return fields
+
+
+def _each(value, path: str, read) -> tuple:
+    """A list, whose items `read` reads."""
+    return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(_sequence(value, path)))
 
 
 _CAPABILITY = {f.name: f.default for f in dataclasses.fields(Capability)}
@@ -186,18 +205,6 @@ def _stage(value, path: str, table: dict) -> StagePlan:
     else:
         params = _fields(params, f"{path}.params", rules)
     return StagePlan(kind=kind, factory=factory, params=params)
-
-
-def _pipeline(name: str, value, path: str) -> PipelineSpec:
-    cfg = _mapping(value, path)
-    _check_keys(cfg, path, {"source", "business"}, {"serving"})
-    serving = _sequence(cfg.get("serving", []), f"{path}.serving")
-    return PipelineSpec(
-        name=name,
-        source=_stage(cfg["source"], f"{path}.source", SOURCES),
-        serving=tuple(_stage(s, f"{path}.serving[{i}]", SERVING) for i, s in enumerate(serving)),
-        business=_stage(cfg["business"], f"{path}.business", BUSINESS),
-    )
 
 
 @dataclass(frozen=True)
@@ -276,6 +283,67 @@ class Scenario:
         return self.epochs * self.epoch_seconds
 
 
+def _drop_rate(value, path: str) -> float:
+    drop = _number(value, path)
+    if not 0.0 <= drop < 1.0:
+        _fail(path, f"must be in [0, 1), got {drop}")
+    return drop
+
+
+def _power(value, path: str) -> dict[int, float]:
+    if not isinstance(value, dict):
+        return {0: _number(value, path)}
+    return {_nonnegative(k, f"{path}[{k!r}]"): _number(v, f"{path}[{k!r}]") for k, v in value.items()}
+
+
+def _votes(value, path: str) -> tuple[bool, ...]:
+    votes = _sequence(value, path)
+    if not all(isinstance(v, bool) for v in votes):
+        _fail(path, "votes must be booleans (true = uphold)")
+    return tuple(votes)
+
+
+# The rules `_fields` reads each scenario mapping by.
+_PIPELINE = {
+    "source": partial(_stage, table=SOURCES),
+    "serving": ((), partial(_each, read=partial(_stage, table=SERVING))),
+    "business": partial(_stage, table=BUSINESS),
+}
+_REGION = {
+    "intra_latency_ms": (1, _nonnegative),
+    "inter_latency_ms": (10, _nonnegative),
+    "drop_rate": (0.0, _drop_rate),
+}
+_WINDOW = {"from": _nonnegative, "to": int}
+_NODE = {
+    "id": str,
+    "region": str,
+    "balance": (Fraction(0), _fraction),
+    "capability": (Capability(), _capability),
+    "power": ({0: 0.0}, _power),
+    "downtime": ((), partial(_each, read=partial(_fields, rules=_WINDOW))),
+}
+_FAULT = {"worker_index": _nonnegative, "step": int, "kind": partial(_one_of, choices=("replay", "forge"))}
+_JOB = {
+    "sender": str,
+    "at": _nonnegative,
+    "reward": partial(_fraction, positive=True),
+    "pipeline": str,
+    "n_workers": int,
+    "steps": int,
+    "requirement": (Capability(), _capability),
+    "cancel_at": (None, _nonnegative),
+    "review_verdict": ("valid", partial(_one_of, choices=("valid", "invalid"))),
+    "faults": ((), partial(_each, read=lambda item, path: FaultSpec(**_fields(item, path, _FAULT)))),
+}
+_CHALLENGE = {
+    "at": _nonnegative,
+    "challenger": str,
+    "job": str,
+    "votes": _votes,
+    "bond": (None, partial(_fraction, positive=True)),
+}
+
 _TOP_KEYS_REQUIRED = {"name", "seed", "epochs", "epoch_seconds", "regions", "nodes", "pipelines", "jobs"}
 _TOP_KEYS_OPTIONAL = {"heartbeat_seconds", "review_lock_seconds", "challenges"}
 
@@ -314,106 +382,62 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     )
     review_lock = _int(root.get("review_lock_seconds", 86400), "review_lock_seconds", minimum=1)
 
-    regions: dict[str, RegionSpec] = {}
-    for rname, rcfg in _mapping(root["regions"], "regions").items():
-        _string(rname, "regions (key)")
-        path = f"regions.{rname}"
-        cfg = _mapping(rcfg, path)
-        _check_keys(cfg, path, set(), {"intra_latency_ms", "inter_latency_ms", "drop_rate"})
-        drop = _number(cfg.get("drop_rate", 0.0), f"{path}.drop_rate")
-        if not 0.0 <= drop < 1.0:
-            _fail(f"{path}.drop_rate", f"must be in [0, 1), got {drop}")
-        regions[rname] = RegionSpec(
-            intra_latency_ms=_int(cfg.get("intra_latency_ms", 1), f"{path}.intra_latency_ms", 0),
-            inter_latency_ms=_int(cfg.get("inter_latency_ms", 10), f"{path}.inter_latency_ms", 0),
-            drop_rate=drop,
-        )
+    regions = {
+        _string(rname, "regions (key)"): RegionSpec(**_fields(rcfg, f"regions.{rname}", _REGION))
+        for rname, rcfg in _mapping(root["regions"], "regions").items()
+    }
     if not regions:
         _fail("regions", "at least one region is required")
 
-    nodes: list[NodeSpec] = []
-    seen_ids: set[str] = set()
-    for i, ncfg in enumerate(_sequence(root["nodes"], "nodes")):
+    nodes: dict[str, NodeSpec] = {}
+    for i, item in enumerate(_sequence(root["nodes"], "nodes")):
         path = f"nodes[{i}]"
-        cfg = _mapping(ncfg, path)
-        _check_keys(cfg, path, {"id", "region"}, {"balance", "capability", "power", "downtime"})
-        node_id = _string(cfg["id"], f"{path}.id")
+        node = _fields(item, path, _NODE)
+        node_id = node.pop("id")
         if node_id == COORDINATOR_ID:
             _fail(f"{path}.id", f"{COORDINATOR_ID!r} is reserved for the pool coordinator")
-        if node_id in seen_ids:
+        if node_id in nodes:
             _fail(f"{path}.id", f"duplicate node id {node_id!r}")
-        seen_ids.add(node_id)
-        region = _string(cfg["region"], f"{path}.region")
-        if region not in regions:
-            _fail(f"{path}.region", f"unknown region {region!r}")
-        power_cfg = cfg.get("power", 0.0)
-        power: dict[int, float] = {}
-        if isinstance(power_cfg, dict):
-            for k, v in power_cfg.items():
-                epoch = _int(k, f"{path}.power[{k!r}]", minimum=0)
-                power[epoch] = _number(v, f"{path}.power[{k!r}]")
-        else:
-            power[0] = _number(power_cfg, f"{path}.power")
-        downtime: list[DowntimeSpec] = []
-        for j, dcfg in enumerate(_sequence(cfg.get("downtime", []), f"{path}.downtime")):
-            dpath = f"{path}.downtime[{j}]"
-            d = _mapping(dcfg, dpath)
-            _check_keys(d, dpath, {"from", "to"}, set())
-            start = _int(d["from"], f"{dpath}.from", minimum=0)
-            end = _int(d["to"], f"{dpath}.to", minimum=1)
-            if end <= start:
-                _fail(dpath, f"'to' ({end}) must be after 'from' ({start})")
-            downtime.append(DowntimeSpec(start, end))
+        if node["region"] not in regions:
+            _fail(f"{path}.region", f"unknown region {node['region']!r}")
+        # Windows may touch but not overlap; they are kept sorted by start.
+        downtime = [DowntimeSpec(window["from"], window["to"]) for window in node["downtime"]]
+        for j, window in enumerate(downtime):
+            if window.end <= window.start:
+                _fail(f"{path}.downtime[{j}]", f"'to' ({window.end}) must be after 'from' ({window.start})")
         order = sorted(range(len(downtime)), key=lambda j: downtime[j].start)
         for prev, j in zip(order, order[1:]):
             if downtime[j].start < downtime[prev].end:
                 _fail(f"{path}.downtime[{j}]", f"starts before downtime[{prev}] ends at {downtime[prev].end}")
-        nodes.append(
-            NodeSpec(
-                node_id=node_id,
-                region=region,
-                balance=_fraction(cfg.get("balance", 0), f"{path}.balance"),
-                capability=_capability(cfg.get("capability", {}), f"{path}.capability"),
-                power=power,
-                downtime=tuple(downtime[j] for j in order),
-            )
-        )
+        node["downtime"] = tuple(downtime[j] for j in order)
+        nodes[node_id] = NodeSpec(node_id=node_id, **node)
     if not nodes:
         _fail("nodes", "at least one node is required")
-    node_ids = {n.node_id for n in nodes}
 
     pipelines = {
-        _string(pname, "pipelines (key)"): _pipeline(pname, pcfg, f"pipelines.{pname}")
+        _string(pname, "pipelines (key)"):
+            PipelineSpec(name=pname, **_fields(pcfg, f"pipelines.{pname}", _PIPELINE))
         for pname, pcfg in _mapping(root["pipelines"], "pipelines").items()
     }
 
     jobs: list[JobSpec] = []
     job_seq: dict[str, int] = {}
     last_at = 0
-    for i, jcfg in enumerate(_sequence(root["jobs"], "jobs")):
+    for i, item in enumerate(_sequence(root["jobs"], "jobs")):
         path = f"jobs[{i}]"
-        cfg = _mapping(jcfg, path)
-        _check_keys(
-            cfg,
-            path,
-            {"sender", "at", "reward", "pipeline", "n_workers", "steps"},
-            {"requirement", "cancel_at", "review_verdict", "faults"},
-        )
-        sender = _string(cfg["sender"], f"{path}.sender")
-        if sender not in node_ids:
+        job = _fields(item, path, _JOB)
+        sender, at, n_workers = job["sender"], job["at"], job["n_workers"]
+        if sender not in nodes:
             _fail(f"{path}.sender", f"unknown node {sender!r}")
-        at = _int(cfg["at"], f"{path}.at", minimum=0, maximum=horizon)
+        _int(at, f"{path}.at", maximum=horizon)
         # Job ids are sender:sequence and sequence follows submission time,
         # so the list must already be in time order.
         if at < last_at:
             _fail(f"{path}.at", f"jobs must be listed in non-decreasing time order")
         last_at = at
-        n_workers = _int(cfg["n_workers"], f"{path}.n_workers", minimum=1)
-        steps = _int(cfg["steps"], f"{path}.steps", minimum=1)
-        pipeline_name = _string(cfg["pipeline"], f"{path}.pipeline")
-        pipeline = pipelines.get(pipeline_name)
+        pipeline = pipelines.get(job["pipeline"])
         if pipeline is None:
-            _fail(f"{path}.pipeline", f"unknown pipeline {pipeline_name!r}")
+            _fail(f"{path}.pipeline", f"unknown pipeline {job['pipeline']!r}")
         for stage in (pipeline.source, *pipeline.serving, pipeline.business):
             if isinstance(stage.params, tuple) and len(stage.params) != n_workers:
                 _fail(
@@ -421,73 +445,33 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                     f"plugin {stage.kind!r} has {len(stage.params)} parameter sets "
                     f"for {n_workers} workers",
                 )
-        cancel_at = None
-        if "cancel_at" in cfg:
-            cancel_at = _int(cfg["cancel_at"], f"{path}.cancel_at", minimum=0, maximum=horizon)
+        cancel_at = job["cancel_at"]
+        if cancel_at is not None:
+            _int(cancel_at, f"{path}.cancel_at", maximum=horizon)
             if cancel_at <= at:
                 _fail(f"{path}.cancel_at", f"must be after submission time {at}")
-        review_verdict = cfg.get("review_verdict", "valid")
-        if review_verdict not in ("valid", "invalid"):
-            _fail(f"{path}.review_verdict", f"must be 'valid' or 'invalid', got {_show(review_verdict)}")
-        faults: list[FaultSpec] = []
-        for j, fcfg in enumerate(_sequence(cfg.get("faults", []), f"{path}.faults")):
-            fpath = f"{path}.faults[{j}]"
-            f = _mapping(fcfg, fpath)
-            _check_keys(f, fpath, {"worker_index", "step", "kind"}, set())
-            widx = _int(f["worker_index"], f"{fpath}.worker_index", minimum=0)
-            if widx >= n_workers:
-                _fail(f"{fpath}.worker_index", f"must be < n_workers ({n_workers})")
-            fstep = _int(f["step"], f"{fpath}.step", minimum=1)
-            if fstep > steps:
-                _fail(f"{fpath}.step", f"must be <= steps ({steps})")
-            kind = f["kind"]
-            if kind not in ("replay", "forge"):
-                _fail(f"{fpath}.kind", f"must be 'replay' or 'forge', got {_show(kind)}")
-            faults.append(FaultSpec(widx, fstep, kind))
+        for j, fault in enumerate(job["faults"]):
+            if fault.worker_index >= n_workers:
+                _fail(f"{path}.faults[{j}].worker_index", f"must be < n_workers ({n_workers})")
+            if fault.step > job["steps"]:
+                _fail(f"{path}.faults[{j}].step", f"must be <= steps ({job['steps']})")
         job_seq[sender] = job_seq.get(sender, 0) + 1
-        jobs.append(
-            JobSpec(
-                job_id=f"{sender}:{job_seq[sender]}",
-                sender=sender,
-                at=at,
-                reward=_fraction(cfg["reward"], f"{path}.reward", positive=True),
-                pipeline=pipeline,
-                n_workers=n_workers,
-                steps=steps,
-                requirement=_capability(cfg.get("requirement", {}), f"{path}.requirement"),
-                cancel_at=cancel_at,
-                review_verdict=review_verdict,
-                faults=tuple(faults),
-            )
-        )
+        jobs.append(JobSpec(job_id=f"{sender}:{job_seq[sender]}", **dict(job, pipeline=pipeline)))
 
     job_ids = {job.job_id for job in jobs}
     challenges: list[ChallengeSpec] = []
-    for i, ccfg in enumerate(_sequence(root.get("challenges", []), "challenges")):
+    for i, item in enumerate(_sequence(root.get("challenges", []), "challenges")):
         path = f"challenges[{i}]"
-        cfg = _mapping(ccfg, path)
-        _check_keys(cfg, path, {"at", "challenger", "job", "votes"}, {"bond"})
-        challenger = _string(cfg["challenger"], f"{path}.challenger")
-        if challenger not in node_ids:
+        challenge = _fields(item, path, _CHALLENGE)
+        challenger, job_id, votes = challenge["challenger"], challenge.pop("job"), challenge["votes"]
+        if challenger not in nodes:
             _fail(f"{path}.challenger", f"unknown node {challenger!r}")
-        job_id = _string(cfg["job"], f"{path}.job")
         if job_id not in job_ids:
             _fail(f"{path}.job", f"no scenario job produces key {job_id!r}")
-        votes = _sequence(cfg["votes"], f"{path}.votes")
-        if not all(isinstance(v, bool) for v in votes):
-            _fail(f"{path}.votes", "votes must be booleans (true = uphold)")
         if len(votes) != JURY_SIZE:
             _fail(f"{path}.votes", f"need one vote per juror: {JURY_SIZE}, got {len(votes)}")
-        bond = _fraction(cfg["bond"], f"{path}.bond", positive=True) if "bond" in cfg else None
-        challenges.append(
-            ChallengeSpec(
-                at=_int(cfg["at"], f"{path}.at", minimum=0, maximum=horizon),
-                challenger=challenger,
-                job_id=job_id,
-                bond=bond,
-                votes=tuple(votes),
-            )
-        )
+        _int(challenge["at"], f"{path}.at", maximum=horizon)
+        challenges.append(ChallengeSpec(job_id=job_id, **challenge))
 
     return Scenario(
         name=name,
@@ -497,7 +481,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         heartbeat_seconds=heartbeat,
         review_lock_seconds=review_lock,
         regions=regions,
-        nodes=tuple(nodes),
+        nodes=tuple(nodes.values()),
         jobs=tuple(jobs),
         challenges=tuple(challenges),
         raw=root,

@@ -362,6 +362,8 @@ class Simulation:
         self._try_assign(spec.job_id)
 
     def _try_assign(self, job_id: str) -> None:
+        if self.bank.job(job_id).status != JobStatus.PENDING:
+            return
         spec = self._job_specs[job_id]
         # The walk stops at the first n_workers nodes that are up, other than the sender.
         up = (node_id for node_id in self._ranked[spec.requirement]
@@ -374,7 +376,7 @@ class Simulation:
             # could ever serve it (capabilities never change).
             fit = self._ranked[spec.requirement]
             if len(fit) - (spec.sender in fit) >= spec.n_workers:
-                self._retry_later(self._on_assign_retry, job_id)
+                self._retry_later(self._try_assign, job_id)
             return
 
         commitments = {}
@@ -405,10 +407,6 @@ class Simulation:
                 source = user_code[index]
                 code = make_plugin_code(source, spec.sender, self._signer(spec.sender))
             self._publish(worker, self._on_assign_delivered, (job_id, index, code), COORDINATOR_ID)
-
-    def _on_assign_retry(self, job_id: str) -> None:
-        if self.bank.job(job_id).status == JobStatus.PENDING:
-            self._try_assign(job_id)
 
     # -- worker side -----------------------------------------------------------
 
@@ -463,8 +461,7 @@ class Simulation:
         )
         if fault is not None:
             bad = self._make_faulty_proof(task, fault.kind)
-            if bad is not None:
-                self._publish(COORDINATOR_ID, self._on_proof_delivered, bad, task.worker)
+            self._publish(COORDINATOR_ID, self._on_proof_delivered, bad, task.worker)
         else:
             self._flush_proofs(task)
 
@@ -488,7 +485,7 @@ class Simulation:
             task.last_sent = pending
         task.pending_proofs = []
 
-    def _make_faulty_proof(self, task: _WorkerTask, kind: str) -> ProgressProof | None:
+    def _make_faulty_proof(self, task: _WorkerTask, kind: str) -> ProgressProof:
         job = task.job
         if kind == "replay":
             if task.last_sent is not None:

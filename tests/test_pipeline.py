@@ -1,5 +1,6 @@
 """Plugin vetting, the expression language, and pipeline execution."""
 
+import ast
 import dataclasses
 import math
 import re
@@ -172,6 +173,30 @@ def test_expression_runtime_errors_are_wrapped():
     for src in ["round(x, 0.5)", "round(x * 0.0 * 1e400)", "min(x)"]:
         with pytest.raises(ExpressionError, match="expression failed"):
             Expression(src).evaluate({"x": 1.5})
+    with pytest.raises(ExpressionError, match="exponent 0.5 is not a whole number"):
+        Expression("x ** 0.5").evaluate({"x": 4.0})
+    with pytest.raises(ExpressionError, match="float power overflows"):
+        Expression("10.0 ** 400").evaluate({})
+    with pytest.raises(ExpressionError, match="float power overflows"):
+        Expression("x ** -2").evaluate({"x": 1e-160})  # 1e-320 is subnormal; its inverse is not
+    with pytest.raises(ExpressionError, match="division by zero"):
+        Expression("x ** -1").evaluate({"x": 0.0})
+
+
+# `**` raises a float by repeated squaring, the same on every machine. In each
+# finite row glibc's `pow`, which rounds once, gives another last bit.
+@pytest.mark.parametrize("source, x, expected", [
+    ("x ** 7", 0.3, "0x1.caa5ab1fd3dadp-13"),
+    ("x ** 7.0", 0.3, "0x1.caa5ab1fd3dadp-13"),  # a whole float exponent is an integer one
+    ("x ** 11", -1.3, "-0x1.1ebee3c5fc101p+4"),
+    ("x ** 1000", 1.0001, "0x1.1aec1e81e6d7ep+0"),
+    ("10.0 ** 23", 0.0, "0x1.52d02c7e14af6p+76"),
+    ("x ** -15", 1.1, "0x1.ea4660f7b42bdp-3"),  # the inverse of the positive power
+    ("7 ** -20", 0.0, "0x1.ce5e856164d56p-57"),  # an int base, a negative exponent
+    ("x ** 3", math.inf, "inf"),  # a base that is not finite may give one
+])
+def test_a_float_power_is_the_same_on_every_machine(source, x, expected):
+    assert Expression(source).evaluate({"x": x}).hex() == expected
 
 
 # Fully parenthesised sources over the whitelist. `**` only raises a leaf to
@@ -221,6 +246,33 @@ _ENVS = st.fixed_dictionaries({"x": _VALUES, "acc": _VALUES, "step": st.integers
 _PYTHON_CALLS = {"__builtins__": {"min": min, "max": max, "abs": abs, "round": round}}
 
 
+def _reference_pow(base, exp):
+    """The language's `**` for the whole exponents above: an int base is raised
+    exactly, a float one by multiplying, and a finite float that overflows fails."""
+    if isinstance(base, int):
+        return base ** exp
+    result = 1.0
+    for _ in range(exp):
+        result *= base
+    if math.isinf(result) and math.isfinite(base):
+        raise OverflowError("float power overflows")
+    return result
+
+
+class _PowAsCall(ast.NodeTransformer):
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        return ast.Call(ast.Name("pow_", ast.Load()), [node.left, node.right], [])
+
+
+def _python_eval(source: str, env: dict):
+    """Python's evaluation of `source`, with `**` by the language's rule."""
+    tree = ast.fix_missing_locations(_PowAsCall().visit(ast.parse(source, mode="eval")))
+    return eval(compile(tree, "<reference>", "eval"), dict(_PYTHON_CALLS, pow_=_reference_pow), dict(env))
+
+
 def _outcome(fn):
     try:
         return ("value", fn())
@@ -238,11 +290,12 @@ def _same(a, b):
 @example("(x < x <= 1)", {"x": 1.0, "acc": 0.0, "step": 1})  # a tie
 @example("((-5 % 3) + (5 // -3) + (x % -2))", {"x": 3.0, "acc": 0.0, "step": 1})
 @example("((acc and x) or step)", {"x": 0.0, "acc": 2.0, "step": 3})
+@example("(x ** 3)", {"x": -1.01, "acc": 0.0, "step": 1})  # libm's `pow` rounds once
 @settings(max_examples=150, deadline=None)
 def test_expression_matches_python_evaluation(source, env):
     expression = Expression(source)
     ours = _outcome(lambda: expression.evaluate(env))
-    python = _outcome(lambda: eval(source, dict(_PYTHON_CALLS), dict(env)))
+    python = _outcome(lambda: _python_eval(source, env))
     assert ours[0] == python[0], (source, env, ours, python)
     assert _same(ours[1], python[1]), (source, env, ours, python)
 
@@ -335,6 +388,17 @@ def test_expr_business_fold_matches_manual_fold():
         x = float(-2 + (step - 1))
         acc = acc + max(x, 0.25)
         assert run.step().acc == acc
+
+
+def test_an_expr_fold_that_leaves_the_float_range_fails():
+    # Each power is under 2 ** 1024, so `**` builds it; their sum is not, and
+    # cannot become the float accumulator.
+    spec = plan({
+        "source": {"kind": "counter"},
+        "business": {"kind": "expr", "params": {"expr": "2 ** 1023 + 2 ** 1023"}},
+    })
+    with pytest.raises(ExpressionError, match="expression failed: int too large to convert to float"):
+        PipelineRun(spec, 0).step()
 
 
 def test_runs_are_deterministic():

@@ -10,6 +10,7 @@ import yaml
 
 from computepool.pipeline import Expression, PipelineRun
 from computepool.scenario import MAX_DEPTH, ScenarioError, load_scenario, parse_scenario
+from computepool.tokenomics import Capability
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -317,6 +318,65 @@ def test_job_ids_count_per_sender():
     sc = parse_scenario(data)
     assert [job.job_id for job in sc.jobs] == ["a:1", "b:1", "a:2"]
     assert sc.challenges[0].job_id == "a:2"
+
+
+def _add_fault(data):
+    data["jobs"][0]["faults"] = [{"worker_index": 0, "step": 1, "kind": "forge"}]
+    return data["jobs"][0]["faults"][0]
+
+
+def _add_challenge(data):
+    data["challenges"] = [{"at": 40, "challenger": "b", "job": "a:1", "votes": [True] * 3}]
+    return data["challenges"][0]
+
+
+# Each mapping a scenario holds: its path in base_scenario(), how to find it
+# there, a key it requires, a bad value for a key it may leave out, and how
+# to find its spec with the defaults the parser fills in.
+MAPPINGS = {
+    "region": ("regions.eu", lambda data: data["regions"]["eu"], None,
+               ("drop_rate", "x", "expected a number, got 'x'"),
+               (lambda sc: sc.regions["eu"],
+                {"intra_latency_ms": 1, "inter_latency_ms": 10, "drop_rate": 0.0})),
+    "node": ("nodes[0]", lambda data: data["nodes"][0], "region",
+             ("balance", "abc", "not a token amount: 'abc'"),
+             (lambda sc: sc.nodes[0],
+              {"balance": Fraction(0), "capability": Capability(), "power": {0: 0.0}, "downtime": ()})),
+    "downtime": ("nodes[2].downtime[0]", lambda data: data["nodes"][2]["downtime"][0], "to", None, None),
+    "job": ("jobs[0]", lambda data: data["jobs"][0], "steps",
+            ("review_verdict", "maybe", "must be 'valid' or 'invalid', got 'maybe'"),
+            (lambda sc: sc.jobs[0],
+             {"requirement": Capability(), "cancel_at": None, "review_verdict": "valid", "faults": ()})),
+    "fault": ("jobs[0].faults[0]", _add_fault, "kind", None, None),
+    "challenge": ("challenges[0]", _add_challenge, "votes", ("bond", 0, "must be positive, got 0"),
+                  (lambda sc: sc.challenges[0], {"bond": None})),
+}
+
+
+@pytest.mark.parametrize("name", list(MAPPINGS))
+def test_every_mapping_is_read_by_its_rules(name):
+    path, find, required, optional, defaults = MAPPINGS[name]
+    data = base_scenario()
+    find(data)["colour"] = "red"
+    expect_error(data, f"{path}: unknown keys: ['colour']")
+    if required is not None:
+        data = base_scenario()
+        del find(data)[required]
+        expect_error(data, f"{path}: missing required keys: ['{required}']")
+    if optional is not None:  # a value given for an optional key is read
+        key, value, message = optional
+        data = base_scenario()
+        find(data)[key] = value
+        expect_error(data, f"{path}.{key}: {message}")
+    if defaults is not None:
+        spec, want = defaults
+        data = base_scenario()
+        mapping = find(data)
+        for key in want:
+            mapping.pop(key, None)
+        got = {key: getattr(spec(parse_scenario(data)), key) for key in want}
+        assert got == want
+        assert [type(value) for value in got.values()] == [type(value) for value in want.values()]
 
 
 def test_load_scenario_file_errors(tmp_path, monkeypatch):

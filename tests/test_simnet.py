@@ -428,7 +428,7 @@ def test_a_job_no_node_can_serve_waits_without_retries():
             super()._retry_later(handler, *args)
 
     result = Recording(parse_scenario(data)).run()
-    assert "_on_assign_retry" not in retried
+    assert "_try_assign" not in retried
     assert result.bank.job("alpha:1").status == JobStatus.SETTLED
     job = result.bank.job("alpha:2")
     assert (job.status, job.workers) == (JobStatus.PENDING, [])

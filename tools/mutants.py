@@ -330,9 +330,16 @@ MUTANTS = (
     Mutant(
         "cancel_at past the horizon is accepted",
         "src/computepool/scenario.py",
-        'f"{path}.cancel_at", minimum=0, maximum=horizon)',
-        'f"{path}.cancel_at", minimum=0)',
+        '_int(cancel_at, f"{path}.cancel_at", maximum=horizon)',
+        "cancel_at",
         ("tests/test_scenario.py::test_jobs_and_challenges_must_fall_inside_the_horizon",),
+    ),
+    Mutant(
+        "an optional field's reader is skipped",
+        "src/computepool/scenario.py",
+        "            rule = rule[1]\n",
+        "            rule = lambda value, path: value\n",
+        ("tests/test_scenario.py::test_every_mapping_is_read_by_its_rules",),
     ),
     Mutant(
         "a negative opening balance is accepted",
@@ -426,6 +433,13 @@ MUTANTS = (
         ("tests/test_pipeline.py::test_safety_policy_caps",),
     ),
     Mutant(
+        "float `**` goes back to libm",
+        "src/computepool/pipeline.py",
+        "    result, square, n = 1.0, float(base), abs(int(exp))\n",
+        "    return float(base) ** exp\n",
+        ("tests/test_pipeline.py::test_a_float_power_is_the_same_on_every_machine",),
+    ),
+    Mutant(
         "safety_check checks only the first module an import names",
         "src/computepool/pipeline.py",
         'every=word == "import")',
@@ -505,6 +519,23 @@ MUTANTS = (
         "        deed: Fraction(int(pool_snapshot * Fraction(share))) if share > 0.0 "
         "else Fraction(0)\n",
         ("generative/test_generated_scenarios.py::test_scaling_every_amount_scales_every_balance",),
+    ),
+    Mutant(
+        "ranking ties are broken by a hash of the id",
+        "src/computepool/distribution.py",
+        "    fit.sort(key=lambda d: (-candidates[d].score(), d))\n",
+        "    fit.sort(key=lambda d: (-candidates[d].score(), digest(d.encode())))\n",
+        ("generative/test_generated_scenarios.py::test_renaming_every_node_in_order_moves_no_balance",),
+    ),
+    Mutant(
+        "an epoch close credits a node inside a downtime window",
+        "src/computepool/simnet.py",
+        "                if self._is_up(node.node_id, tick):\n",
+        "                if True:\n",
+        (
+            "generative/test_generated_scenarios.py::"
+            "test_a_node_down_for_the_whole_run_moves_no_other_balance",
+        ),
     ),
     Mutant(
         "sum the shares in scenario order",
