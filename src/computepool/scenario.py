@@ -123,15 +123,6 @@ def _string(value, path: str) -> str:
     return value
 
 
-def _check_keys(value: dict, path: str, required: set[str], optional: set[str]) -> None:
-    missing = required - set(value)
-    if missing:
-        _fail(path, f"missing required keys: {sorted(missing)}")
-    unknown = set(value) - required - optional
-    if unknown:
-        _fail(path, f"unknown keys: {sorted(unknown, key=str)}")
-
-
 def _expression(value, path: str) -> Expression:
     try:
         return Expression(_string(value, path))
@@ -157,28 +148,41 @@ _READERS = {
 }
 
 
-def _fields(value, path: str, rules: dict) -> dict:
+def _fields(value, path: str, rules: dict, source: str = "") -> dict:
     """Read a mapping by its rules, one per key it may hold. A rule is the
     key's default, the type of a value it requires, a reader `(value, path)
     -> value` for a value it requires, or `(default, reader)`. A default or a
     type is read by its type's entry in `_READERS`. Defaults are filled in
-    unread."""
-    cfg = _mapping(value, path)
-    required = {key for key, rule in rules.items() if callable(rule)}
-    _check_keys(cfg, path, required, set(rules) - required)
+    unread. A key's path is `path.key`, but the scenario's root is read at
+    path "": there a key's path is the bare key (`epochs`, `nodes[0]`), and
+    the root's own errors name `source`, the file it came from."""
+    where = path or source
+    cfg = _mapping(value, where)
+    missing = {key for key, rule in rules.items() if callable(rule)} - set(cfg)
+    if missing:
+        _fail(where, f"missing required keys: {sorted(missing)}")
+    unknown = set(cfg) - set(rules)
+    if unknown:
+        _fail(where, f"unknown keys: {sorted(unknown, key=str)}")
     fields = {key: rule[0] if isinstance(rule, tuple) else rule for key, rule in rules.items()}
     for key in cfg:
         rule = rules[key]
         if isinstance(rule, tuple):
             rule = rule[1]
         read = _READERS.get(rule, rule) if callable(rule) else _READERS[type(rule)]
-        fields[key] = read(cfg[key], f"{path}.{key}")
+        fields[key] = read(cfg[key], f"{path}.{key}" if path else key)
     return fields
 
 
 def _each(value, path: str, read) -> tuple:
     """A list, whose items `read` reads."""
     return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(_sequence(value, path)))
+
+
+def _named(value, path: str, read) -> dict:
+    """A mapping from non-empty string names to values `read` reads."""
+    return {_string(name, f"{path} (key)"): read(item, f"{path}.{name}")
+            for name, item in _mapping(value, path).items()}
 
 
 _CAPABILITY = {f.name: f.default for f in dataclasses.fields(Capability)}
@@ -191,15 +195,17 @@ def _capability(value, path: str) -> Capability:
     return cap
 
 
+def _plugin(value, path: str, table: dict) -> str:
+    if not isinstance(value, str) or value not in table:
+        _fail(path, f"unknown plugin {_show(value)}")
+    return value
+
+
 def _stage(value, path: str, table: dict) -> StagePlan:
-    cfg = _mapping(value, path)
-    _check_keys(cfg, path, {"kind"}, {"params"})
-    kind = cfg["kind"]
-    plugin = table.get(kind) if isinstance(kind, str) else None
-    if plugin is None:
-        _fail(f"{path}.kind", f"unknown plugin {_show(kind)}")
-    factory, rules = plugin
-    params = cfg.get("params", {})
+    """A plugin stage; its `params` are read by the rules of its `kind`."""
+    stage = _fields(value, path, {"kind": partial(_plugin, table=table), "params": ({}, lambda v, _: v)})
+    kind, params = stage["kind"], stage["params"]
+    factory, rules = table[kind]
     if isinstance(params, list):  # one set per worker
         params = tuple(_fields(p, f"{path}.params[{i}]", rules) for i, p in enumerate(params))
     else:
@@ -343,9 +349,19 @@ _CHALLENGE = {
     "votes": _votes,
     "bond": (None, partial(_fraction, positive=True)),
 }
-
-_TOP_KEYS_REQUIRED = {"name", "seed", "epochs", "epoch_seconds", "regions", "nodes", "pipelines", "jobs"}
-_TOP_KEYS_OPTIONAL = {"heartbeat_seconds", "review_lock_seconds", "challenges"}
+_ROOT = {
+    "name": str,
+    "seed": parse_seed,
+    "epochs": int,
+    "epoch_seconds": int,
+    "heartbeat_seconds": (None, int),  # filled in from epoch_seconds
+    "review_lock_seconds": 86400,
+    "regions": partial(_named, read=lambda item, path: RegionSpec(**_fields(item, path, _REGION))),
+    "nodes": partial(_each, read=partial(_fields, rules=_NODE)),
+    "pipelines": partial(_named, read=partial(_fields, rules=_PIPELINE)),
+    "jobs": partial(_each, read=partial(_fields, rules=_JOB)),
+    "challenges": ((), partial(_each, read=partial(_fields, rules=_CHALLENGE))),
+}
 
 
 def _refuse_long_ints(value, path: str, seen: set[int]) -> None:
@@ -366,33 +382,19 @@ def _refuse_long_ints(value, path: str, seen: set[int]) -> None:
 
 
 def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
-    root = _mapping(data, source)
-    _refuse_long_ints(root, "", set())
-    _check_keys(root, source, _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
-
-    name = _string(root["name"], "name")
-    seed = parse_seed(root["seed"], "seed")
-    epochs = _int(root["epochs"], "epochs", minimum=1)
-    epoch_seconds = _int(root["epoch_seconds"], "epoch_seconds", minimum=1)
-    horizon = epochs * epoch_seconds  # nothing runs after it
-    heartbeat = _int(
-        root.get("heartbeat_seconds", max(1, epoch_seconds // 100)),
-        "heartbeat_seconds",
-        minimum=1,
-    )
-    review_lock = _int(root.get("review_lock_seconds", 86400), "review_lock_seconds", minimum=1)
-
-    regions = {
-        _string(rname, "regions (key)"): RegionSpec(**_fields(rcfg, f"regions.{rname}", _REGION))
-        for rname, rcfg in _mapping(root["regions"], "regions").items()
-    }
+    """Read the whole scenario by its rules, then check how its fields relate."""
+    if isinstance(data, dict):  # any other root is refused at `source`
+        _refuse_long_ints(data, "", set())
+    root = _fields(data, "", _ROOT, source)
+    horizon = root["epochs"] * root["epoch_seconds"]  # nothing runs after it
+    root["heartbeat_seconds"] = root["heartbeat_seconds"] or max(1, root["epoch_seconds"] // 100)
+    regions = root["regions"]
     if not regions:
         _fail("regions", "at least one region is required")
 
     nodes: dict[str, NodeSpec] = {}
-    for i, item in enumerate(_sequence(root["nodes"], "nodes")):
+    for i, node in enumerate(root["nodes"]):
         path = f"nodes[{i}]"
-        node = _fields(item, path, _NODE)
         node_id = node.pop("id")
         if node_id == COORDINATOR_ID:
             _fail(f"{path}.id", f"{COORDINATOR_ID!r} is reserved for the pool coordinator")
@@ -414,18 +416,12 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     if not nodes:
         _fail("nodes", "at least one node is required")
 
-    pipelines = {
-        _string(pname, "pipelines (key)"):
-            PipelineSpec(name=pname, **_fields(pcfg, f"pipelines.{pname}", _PIPELINE))
-        for pname, pcfg in _mapping(root["pipelines"], "pipelines").items()
-    }
-
+    pipelines = {name: PipelineSpec(name=name, **stages) for name, stages in root.pop("pipelines").items()}
     jobs: list[JobSpec] = []
     job_seq: dict[str, int] = {}
     last_at = 0
-    for i, item in enumerate(_sequence(root["jobs"], "jobs")):
+    for i, job in enumerate(root["jobs"]):
         path = f"jobs[{i}]"
-        job = _fields(item, path, _JOB)
         sender, at, n_workers = job["sender"], job["at"], job["n_workers"]
         if sender not in nodes:
             _fail(f"{path}.sender", f"unknown node {sender!r}")
@@ -450,19 +446,23 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             _int(cancel_at, f"{path}.cancel_at", maximum=horizon)
             if cancel_at <= at:
                 _fail(f"{path}.cancel_at", f"must be after submission time {at}")
+        first: dict[tuple[int, int], int] = {}  # (worker, step) -> its fault's index
         for j, fault in enumerate(job["faults"]):
             if fault.worker_index >= n_workers:
                 _fail(f"{path}.faults[{j}].worker_index", f"must be < n_workers ({n_workers})")
             if fault.step > job["steps"]:
                 _fail(f"{path}.faults[{j}].step", f"must be <= steps ({job['steps']})")
+            k = first.setdefault((fault.worker_index, fault.step), j)
+            if k != j:
+                _fail(f"{path}.faults[{j}]", f"worker {fault.worker_index} already has a fault "
+                      f"at step {fault.step} (faults[{k}])")
         job_seq[sender] = job_seq.get(sender, 0) + 1
         jobs.append(JobSpec(job_id=f"{sender}:{job_seq[sender]}", **dict(job, pipeline=pipeline)))
 
     job_ids = {job.job_id for job in jobs}
     challenges: list[ChallengeSpec] = []
-    for i, item in enumerate(_sequence(root.get("challenges", []), "challenges")):
+    for i, challenge in enumerate(root["challenges"]):
         path = f"challenges[{i}]"
-        challenge = _fields(item, path, _CHALLENGE)
         challenger, job_id, votes = challenge["challenger"], challenge.pop("job"), challenge["votes"]
         if challenger not in nodes:
             _fail(f"{path}.challenger", f"unknown node {challenger!r}")
@@ -474,17 +474,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         challenges.append(ChallengeSpec(job_id=job_id, **challenge))
 
     return Scenario(
-        name=name,
-        seed=seed,
-        epochs=epochs,
-        epoch_seconds=epoch_seconds,
-        heartbeat_seconds=heartbeat,
-        review_lock_seconds=review_lock,
-        regions=regions,
-        nodes=tuple(nodes.values()),
-        jobs=tuple(jobs),
-        challenges=tuple(challenges),
-        raw=root,
+        **dict(root, nodes=tuple(nodes.values()), jobs=tuple(jobs), challenges=tuple(challenges)),
+        raw=data,
     )
 
 

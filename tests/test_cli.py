@@ -332,7 +332,7 @@ def test_a_simulator_fault_is_a_failed_run_not_a_traceback(
     ("10 ** 10 ** 10", 1, "job s:1: worker w1 failed at step 1"),
     ("step ** step ** step", 1, "job s:1: worker w1 failed at step 5"),
     ("round(x, 0.5)", 1, "job s:1: worker w1 failed at step 1"),
-    ("(x - 10) ** 0.5", 1, "job s:1: worker w1 failed at step 1"),  # a complex result
+    ("(x - 10) ** 0.5", 1, "job s:1: worker w1 failed at step 1"),  # a fractional exponent
 ])
 def test_bad_expr_plugin_fails_cleanly(tmp_path, capsys, expr, exit_code, message):
     data = dict(
@@ -378,6 +378,18 @@ def test_unread_plugin_key_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+def test_a_second_fault_at_one_worker_step_is_usage_error(tmp_path, capsys):
+    data = yaml.safe_load((Path(__file__).resolve().parents[1] / "scenarios" / "demo_trio.yaml").read_text())
+    data["jobs"][0]["faults"] = [{"worker_index": 0, "step": 2, "kind": kind} for kind in ("forge", "replay")]
+    scenario = tmp_path / "faults.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "jobs[0].faults[1]: worker 0 already has a fault at step 2 (faults[0])" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_coordinator_id_is_reserved(tmp_path, capsys):

@@ -275,6 +275,15 @@ def test_fault_validation():
     expect_error(data, "jobs[0].faults[0].kind: must be 'replay' or 'forge'")
 
 
+@pytest.mark.parametrize("kinds", [("forge", "replay"), ("forge", "forge")], ids=["forge_replay", "forge_twice"])
+def test_a_worker_takes_at_most_one_fault_per_step(kinds):
+    data = base_scenario()
+    data["jobs"][0]["faults"] = [{"worker_index": 0, "step": 2, "kind": kind} for kind in kinds]
+    expect_error(data, "jobs[0].faults[1]: worker 0 already has a fault at step 2 (faults[0])")
+    data["jobs"][0]["faults"][1]["step"] = 1  # another step of the same worker
+    assert [fault.kind for fault in parse_scenario(data).jobs[0].faults] == list(kinds)
+
+
 def test_challenge_validation():
     data = base_scenario()
     data["challenges"] = [
@@ -350,6 +359,9 @@ MAPPINGS = {
     "fault": ("jobs[0].faults[0]", _add_fault, "kind", None, None),
     "challenge": ("challenges[0]", _add_challenge, "votes", ("bond", 0, "must be positive, got 0"),
                   (lambda sc: sc.challenges[0], {"bond": None})),
+    "stage": ("pipelines.p.source", lambda data: data["pipelines"]["p"]["source"], "kind",
+              ("params", 5, "expected a mapping, got int"),
+              (lambda sc: sc.jobs[0].pipeline.source, {"params": {"start": 0.0, "stride": 1.0}})),
 }
 
 
@@ -377,6 +389,37 @@ def test_every_mapping_is_read_by_its_rules(name):
         got = {key: getattr(spec(parse_scenario(data)), key) for key in want}
         assert got == want
         assert [type(value) for value in got.values()] == [type(value) for value in want.values()]
+
+
+@pytest.mark.parametrize("via", ["parse_scenario", "load_scenario"])
+def test_the_root_is_read_by_its_rules(tmp_path, via):
+    """The root's own errors name its source; its fields' paths are bare."""
+    path = tmp_path / "root.yaml"
+    source = "scenario" if via == "parse_scenario" else str(path)
+
+    def read(data):
+        if via == "parse_scenario":
+            return parse_scenario(data)
+        path.write_text(yaml.safe_dump(data))
+        return load_scenario(path)
+
+    def error(data):
+        with pytest.raises(ScenarioError) as err:
+            read(data)
+        return str(err.value)
+
+    assert error([]) == f"{source}: expected a mapping, got list"
+    assert error(dict(base_scenario(), colour="red")) == f"{source}: unknown keys: ['colour']"
+    data = base_scenario()
+    del data["regions"]
+    assert error(data) == f"{source}: missing required keys: ['regions']"
+    assert error(dict(base_scenario(), review_lock_seconds=0)) == "review_lock_seconds: must be >= 1, got 0"
+    data = base_scenario()
+    del data["nodes"][0]["id"]
+    assert error(data) == "nodes[0]: missing required keys: ['id']"
+    for epoch_seconds, heartbeat in [(50, 1), (600, 6), (12345, 123)]:
+        sc = read(dict(base_scenario(), epoch_seconds=epoch_seconds))
+        assert (sc.heartbeat_seconds, sc.review_lock_seconds, sc.challenges) == (heartbeat, 86400, ())
 
 
 def test_load_scenario_file_errors(tmp_path, monkeypatch):

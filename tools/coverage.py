@@ -2,10 +2,12 @@
 
     python3 tools/coverage.py
 
-Runs the tier-1 suite and `generative` in this process, with a
-`sys.settrace` line tracer installed around each test (its setup, call and
-teardown). Then, still traced, it runs `run`, `verify` and five `inspect`
-queries through `computepool.cli.main` on `reference` and `demo_trio` at
+Imports every module of the package with a `sys.settrace` line tracer
+installed, so a function that runs only at import (a factory called to build
+a module-level table) counts as run. Then it runs the tier-1 suite and
+`generative` in this process, with the tracer installed around each test
+(its setup, call and teardown). Then, still traced, it runs `run`, `verify`
+and five `inspect` queries through `computepool.cli.main` on `reference` and `demo_trio` at
 seed 1, and on perfbench's `fleet` and `proof-storm` generated at seed 1.
 CLI tests that start a subprocess are not traced.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -42,7 +45,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "computepool"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from computepool import cli  # noqa: E402
 from perfbench.scenario_gen import FLEET, PROOF_STORM, generate_scenario, to_yaml  # noqa: E402
 
 
@@ -190,6 +192,14 @@ class _TracePlugin:
             yield
 
 
+def import_package(tracer: LineTracer) -> None:
+    """Import every module of the package, traced. Nothing may import it
+    before, or its import-time lines would go unrecorded."""
+    with tracer.installed():
+        for path in sorted(PACKAGE.glob("*.py")):
+            importlib.import_module(f"computepool.{path.stem}")
+
+
 def run_tests(tracer: LineTracer) -> int:
     """Tier-1 and `generative`, each test traced; pytest's exit code."""
     return pytest.main(
@@ -202,6 +212,8 @@ def run_tests(tracer: LineTracer) -> int:
 def run_cli(tracer: LineTracer, work: Path) -> list[str]:
     """Run, verify and inspect each scenario, traced; the commands that did
     not exit 0."""
+    from computepool import cli
+
     scenarios = {
         name: (ROOT / "scenarios" / f"{name}.yaml", ["--seed", "1"])
         for name in ("reference", "demo_trio")
@@ -262,6 +274,7 @@ def unrun_lines(tracer: LineTracer) -> list[str]:
 
 def main() -> int:
     tracer = LineTracer()
+    import_package(tracer)
     code = run_tests(tracer)
     with tempfile.TemporaryDirectory(prefix="coverage-") as tmp:
         problems = run_cli(tracer, Path(tmp))

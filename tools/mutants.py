@@ -312,10 +312,42 @@ MUTANTS = (
     Mutant(
         "an unused pipeline is not checked",
         "src/computepool/scenario.py",
-        '        for pname, pcfg in _mapping(root["pipelines"], "pipelines").items()\n',
-        '        for pname, pcfg in _mapping(root["pipelines"], "pipelines").items()\n'
-        '        if any(job.get("pipeline") == pname for job in root["jobs"])\n',
+        '    root = _fields(data, "", _ROOT, source)\n',
+        '    root = _fields(dict(data, pipelines={\n'
+        '        name: stages for name, stages in data["pipelines"].items()\n'
+        '        if any(job.get("pipeline") == name for job in data["jobs"])}), "", _ROOT, source)\n',
         ("tests/test_scenario.py::test_an_unused_pipeline_is_checked",),
+    ),
+    Mutant(
+        "root key errors drop the source",
+        "src/computepool/scenario.py",
+        "    where = path or source\n",
+        "    where = path\n",
+        (
+            "tests/test_scenario.py::test_the_root_is_read_by_its_rules[parse_scenario]",
+            "tests/test_scenario.py::test_the_root_is_read_by_its_rules[load_scenario]",
+        ),
+    ),
+    Mutant(
+        "the heartbeat default ignores epoch_seconds",
+        "src/computepool/scenario.py",
+        'max(1, root["epoch_seconds"] // 100)',
+        "max(1, 3600 // 100)",
+        (
+            "tests/test_scenario.py::test_the_root_is_read_by_its_rules[parse_scenario]",
+            "tests/test_scenario.py::test_the_root_is_read_by_its_rules[load_scenario]",
+        ),
+    ),
+    Mutant(
+        "a duplicate fault is accepted",
+        "src/computepool/scenario.py",
+        "            if k != j:\n",
+        "            if False:\n",
+        (
+            "tests/test_scenario.py::test_a_worker_takes_at_most_one_fault_per_step[forge_replay]",
+            "tests/test_scenario.py::test_a_worker_takes_at_most_one_fault_per_step[forge_twice]",
+            "tests/test_cli.py::test_a_second_fault_at_one_worker_step_is_usage_error",
+        ),
     ),
     Mutant(
         "a params list of the wrong length is accepted",
@@ -365,8 +397,8 @@ MUTANTS = (
     Mutant(
         "an integer too long to print reaches the readers",
         "src/computepool/scenario.py",
-        '    _refuse_long_ints(root, "", set())\n',
-        "",
+        '        _refuse_long_ints(data, "", set())\n',
+        "        pass\n",
         (
             "tests/test_cli.py::test_an_integer_too_long_to_print_is_refused_at_its_path",
             "tests/test_scenario.py::test_an_integer_too_long_to_print_is_refused_wherever_it_is",
