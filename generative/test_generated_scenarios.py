@@ -8,9 +8,10 @@ traceback.
 The strategy draws `perfbench/scenario_gen.py`'s size knobs and then makes
 the scenario harder than the benchmark's: tight balances, rewards of a few
 tokens (so epoch payouts under one token occur), short review locks, drop
-rates up to 0.9, jobs no node can serve, and scripted challenges with and
-without a bond. These examples are slower than the tier-1 suite, so they live
-outside `tests/` and run on their own, from the repository root:
+rates up to 0.9, jobs no node can serve, scripted challenges with and
+without a bond, and `expr` formulas that submission refuses. These examples
+are slower than the tier-1 suite, so they live outside `tests/` and run on
+their own, from the repository root:
 
     PYTHONPATH=src python -m pytest -q generative
 
@@ -37,6 +38,9 @@ from computepool.simnet import SimulationError, run_scenario
 from perfbench.scenario_gen import generate_scenario, to_yaml
 
 SHARES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+# The `duo` pipeline's formula: the generator's own, two that name a variable
+# no fold binds, and one over the vet's cap of 512 syntax nodes.
+FORMULAS = st.sampled_from(["acc + max(x, 0.25)", "acc + y", "acc + eval", "-x" + " + x" * 256])
 
 
 @st.composite
@@ -89,6 +93,8 @@ def scenarios(draw) -> dict:
         if draw(st.booleans()):
             challenge["bond"] = draw(st.integers(1, 200))
         data["challenges"].append(challenge)
+    data["pipelines"] = copy.deepcopy(data["pipelines"])  # the generator shares its own
+    data["pipelines"]["duo"]["business"]["params"]["expr"] = draw(FORMULAS)
     return data
 
 

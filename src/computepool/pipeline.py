@@ -3,19 +3,17 @@
 A pipeline is source -> zero or more serving stubs -> one business fold, with
 per-worker parameter sets. User-supplied business logic is a small arithmetic
 expression language parsed with `ast` against a node whitelist; it is never
-handed to eval. Before any user code runs it must pass a static safety vet
-(token-class deny policy over the raw source) and a hash-plus-signature
-recheck at every hop that moves the code between parties.
+handed to eval. At submission `safety_check` vets each formula by the same
+whitelist, and a hash-plus-signature recheck runs at every hop that moves the
+code between parties.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import math
 import operator
 import sys
-import tokenize
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -28,50 +26,12 @@ class ExpressionError(Exception):
     pass
 
 
-# -- static safety vetting -------------------------------------------------------
-
-_FILESYSTEM_TOKENS = frozenset(
-    {"open", "os", "pathlib", "shutil", "tempfile", "glob", "io", "fileinput"}
-)
-_PROCESS_TOKENS = frozenset(
-    {"subprocess", "multiprocessing", "popen", "system", "fork", "spawn", "kill", "signal"}
-)
-_NETWORK_TOKENS = frozenset(
-    {"socket", "urllib", "http", "requests", "ftplib", "smtplib", "asyncio", "ssl"}
-)
-_REFLECTIVE_TOKENS = frozenset(
-    {
-        "eval",
-        "exec",
-        "compile",
-        "__import__",
-        "getattr",
-        "setattr",
-        "delattr",
-        "globals",
-        "locals",
-        "vars",
-        "type",
-        "super",
-        "breakpoint",
-        "input",
-        "memoryview",
-        "ctypes",
-    }
-)
-
-_TOKEN_CLASSES = (
-    ("filesystem", _FILESYSTEM_TOKENS),
-    ("process control", _PROCESS_TOKENS),
-    ("network", _NETWORK_TOKENS),
-    ("reflective evaluation", _REFLECTIVE_TOKENS),
-)
-
+# -- vetting user code -----------------------------------------------------------
 
 # Fixed for every run: no scenario can loosen the check.
 MAX_SOURCE_BYTES = 4096
-MAX_TOKENS = 512
-IMPORT_ALLOWLIST = ("math",)  # module roots an `import` may name
+MAX_NODES = 512  # syntax nodes: the `ast.expr` nodes of a formula's tree
+VARIABLES = ("x", "acc", "step", "worker")  # what a business fold binds, in order
 
 
 @dataclass(frozen=True)
@@ -80,72 +40,21 @@ class SafetyVerdict:
     reasons: tuple[str, ...] = ()
 
 
-def _import_roots(tokens: list, start: int, every: bool) -> list[str]:
-    """The first name after an `import` or `from` keyword and, with `every`, after
-    each comma up to the statement's end: `import a.b as c, d` names `a`, `d`."""
-    roots, wanted = [], True
-    for tok in tokens[start:]:
-        if tok.type == tokenize.NEWLINE or tok.exact_type == tokenize.SEMI:
-            break
-        if every and tok.exact_type == tokenize.COMMA:
-            wanted = True
-        elif wanted and tok.type == tokenize.NAME and tok.string != "import":
-            roots.append(tok.string)
-            wanted = False
-    return roots
-
-
 def safety_check(source: str) -> SafetyVerdict:
-    """Static vet of plugin source. Collects every violation, never executes.
-
-    The check is a deny policy over token classes, so it is deterministic and
-    conservative: anything it cannot tokenize is unsafe.
-    """
+    """Vet a formula before it runs: it must compile through the expression
+    whitelist, name no variable a fold does not bind and stay within the
+    caps. Collects every violation and never evaluates anything."""
     reasons: list[str] = []
-    raw = source.encode("utf-8")
-    if len(raw) > MAX_SOURCE_BYTES:
-        reasons.append(f"source is {len(raw)} bytes, policy allows {MAX_SOURCE_BYTES}")
+    size = len(source.encode("utf-8"))
+    if size > MAX_SOURCE_BYTES:
+        reasons.append(f"source is {size} bytes, policy allows {MAX_SOURCE_BYTES}")
     try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError) as exc:
-        reasons.append(f"source does not tokenize: {exc}")
-        return SafetyVerdict(False, tuple(reasons))
-    significant = [
-        t for t in tokens
-        if t.type not in (tokenize.ENCODING, tokenize.NEWLINE, tokenize.NL, tokenize.ENDMARKER)
-    ]
-    if len(significant) > MAX_TOKENS:
-        reasons.append(f"source has {len(significant)} tokens, policy allows {MAX_TOKENS}")
-    in_from = False  # inside a `from X import ...` statement, which checks X only
-    error_lines: set[int] = set()
-    for pos, tok in enumerate(tokens):
-        if tok.type == tokenize.NEWLINE or tok.exact_type == tokenize.SEMI:
-            in_from = False
-        if tok.type == tokenize.ERRORTOKEN:
-            # older tokenizers emit error tokens instead of raising
-            if tok.start[0] not in error_lines:
-                error_lines.add(tok.start[0])
-                reasons.append(f"line {tok.start[0]}: source does not lex cleanly")
-            continue
-        if tok.type != tokenize.NAME:
-            continue
-        word = tok.string
-        line = tok.start[0]
-        if word in ("import", "from"):
-            if word == "import" and in_from:
-                continue
-            in_from = word == "from"
-            roots = _import_roots(tokens, pos + 1, every=word == "import")
-            if not roots:
-                reasons.append(f"line {line}: bare {word} statement")
-            bad = [root for root in roots if root not in IMPORT_ALLOWLIST]
-            reasons.extend(f"line {line}: import of {root!r} is outside the allowlist" for root in bad)
-            continue
-        for label, deny in _TOKEN_CLASSES:
-            if word in deny:
-                reasons.append(f"line {line}: {label} token {word!r}")
-        if word.startswith("__") and word.endswith("__") and len(word) > 4:
-            reasons.append(f"line {line}: dunder access {word!r}")
+        expression = Expression(source)
+    except ExpressionError as exc:
+        return SafetyVerdict(False, (*reasons, str(exc)))
+    if expression.size > MAX_NODES:
+        reasons.append(f"formula has {expression.size} syntax nodes, policy allows {MAX_NODES}")
+    reasons.extend(f"unknown variable {name!r}" for name in sorted(expression.names.difference(VARIABLES)))
     return SafetyVerdict(not reasons, tuple(reasons))
 
 
@@ -246,8 +155,9 @@ def _lookup(table: dict, op: ast.AST, what: str):
         raise ExpressionError(f"{what} {type(op).__name__} is not allowed") from None
 
 
-def _compile(node: ast.AST) -> Callable[[dict], object]:
-    """Check one node against the whitelist and return its `env -> value`."""
+def _compile(node: ast.AST, names: list[str]) -> Callable[[dict], object]:
+    """Check one node against the whitelist and return its `env -> value`.
+    Each variable the node reads is appended to `names`."""
     if isinstance(node, ast.Constant):
         value = node.value
         if not isinstance(value, (int, float, bool)):
@@ -255,6 +165,7 @@ def _compile(node: ast.AST) -> Callable[[dict], object]:
         return lambda env: value
     if isinstance(node, ast.Name):
         name = node.id
+        names.append(name)
 
         def load(env):
             try:
@@ -265,15 +176,15 @@ def _compile(node: ast.AST) -> Callable[[dict], object]:
         return load
     if isinstance(node, ast.BinOp):
         binop = _lookup(_BINOPS, node.op, "operator")
-        left, right = _compile(node.left), _compile(node.right)
+        left, right = _compile(node.left, names), _compile(node.right, names)
         return lambda env: binop(left(env), right(env))
     if isinstance(node, ast.UnaryOp):
         unop = _lookup(_UNARYOPS, node.op, "operator")
-        operand = _compile(node.operand)
+        operand = _compile(node.operand, names)
         return lambda env: unop(operand(env))
     if isinstance(node, ast.BoolOp):
         stop = isinstance(node.op, ast.Or)  # `or` stops at a truthy value, `and` at a falsy one
-        *heads, last = [_compile(value) for value in node.values]
+        *heads, last = [_compile(value, names) for value in node.values]
 
         def short_circuit(env):
             for part in heads:
@@ -285,8 +196,8 @@ def _compile(node: ast.AST) -> Callable[[dict], object]:
         return short_circuit
     if isinstance(node, ast.Compare):
         ops = [_lookup(_COMPARES, op, "comparison") for op in node.ops]
-        first = _compile(node.left)
-        links = list(zip(ops, [_compile(comp) for comp in node.comparators]))
+        first = _compile(node.left, names)
+        links = list(zip(ops, [_compile(comp, names) for comp in node.comparators]))
 
         def chain(env):
             left = first(env)
@@ -299,28 +210,33 @@ def _compile(node: ast.AST) -> Callable[[dict], object]:
 
         return chain
     if isinstance(node, ast.IfExp):
-        test, body, orelse = _compile(node.test), _compile(node.body), _compile(node.orelse)
+        test, body, orelse = _compile(node.test, names), _compile(node.body, names), _compile(node.orelse, names)
         return lambda env: body(env) if test(env) else orelse(env)
     if isinstance(node, ast.Call):
         fn = _CALLS.get(node.func.id) if isinstance(node.func, ast.Name) else None
         if fn is None or node.keywords:
             raise ExpressionError("only min/max/abs/round calls are allowed")
-        args = [_compile(arg) for arg in node.args]
+        args = [_compile(arg, names) for arg in node.args]
         return lambda env: fn(*[arg(env) for arg in args])
     raise ExpressionError(f"syntax {type(node).__name__} is not allowed")
 
 
 class Expression:
-    """Arithmetic expression over named variables, parsed once, never eval'd."""
+    """Arithmetic expression over named variables, parsed once, never eval'd.
+    `names` holds the variables it reads and `size` its syntax nodes."""
 
     def __init__(self, source: str):
         self.source = source
+        names: list[str] = []
         try:
-            self._evaluate = _compile(ast.parse(source, mode="eval").body)
+            tree = ast.parse(source, mode="eval").body
+            self._evaluate = _compile(tree, names)
         except (SyntaxError, ValueError) as exc:  # ValueError: a NUL byte in the source
             raise ExpressionError(f"expression does not parse: {exc}") from None
         except RecursionError:
             raise ExpressionError("expression nests too deeply") from None
+        self.names = frozenset(names)
+        self.size = sum(isinstance(node, ast.expr) for node in ast.walk(tree))
 
     def evaluate(self, env: dict[str, float]):
         try:
@@ -396,7 +312,7 @@ def _expr(params: dict, worker: int):
     expression = params["expr"]
 
     def fold(acc, value, step):
-        result = expression.evaluate({"x": value, "acc": acc, "step": step, "worker": worker})
+        result = expression.evaluate(dict(zip(VARIABLES, (value, acc, step, worker))))
         try:
             return float(result)
         except OverflowError as exc:  # an int past the float range

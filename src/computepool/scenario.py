@@ -364,10 +364,11 @@ _ROOT = {
 }
 
 
-def _refuse_long_ints(value, path: str, seen: set[int]) -> None:
+def _refuse_long_ints(value, path: str, source: str, seen: set[int]) -> None:
     """Refuse an integer with more digits than `str()` prints (Python's
-    `int_max_str_digits`) at its path, before any reader formats it. Each
-    collection is walked once, however many aliases repeat it."""
+    `int_max_str_digits`) at its path, before any reader formats it; a root
+    key's path names `source`, as `_fields` does. Each collection is walked
+    once, however many aliases repeat it."""
     if isinstance(value, int):
         try:
             str(value)
@@ -376,15 +377,15 @@ def _refuse_long_ints(value, path: str, seen: set[int]) -> None:
     elif isinstance(value, (dict, list)) and id(value) not in seen:
         seen.add(id(value))
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _refuse_long_ints(key, f"{path or 'scenario'} (key)", seen)
+            _refuse_long_ints(key, f"{path or source} (key)", source, seen)
             inner = (f"{path}.{key}" if path else key) if isinstance(key, str) else f"{path}[{key!r}]"
-            _refuse_long_ints(item, inner, seen)
+            _refuse_long_ints(item, inner, source, seen)
 
 
 def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     """Read the whole scenario by its rules, then check how its fields relate."""
     if isinstance(data, dict):  # any other root is refused at `source`
-        _refuse_long_ints(data, "", set())
+        _refuse_long_ints(data, "", source, set())
     root = _fields(data, "", _ROOT, source)
     horizon = root["epochs"] * root["epoch_seconds"]  # nothing runs after it
     root["heartbeat_seconds"] = root["heartbeat_seconds"] or max(1, root["epoch_seconds"] // 100)

@@ -58,7 +58,7 @@ EXAMPLES = {
         "entries": [["bob", "100", 0.6644518272425249], ["carol", "101/2", 0.33554817275747506]]},
     (EntryKind.POOL_EVENT, "plugin_rejected"): {
         "event": "plugin_rejected", "job": "alice:3", "sender": "alice", "pipeline": "calc",
-        "reasons": ["line 1: import of 'os'"]},
+        "reasons": ["unknown variable 'y'"]},
     (EntryKind.POOL_EVENT, "job_rejected"): {
         "event": "job_rejected", "job": "alice:4", "sender": "alice",
         "reason": "insufficient funds"},

@@ -1,42 +1,51 @@
-"""Shared vetting corpus: plugin sources with known-good and known-bad labels.
+"""Shared vetting corpus: `expr` formulas with known-good and known-bad labels.
 
-The unsafe list must be flagged with zero misses; the safe list exercises the
-same checker for false positives. Kept in one place so the unit tests and the
-acceptance gate vet the identical corpus.
+The unsafe list must be refused with zero misses; the safe list exercises the
+same vetter for false positives, and each of its formulas evaluates. Kept in
+one place so the unit tests and the acceptance gate vet the identical corpus.
 """
 
 UNSAFE_SNIPPETS = [
-    ("import-os", "import os\nacc = os.getpid()\n"),
-    ("open-read", 'data = open("/etc/passwd").read()\n'),
-    ("shutil-import", "from shutil import rmtree\nrmtree(target)\n"),
-    ("subprocess", 'import subprocess\nsubprocess.run(["ls"])\n'),
-    ("os-system", 'os.system("echo pwned")\n'),
-    ("signal-alarm", "signal.alarm(1)\n"),
-    ("socket-import", "import socket\ns = socket.socket()\n"),
-    ("urllib-fetch", "from urllib import request\nbody = request.urlopen(u)\n"),
-    ("requests-import", "import requests\nr = requests.get(url)\n"),
-    ("eval-call", 'acc = eval("2 + 2")\n'),
-    ("exec-call", "exec(payload)\n"),
-    ("dunder-import", '__import__("os").getcwd()\n'),
-    ("getattr-probe", 'fn = getattr(obj, "read")\n'),
-    ("mro-walk", "klass = value.__class__\n"),
-    ("unterminated", 's = "never closed\n'),
+    ("import-os", "os.getpid()"),
+    ("open-read", 'open("/etc/passwd").read()'),
+    ("shutil-import", '__import__("shutil").rmtree(x)'),
+    ("subprocess", 'subprocess.run(["ls"])'),
+    ("os-system", 'os.system("echo pwned")'),
+    ("signal-alarm", "signal.alarm(1)"),
+    ("socket-import", '__import__("socket").socket()'),
+    ("urllib-fetch", "urllib.request.urlopen(x)"),
+    ("requests-import", '__import__("requests").get(x)'),
+    ("eval-call", 'eval("2 + 2")'),
+    ("exec-call", "exec(x)"),
+    ("dunder-import", '__import__("os")'),
+    ("getattr-probe", 'getattr(x, "real")'),
+    ("mro-walk", "x.__class__"),
+    ("unterminated", '"never closed'),
+    ("lambda", "(lambda: acc)()"),
+    ("comprehension", "[x for x in (acc, step)]"),
+    ("string-literal", "'acc'"),
+    ("foreign-call", "pow(x, 2)"),
+    ("unknown-name", "acc + y"),
+    ("bare-builtin", "max + 1"),
+    ("dunder-name", "acc + __class__"),
+    ("oversized-source", "acc" + " " * 4094),
+    ("oversized-tree", "-x" + " + x" * 256),
 ]
 
 SAFE_SNIPPETS = [
-    ("loop-sum", "acc = 0.0\nfor i in range(10):\n    acc += i * 0.5\n"),
-    ("math-import", "import math\ny = math.sqrt(81) + math.pi\n"),
-    ("math-from", "from math import sqrt\nz = sqrt(2.0)\n"),
-    ("fold-fn", "def fold(acc, x):\n    return acc + max(x, 0.0)\n"),
-    ("mean", "values = [1.5, 2.5, 4.0]\ntotal = sum(values) / len(values)\n"),
-    ("ternary", "threshold = 0.75\nflag = 1.0 if threshold > 0.5 else 0.0\n"),
-    ("round-abs", "result = round(abs(-3.7), 1)\n"),
-    ("commented", "# running mean accumulator\nmean = 0.0\ncount = 0\n"),
-    ("clamp", "def clamp(x, lo, hi):\n    return min(max(x, lo), hi)\n"),
-    ("doubling", "acc = 1.0\nwhile acc < 100.0:\n    acc *= 2.0\n"),
-    ("string-label", 'label = "worker-" + str(3)\n'),
-    ("squares", "powers = [x ** 2 for x in range(5)]\n"),
-    ("dict-stats", 'stats = {"mean": 0.0, "var": 1.0}\nm = stats["mean"]\n'),
-    ("sine-table", "import math\nangles = [math.sin(t / 10.0) for t in range(20)]\n"),
-    ("ema", "def ema(prev, x, alpha=0.2):\n    return alpha * x + (1 - alpha) * prev\n"),
+    ("shipped", "acc + max(x, 0.25)"),
+    ("loop-sum", "acc + x * 0.5"),
+    ("fold-fn", "acc + max(x, 0.0)"),
+    ("mean", "(acc * (step - 1) + x) / step"),
+    ("ternary", "1.0 if x > 0.75 else 0.0"),
+    ("round-abs", "round(abs(acc - 3.7), 1)"),
+    ("commented", "acc + x  # running total"),
+    ("clamp", "min(max(x, 0.0), 1.0)"),
+    ("doubling", "acc * 2.0 if acc < 100.0 else acc"),
+    ("squares", "acc + x ** 2"),
+    ("ema", "0.2 * x + (1 - 0.2) * acc"),
+    ("per-worker", "acc + x * (worker + 1)"),
+    ("even-steps", "acc + (x if step % 2 == 0 and 0 < x < 1 else 0)"),
+    ("at-source-cap", "acc" + " " * 4093),
+    ("at-tree-cap", "-x" + " + x" * 255),
 ]

@@ -324,7 +324,6 @@ def test_a_simulator_fault_is_a_failed_run_not_a_traceback(
     ("x if", 2, "pipelines.p.business.params.expr: expression does not parse"),
     ("[x]", 2, "pipelines.p.business.params.expr: syntax List is not allowed"),
     # fail while a worker folds a step
-    ("foo + 1", 1, "job s:1: worker w1 failed at step 1"),
     ("acc / (x - x)", 1, "job s:1: worker w1 failed at step 1"),
     ("x ** 5000.0", 1, "job s:1: worker w1 failed at step 2"),
     ("step ** 2000", 1, "job s:1: worker w1 failed at step 2"),
@@ -348,6 +347,26 @@ def test_bad_expr_plugin_fails_cleanly(tmp_path, capsys, expr, exit_code, messag
     assert code == exit_code
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr,name", [("acc + y", "y"), ("foo + 1", "foo")])
+def test_a_formula_naming_an_unknown_variable_is_rejected_before_funding(tmp_path, capsys, expr, name):
+    data = dict(
+        MINI,
+        pipelines={"p": {"source": {"kind": "counter"},
+                         "business": {"kind": "expr", "params": {"expr": expr}}}},
+    )
+    scenario = tmp_path / "expr.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    entries = [entry for block in load_blocks((out / "ledger.bin").read_bytes())
+               for entry in block.entries]
+    rejected = [entry.payload for entry in entries if entry.payload.get("event") == "plugin_rejected"]
+    assert len(rejected) == 1 and rejected[0]["reasons"] == [f"unknown variable {name!r}"]
+    assert all(entry.kind is not EntryKind.JOB_ASSIGN for entry in entries)
+    assert json.loads((out / "audit.json").read_text())["balances"]["s"] == "50"
 
 
 def test_non_number_plugin_param_is_usage_error(tmp_path, capsys):
@@ -403,9 +422,9 @@ def test_coordinator_id_is_reserved(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change,message", [
-    # The plugin safety policy, capability weights and default challenge bond
+    # The formula vet's caps, capability weights and default challenge bond
     # are protocol constants; a scenario that sets one is refused.
-    ({"safety_policy": {"import_allowlist": ["math", "os"]}}, "unknown keys: ['safety_policy']"),
+    ({"safety_policy": {"max_nodes": 4096}}, "unknown keys: ['safety_policy']"),
     ({"capability_weights": {"gpu": 0.0}}, "unknown keys: ['capability_weights']"),
     ({"bond_fraction": "1/1000"}, "unknown keys: ['bond_fraction']"),
     ({"nodes": [dict(MINI["nodes"][0], capability={"gpu": "no"})] + MINI["nodes"][1:]},

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from computepool.crypto import derive_signer, digest
 from computepool.encoding import encode
 from computepool.pipeline import (
+    VARIABLES,
     Expression,
     ExpressionError,
     PipelineRun,
@@ -34,47 +35,46 @@ def test_unsafe_snippets_are_flagged(label, source):
 def test_safe_snippets_pass(label, source):
     verdict = safety_check(source)
     assert verdict.safe, verdict.reasons
+    # What passes runs: a fold binds every variable a safe formula reads.
+    value = Expression(source).evaluate(dict(zip(VARIABLES, (0.5, 2.0, 3, 1))))
+    assert isinstance(value, (int, float))
 
 
 def test_safety_check_collects_every_violation():
-    source = 'import os\neval("x")\nsocket.create_connection(addr)\n'
-    verdict = safety_check(source)
-    assert not verdict.safe
-    text = "\n".join(verdict.reasons)
-    assert "filesystem" in text
-    assert "reflective" in text
-    assert "network" in text
-    assert len(verdict.reasons) >= 3
-
-
-@pytest.mark.parametrize("source,safe", [
-    ("import math, numpy", False),
-    ("import math as m, json", False),
-    ("import math, \\\n    os.path", False),
-    ("raise E from math\nimport numpy", False),
-    ("import\nmath", False),
-    ("import math, math as m", True),
-    ("from math import sqrt, floor", True),
-])
-def test_every_module_an_import_statement_names_is_checked(source, safe):
-    assert safety_check(source).safe is safe
+    source = "y" + " + x" * 300 + " " * 3000
+    assert safety_check(source).reasons == (
+        "source is 4201 bytes, policy allows 4096",
+        "formula has 601 syntax nodes, policy allows 512",
+        "unknown variable 'y'",
+    )
+    reasons = safety_check("[y]" + " " * 4094).reasons
+    assert reasons == ("source is 4097 bytes, policy allows 4096", "syntax List is not allowed")
 
 
 def test_safety_policy_caps():
-    # 4,096 bytes and 512 tokens pass; one byte or one token more does not.
-    comment = "#" + "x" * 4095
-    assert safety_check(comment).safe
-    assert safety_check(comment + "x").reasons == ("source is 4097 bytes, policy allows 4096",)
+    # 4,096 bytes and 512 syntax nodes pass; one byte or one node more does not.
+    padded = "x" + " " * 4095
+    assert safety_check(padded).safe
+    assert safety_check(padded + " ").reasons == ("source is 4097 bytes, policy allows 4096",)
     at_cap = "-x" + " + x" * 255
     assert safety_check(at_cap).safe
-    assert safety_check("-" + at_cap).reasons == ("source has 513 tokens, policy allows 512",)
+    assert safety_check("-" + at_cap).reasons == ("formula has 513 syntax nodes, policy allows 512",)
+
+
+def test_only_the_folds_variables_may_be_named():
+    assert safety_check(" + ".join(VARIABLES)).safe
+    # A call names its function, which is not a variable; the bare name is one.
+    assert safety_check("acc + max(x, 0.25)").safe
+    assert safety_check("max + 1").reasons == ("unknown variable 'max'",)
+    assert safety_check("acc + __class__").reasons == ("unknown variable '__class__'",)
+    assert safety_check("b + a * b").reasons == ("unknown variable 'a'", "unknown variable 'b'")
 
 
 def test_source_that_does_not_tokenize_is_unsafe():
-    verdict = safety_check("s = '''never closed\n")
+    verdict = safety_check("'''never closed\n")
     assert not verdict.safe
     assert len(verdict.reasons) == 1
-    assert re.fullmatch(r"source does not tokenize: .*EOF in multi-line string.*",
+    assert re.fullmatch(r"expression does not parse: unterminated triple-quoted string.*",
                         verdict.reasons[0])
 
 

@@ -482,6 +482,16 @@ def test_an_integer_too_long_to_print_is_refused_wherever_it_is(change, path):
     expect_error(data, f"{path}: integer has more than ")
 
 
+def test_a_root_key_too_long_to_print_is_refused_at_its_file(tmp_path):
+    # Root errors name the file, as `extrakey.yaml: unknown keys: [...]` does.
+    path = tmp_path / "longkey.yaml"
+    # `?` marks an explicit key, which may be longer than YAML's 1,024 characters.
+    path.write_text(yaml.safe_dump(base_scenario()) + f"? 0x{LONG:x}\n: 1\n")
+    with pytest.raises(ScenarioError, match=re.escape(f"{path} (key): integer has more than ")):
+        load_scenario(path)
+    expect_error({**base_scenario(), LONG: 1}, "scenario (key): integer has more than ")
+
+
 def test_aliases_repeat_a_collection_without_walking_it_again(tmp_path):
     # Each list holds the one before it ten times: 10**8 lists if expanded.
     lists = ["&a0 [1]", *(f"&a{i} [{', '.join([f'*a{i - 1}'] * 10)}]" for i in range(1, 9))]
